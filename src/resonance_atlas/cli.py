@@ -8,19 +8,18 @@ JSON summary), and ``mesh`` (welded critical-surface triangulations).
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 I/O error.
 Floats are written with '%.17g' so round-tripping is exact.  Defaults may
 be overridden by a flat key=value config file (``--config``); explicit
-flags win over the file, the file wins over built-ins.  The environment
-variable RESONANCE_ATLAS_THREADS caps worker threads for sampling.
+flags win over the file, the file wins over built-ins.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,7 +60,7 @@ from .stratification import (
 
 SCHEMA_VERSION = 1
 
-__all__ = ["RunConfig", "main", "worker_count"]
+__all__ = ["RunConfig", "main"]
 
 
 def _fmt(x: float) -> str:
@@ -123,20 +122,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Worker thread budget; RESONANCE_ATLAS_THREADS caps it."""
-    limit = os.cpu_count() or 1
-    env = os.environ.get("RESONANCE_ATLAS_THREADS")
-    if env is not None:
-        try:
-            limit = max(1, min(limit, int(env)))
-        except ValueError:
-            limit = 1
-    if requested is None:
-        return limit
-    return max(1, min(requested, limit))
 
 
 # -- verify --------------------------------------------------------------------
@@ -324,9 +309,10 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("sample: --n must be positive", file=sys.stderr)
         return 2
     pts = sphere_samples(n, cfg.seed)
-    report = stability_report(pts, cfg.nu5, cfg.tol, workers=worker_count())
+    report = stability_report(pts, cfg.nu5, cfg.tol)
 
-    rows = [
+    # formatted as written, so the formatted rows never sit in memory at once
+    rows = (
         (
             _fmt(r.point.nu4[0]),
             _fmt(r.point.nu4[1]),
@@ -338,7 +324,7 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
             "true" if r.stable else "false",
         )
         for r in report.records
-    ]
+    )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -447,7 +433,14 @@ def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
+# A leading minus followed by a number, exponent form included, is a
+# negative coordinate; argparse alone reads "-1e-3" as an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="resonance-atlas",
         description="Stability atlas for 4x4 linear systems near a 1:1 resonance.",
@@ -466,6 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="classify one parameter point")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("nu1", type=float)
     p.add_argument("nu2", type=float)
     p.add_argument("nu3", type=float)

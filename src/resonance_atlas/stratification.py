@@ -18,11 +18,10 @@ that labels the whole circle consistently.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .algebra import ReducedCoords, homogeneous_reduced
 from .errors import AmbiguousStratum
@@ -32,6 +31,7 @@ from .geometry import (
     SQRT_HALF,
     SpherePoint,
     TWO_PI,
+    _normalize_disc,
     grad_F,
     param_phi,
 )
@@ -52,6 +52,8 @@ from .spectra import (
 
 __all__ = [
     "IncidenceGraph",
+    "KINDS",
+    "PointClasses",
     "STRATA",
     "SampleRecord",
     "StabilityReport",
@@ -59,6 +61,7 @@ __all__ = [
     "SurfaceMesh",
     "build_incidence",
     "classify_point",
+    "classify_points",
     "configuration_at",
     "evaluation_matrix",
     "interior_scale",
@@ -158,6 +161,10 @@ def representatives() -> dict[str, tuple[SpherePoint, float]]:
     }
 
 
+_P_NAMES = tuple(P_POINTS)
+_P_ARRAY = np.array([P_POINTS[name] for name in _P_NAMES])
+
+
 def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabel:
     """Assign a sphere point to its stratum.
 
@@ -177,9 +184,9 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
     v = p.nu4
     n1, n2, n3, n4 = (float(c) for c in v)
 
-    for name, coords in P_POINTS.items():
-        if np.max(np.abs(v - np.array(coords))) <= tol:
-            return STRATA[name]
+    hits = np.nonzero(np.abs(v - _P_ARRAY).max(axis=1) <= tol)[0]
+    if len(hits):
+        return STRATA[_P_NAMES[hits[0]]]
 
     on_circle_a = abs(n1) <= tol and abs(n2) <= tol  # nu1 = nu2 = 0
     on_circle_b = abs(n1) <= tol and abs(n4) <= tol  # nu1 = nu4 = 0
@@ -388,35 +395,234 @@ class StabilityReport:
     stable_boundary_strata: frozenset[str]
 
 
+# Stability kind of a sample, stored as an int8 code into KINDS.
+KINDS = ("stable", "unstable", "mixed", "critical")
+_STABLE, _UNSTABLE, _MIXED, _CRITICAL = range(len(KINDS))
+
+
+class PointClasses(NamedTuple):
+    """Per-row output of classify_points."""
+
+    stratum: np.ndarray  # (n,) stratum names
+    config: np.ndarray  # (n,) configuration codes
+    max_real_part: np.ndarray  # (n,) float
+    kind: np.ndarray  # (n,) int8 codes into KINDS
+
+
+# A row leaves the closed-form path when a quantity that classify_point
+# compares with tol lies within _MARGIN * tol of it, when a real part lies
+# within a factor 2 of its zero threshold, or when the two eigenvalue pairs
+# lie closer than _PAIR_GAP relative to the spectrum's scale.  The quartic
+# path agrees with the closed form to 1e-13 beyond that gap.
+_MARGIN = 100.0
+_PAIR_GAP = 3e-2
+# Configuration code of a pair of real-part signs, indexed by
+# 3 (s_low + 1) + (s_high + 1) with s_low <= s_high.
+_SIGN_CODES = np.array(
+    [
+        CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
+        None, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
+        None, None, CONFIG_UNSTABLE_PAIRS,
+    ],
+    dtype=object,
+)
+
+
+def _sample_record(p: SpherePoint, nu5: float, tol: float, zero_re_tol: float):
+    """The scalar path for one point: stratum, config, max real part, kind."""
+    label = classify_point(p, nu5, tol)
+    mat = evaluation_matrix(p, nu5)
+    cfg = classify_configuration(mat, tol)
+    spec = spectrum(mat, tol)
+    thresh = zero_re_tol * (1.0 + max(abs(z) for z in spec.eigenvalues))
+    res = [z.real for z in spec.eigenvalues]
+    if all(r < -thresh for r in res):
+        kind = _STABLE
+    elif all(r > thresh for r in res):
+        kind = _UNSTABLE
+    elif any(abs(r) <= thresh for r in res):
+        kind = _CRITICAL
+    else:
+        kind = _MIXED
+    return label.name, cfg.code, spec.max_real_part, kind
+
+
+def classify_points(
+    pts,
+    nu5: float,
+    tol: float = 1e-9,
+    zero_re_tol: float = ZERO_RE_TOL_SAMPLED,
+) -> PointClasses:
+    """Stratum, configuration, max real part and stability kind of unit rows.
+
+    The evaluation matrix of the canonical family has the closed-form
+    spectrum t0 nu1 + i(nu5 +- t0 D) and conjugates, with
+    D = sqrt(nu3^2 + nu4^2 - nu2^2 + 2 i nu2 nu4).  Rows whose every
+    decision clears its threshold with room to spare are labelled from it
+    as whole arrays.  The others -- near a P point or a self-intersection
+    circle, near the critical surface or nu2 = 0, with nearly coincident
+    pairs, or with a real part near the label (tol) or stability
+    (zero_re_tol) threshold -- take the scalar classify_point path, so
+    every label is the one classify_point gives.  A sample is stable when
+    every real part lies below -zero_re_tol (1 + max |lambda|), critical
+    when one lies within that threshold of zero.
+    """
+    if nu5 == 0.0:
+        raise ValueError("classify_points: nu5 must be nonzero")
+    if tol <= 0.0:
+        raise ValueError("classify_points: tol must be positive")
+    v = np.asarray(pts, dtype=float).reshape(-1, 4)
+    if np.any(np.abs(np.linalg.norm(v, axis=1) - 1.0) > 1e-12):
+        raise ValueError("classify_points: rows must be unit vectors")
+    n1, n2, n3, n4 = v.T
+    t0 = interior_scale(nu5)
+    d = np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
+    lam = (t0 * n1)[:, None] + 1j * (nu5 + t0 * np.stack([d, -d], axis=1))
+    re, mod = lam.real, np.abs(lam)
+    scale = 1.0 + mod.max(axis=1)
+
+    label_tol = tol * (1.0 + mod)
+    stable_tol = zero_re_tol * scale
+    signs = np.where(np.abs(re) <= label_tol, 0, np.sign(re)).astype(int)
+    stable_count = 2 * np.sum(re < -label_tol, axis=1)
+    config = _SIGN_CODES[3 * (signs.min(axis=1) + 1) + signs.max(axis=1) + 1]
+    stratum = np.where(
+        stable_count == 4, "V3",
+        np.where(stable_count == 0, "V1", np.where(n2 > 0.0, "V2", "V4")),
+    ).astype(object)
+    kind = np.full(len(v), _MIXED, dtype=np.int8)
+    kind[np.any(np.abs(re) <= stable_tol[:, None], axis=1)] = _CRITICAL
+    kind[np.all(re > stable_tol[:, None], axis=1)] = _UNSTABLE
+    kind[np.all(re < -stable_tol[:, None], axis=1)] = _STABLE
+    max_re = re.max(axis=1)
+
+    near = _MARGIN * tol
+    ratio_label = np.abs(re) / label_tol
+    ratio_stable = np.abs(re) / stable_tol[:, None]
+    scalar = (
+        np.any([np.abs(v - p).max(axis=1) <= near for p in _P_ARRAY], axis=0)
+        | ((np.abs(n1) <= near) & ((np.abs(n2) <= near) | (np.abs(n4) <= near)))
+        | (np.abs(F_critical(v)) <= near)
+        | (np.abs(n2) <= near)
+        | (2.0 * t0 * np.abs(d) <= _PAIR_GAP * scale)
+        | (np.abs(lam.imag) <= near * (1.0 + mod)).any(axis=1)
+        | ((ratio_label >= 0.5) & (ratio_label <= 2.0)).any(axis=1)
+        | ((ratio_stable >= 0.5) & (ratio_stable <= 2.0)).any(axis=1)
+    )
+    for i in np.nonzero(scalar)[0]:
+        stratum[i], config[i], max_re[i], kind[i] = _sample_record(
+            SpherePoint(v[i]), nu5, tol, zero_re_tol
+        )
+    return PointClasses(stratum, config, max_re, kind)
+
+
 _CHORD_NODES = np.linspace(0.0, 1.0, 5)
 _CHORD_VAND_INV = np.linalg.inv(np.vander(_CHORD_NODES, 5))
+# Chords per block of the arc test; bounds the temporaries to a few MB.
+_EDGE_BLOCK = 4096
 
 
-def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: float) -> bool:
-    """True when F keeps the given strict sign along the arc from a to b.
+def _chord_points(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(1 - t) a + t b for rows a, b of shape (m, 4) and t of shape (m, k)."""
+    return (1.0 - t)[..., None] * a[:, None, :] + t[..., None] * b[:, None, :]
 
-    F is a quartic form, so its restriction to the chord is a quartic in
-    the line parameter, and normalizing onto the sphere rescales it
-    positively.  Five samples pin the quartic exactly; checking its value
-    at the endpoints and at every stationary point inside (0, 1) decides
-    the sign on the whole arc, not just at sampled points.
+
+def _chord_quartic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F at the five chord nodes, and the stationary points of its quartic.
+
+    F is a quartic form, so on the chord from a to b it is a quartic in
+    the line parameter, pinned exactly by five values.  Returns those
+    values (m, 5) and the real parts (m, 3) of the roots of the quartic's
+    derivative, computed as np.roots does (companion-matrix eigenvalues),
+    nan where the derivative has fewer roots.
     """
-    vals = np.array([float(F_critical((1.0 - t) * a + t * b)) for t in _CHORD_NODES])
-    if np.any(sign * vals <= 0.0):
-        return False
-    coeffs = _CHORD_VAND_INV @ vals
-    for r in np.roots(np.polyder(coeffs)):
-        tr = float(r.real)
-        if 0.0 < tr < 1.0:
-            v = float(F_critical((1.0 - tr) * a + tr * b))
-            if sign * v <= 0.0:
-                return False
-    return True
+    m = len(a)
+    vals = F_critical(_chord_points(a, b, np.broadcast_to(_CHORD_NODES, (m, 5))))
+    der = (vals @ _CHORD_VAND_INV.T)[:, :4] * np.array([4.0, 3.0, 2.0, 1.0])
+    stat = np.full((m, 3), np.nan)
+    regular = (der[:, 0] != 0.0) & (der[:, 3] != 0.0)
+    comp = np.zeros((int(regular.sum()), 3, 3))
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    comp[:, 0, :] = -der[regular, 1:] / der[regular, :1]
+    stat[regular] = np.linalg.eigvals(comp).real
+    for k in np.nonzero(~regular)[0]:
+        r = np.roots(der[k]).real
+        stat[k, : len(r)] = r
+    return vals, stat
+
+
+def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """For each row, True when F keeps the strict sign along the arc a -> b.
+
+    Normalizing onto the sphere rescales F positively, so the sign on the
+    arc is the sign of the chord quartic.  Checking it at the nodes and at
+    every stationary point inside (0, 1) decides the sign on the whole
+    arc, not just at sampled points.
+    """
+    vals, stat = _chord_quartic(a, b)
+    inner = (stat > 0.0) & (stat < 1.0)
+    at_stat = F_critical(_chord_points(a, b, np.where(inner, stat, 0.0)))
+    sign = sign[:, None]
+    at_nodes = np.all(sign * vals > 0.0, axis=1)
+    return at_nodes & ~np.any(inner & (sign * at_stat <= 0.0), axis=1)
+
+
+def _neighbor_pairs(src: np.ndarray, table: np.ndarray):
+    """Flat pairs (src[r], table[r, c]) for c >= 1; column 0 is the point itself."""
+    return np.repeat(src, table.shape[1] - 1), table[:, 1:].ravel()
+
+
+def _linked_arcs(points, kinds, signs, i, j):
+    """The candidate pairs (i[k], j[k]), deduplicated, that the flood may join:
+    same kind, not critical, the same nonzero sign of F and an arc on
+    which F keeps that sign.  Arcs are tested in blocks of _EDGE_BLOCK."""
+    n = len(points)
+    key = np.minimum(i, j) * n
+    key += np.maximum(i, j)
+    key = np.sort(key[i != j])
+    key = key[np.diff(key, prepend=-1) != 0]
+    i, j = key // n, key % n
+    keep = (
+        (kinds[i] != _CRITICAL)
+        & (kinds[i] == kinds[j])
+        & (signs[i] != 0.0)
+        & (signs[i] == signs[j])
+    )
+    i, j = i[keep], j[keep]
+    ok = np.zeros(len(i), dtype=bool)
+    for start in range(0, len(i), _EDGE_BLOCK):
+        bi, bj = i[start : start + _EDGE_BLOCK], j[start : start + _EDGE_BLOCK]
+        ok[start : start + _EDGE_BLOCK] = _chord_sign_constant(
+            points[bi], points[bj], signs[bi]
+        )
+    return i[ok], j[ok]
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Label each of n nodes by the smallest node of its component under
+    the edges (i[k], j[k]).
+
+    Every root hooks onto the smallest root it shares an edge with, then
+    pointer jumping (root <- root[root]) runs until each node points at
+    its root; pointers only ever decrease, so the forest stays acyclic.
+    Repeats until no edge joins two roots.
+    """
+    root = np.arange(n)
+    while True:
+        ri, rj = root[i], root[j]
+        split = ri != rj
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(ri, rj)[split], np.minimum(ri, rj)[split])
+        nxt = root[root]
+        while not np.array_equal(nxt, root):
+            root, nxt = nxt, nxt[nxt]
 
 
 def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
-    """Union same-kind neighbors whose connecting arc stays on one side
-    of the critical surface; return components and the kNN table.
+    """Join same-kind neighbors whose connecting arc stays on one side of
+    the critical surface; return each point's component label (its
+    smallest member) and the kNN table.
 
     A second pass widens the neighbor search for members of very small
     components: near the self-intersection circles the mixed regions
@@ -425,99 +631,54 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     wedge widens a step further out.  The arc test itself is exact, so
     extra candidates can only connect what is genuinely connected.
     """
+    from scipy.spatial import cKDTree
+
     n = len(points)
     tree = cKDTree(points)
-    _, nbrs = tree.query(points, k=min(tree_k + 1, n))
-    parent = list(range(n))
+    nbrs = tree.query(points, k=min(tree_k + 1, n))[1].reshape(n, -1)
+    i, j = _linked_arcs(points, kinds, signs, *_neighbor_pairs(np.arange(n), nbrs))
+    labels = _components(n, i, j)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def try_link(i: int, j: int) -> None:
-        if kinds[i] != kinds[j] or kinds[i] == "critical":
-            return
-        if signs[i] == 0.0 or signs[i] != signs[j]:
-            return
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return
-        if _chord_sign_constant(points[i], points[j], signs[i]):
-            parent[ri] = rj
-
-    for i in range(n):
-        for j in nbrs[i][1:]:
-            try_link(i, int(j))
-
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        sizes[find(i)] = sizes.get(find(i), 0) + 1
-    small_cut = max(3, n // 200)
-    strays = [i for i in range(n) if sizes[find(i)] < small_cut]
-    if strays:
-        for i in strays:
-            _, wide = tree.query(points[i], k=min(rescue_k + 1, n))
-            for j in wide[1:]:
-                try_link(i, int(j))
-
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    return comps, nbrs
+    sizes = np.bincount(labels, minlength=n)
+    strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
+    if len(strays):
+        wide = tree.query(points[strays], k=min(rescue_k + 1, n))[1]
+        pairs = _neighbor_pairs(strays, wide.reshape(len(strays), -1))
+        ri, rj = _linked_arcs(points, kinds, signs, *pairs)
+        labels = _components(n, np.concatenate([i, ri]), np.concatenate([j, rj]))
+    return labels, nbrs
 
 
-def _surface_crossing(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Bisect F along the arc from a to b down to a sign-change point."""
+def _surface_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first point where each arc from a[k] to b[k] crosses F = 0.
 
-    def f_at(t: float) -> float:
-        q = (1.0 - t) * a + t * b
-        return float(F_critical(q / np.linalg.norm(q)))
-
-    lo, hi = 0.0, 1.0
-    flo, fhi = f_at(lo), f_at(hi)
-    if flo == 0.0 or flo * fhi > 0.0:
-        return None
+    Arcs with F(a) = 0 or with the same sign of F at both ends are
+    dropped.  The stationary points of the chord quartic cut (0, 1) into
+    pieces on which it is monotone, so the first piece whose far end has
+    left the sign of F(a) holds exactly one crossing, the first one; it
+    is bisected to machine precision.
+    """
+    stat = _chord_quartic(a, b)[1]
+    stops = np.sort(np.where((stat > 0.0) & (stat < 1.0), stat, 1.0), axis=1)
+    ends = np.ones((len(a), 1))
+    scan = np.concatenate([np.zeros_like(ends), stops, ends], axis=1)
+    fs = F_critical(_chord_points(a, b, scan))
+    keep = (fs[:, 0] != 0.0) & ~(fs[:, 0] * fs[:, -1] > 0.0)
+    a, b, scan, fs = a[keep], b[keep], scan[keep], fs[keep]
+    first = np.argmax(fs[:, :1] * fs <= 0.0, axis=1)
+    rows = np.arange(len(a))
+    lo, hi, flo = scan[rows, first - 1], scan[rows, first], fs[rows, first - 1]
+    live = np.ones(len(a), dtype=bool)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = f_at(mid)
-        if fm == 0.0:
-            break
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    t = 0.5 * (lo + hi)
-    q = (1.0 - t) * a + t * b
-    return q / np.linalg.norm(q)
-
-
-def _sample_record(row: np.ndarray, nu5: float, tol: float, zero_re_tol: float):
-    """One sample's record plus its stability kind."""
-    sp = SpherePoint(row / np.linalg.norm(row))
-    label = classify_point(sp, nu5, tol)
-    mat = evaluation_matrix(sp, nu5)
-    cfg = classify_configuration(mat, tol)
-    spec = spectrum(mat, tol)
-    thresh = zero_re_tol * (1.0 + max(abs(z) for z in spec.eigenvalues))
-    res = [z.real for z in spec.eigenvalues]
-    if all(r < -thresh for r in res):
-        kind = "stable"
-    elif all(r > thresh for r in res):
-        kind = "unstable"
-    elif any(abs(r) <= thresh for r in res):
-        kind = "critical"
-    else:
-        kind = "mixed"
-    record = SampleRecord(
-        point=sp,
-        stratum=label.name,
-        config=cfg.code,
-        max_real_part=spec.max_real_part,
-        stable=kind == "stable",
-    )
-    return record, kind
+        fm = F_critical(_chord_points(a, b, mid[:, None]))[:, 0]
+        left = flo * fm < 0.0
+        hi = np.where(live & left, mid, hi)
+        right = live & ~left & (fm != 0.0)
+        lo, flo = np.where(right, mid, lo), np.where(right, fm, flo)
+        live &= fm != 0.0
+    q = _chord_points(a, b, 0.5 * (lo + hi)[:, None])[:, 0]
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
 def stability_report(
@@ -525,7 +686,6 @@ def stability_report(
     nu5: float = 1.0,
     tol: float = 1e-9,
     zero_re_tol: float = ZERO_RE_TOL_SAMPLED,
-    workers: int = 1,
 ) -> StabilityReport:
     """Classify samples, flood-fill the sign regions, audit stability.
 
@@ -533,62 +693,36 @@ def stability_report(
     A sample is stable when every eigenvalue real part sits below the
     relative threshold at the ray-interior evaluation; samples straddling
     the threshold are tagged critical and excluded from the component
-    counts.  Boundary strata of the stable region are found by bisecting
-    F along sample arcs that cross from stable into mixed territory.
-    workers > 1 spreads per-sample classification over that many threads;
-    output order is independent of the worker count.
+    counts.  Boundary strata of the stable region are read at the first
+    crossing of F = 0 on each sample arc from stable into mixed territory.
     """
-    pts = np.array(
+    rows = np.array(
         [s.nu4 if isinstance(s, SpherePoint) else s for s in samples], dtype=float
     )
-    if workers > 1 and len(pts) > 1:
-        chunks = np.array_split(np.arange(len(pts)), workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    lambda idx: [
-                        _sample_record(pts[i], nu5, tol, zero_re_tol) for i in idx
-                    ],
-                    chunk,
-                )
-                for chunk in chunks
-                if len(chunk)
-            ]
-            merged = [pair for fut in futures for pair in fut.result()]
-    else:
-        merged = [_sample_record(row, nu5, tol, zero_re_tol) for row in pts]
-    records: list[SampleRecord] = [rec for rec, _ in merged]
-    kinds: list[str] = [kind for _, kind in merged]
+    unit = rows / np.array([np.linalg.norm(row) for row in rows]).reshape(-1, 1)
+    cls = classify_points(unit, nu5, tol, zero_re_tol)
+    kinds = cls.kind
 
-    signs = np.sign(F_critical(pts))
-    comps, nbrs = _flood_components(pts, kinds, signs)
-    counts = {"stable": 0, "unstable": 0, "mixed": 0}
-    for members in comps.values():
-        k = kinds[members[0]]
-        if k in counts:
-            counts[k] += 1
+    labels, nbrs = _flood_components(rows, kinds, np.sign(F_critical(rows)))
+    roots = labels == np.arange(len(rows))
+    counts = np.bincount(kinds[roots], minlength=len(KINDS))
 
-    boundary: set[str] = set()
-    for i in range(len(pts)):
-        if kinds[i] != "stable":
-            continue
-        for j in nbrs[i][1:]:
-            j = int(j)
-            if kinds[j] != "mixed":
-                continue
-            q = _surface_crossing(pts[i], pts[j])
-            if q is None:
-                continue
-            name = _probe_classify(q, nu5, tol)
-            if name is not None:
-                boundary.add(name)
+    i, j = _neighbor_pairs(np.arange(len(rows)), nbrs)
+    sel = (kinds[i] == _STABLE) & (kinds[j] == _MIXED)
+    crossings = _surface_crossings(rows[i[sel]], rows[j[sel]])
+    boundary = {_probe_classify(q, nu5, tol) for q in crossings}
+    boundary.discard(None)
 
+    records = tuple(
+        SampleRecord(SpherePoint(u), s, c, float(m), bool(k == _STABLE))
+        for u, s, c, m, k in zip(unit, *cls)
+    )
     return StabilityReport(
-        records=tuple(records),
+        records=records,
         stable_strata=frozenset(r.stratum for r in records if r.stable),
-        stable_component_count=counts["stable"],
-        unstable_component_count=counts["unstable"],
-        mixed_component_count=counts["mixed"],
+        stable_component_count=int(counts[_STABLE]),
+        unstable_component_count=int(counts[_UNSTABLE]),
+        mixed_component_count=int(counts[_MIXED]),
         stable_boundary_strata=frozenset(boundary),
     )
 
@@ -625,12 +759,12 @@ def mesh_surface(
     t = 0 ~ 2 pi always; the fold (s, pi/2) ~ (-s, 3 pi/2) and the mirror
     (0, t) ~ (0, 2 pi - t) whenever the grid hits those lines, i.e. when
     resolution is divisible by 4.  Triangles collapsed by a weld are
-    dropped.  Output is deterministic for a given input.
+    dropped, and so is the second copy of a triangle that the fold and
+    mirror welds map onto an earlier one next to (s, t) = (0, pi/2).
+    Output is deterministic for a given input.
     """
     if resolution < 8:
         raise ValueError("mesh_surface: resolution must be >= 8")
-    from .geometry import _normalize_disc
-
     d = _normalize_disc(disc)
     res = int(resolution)
     s_vals = np.linspace(-1.0, 1.0, res + 1)
@@ -669,6 +803,9 @@ def mesh_surface(
             for tri in ((v00, v10, v11), (v00, v11, v01)):
                 if len(set(tri)) == 3:
                     triangles.append(tri)
+    tris = np.array(triangles, dtype=int)
+    first = np.unique(np.sort(tris, axis=1), axis=0, return_index=True)[1]
+    tris = tris[np.sort(first)]
 
     vertices = np.array(coords)
     strata = tuple(
@@ -678,6 +815,6 @@ def mesh_surface(
         disc=d,
         vertices=vertices,
         params=np.array(params),
-        triangles=np.array(triangles, dtype=int),
+        triangles=tris,
         strata=strata,
     )

@@ -126,3 +126,81 @@ def axis_char_coeffs(nu1: float, nu5: float) -> tuple[float, ...]:
         -4.0 * nu1 ** 3 - 4.0 * nu1 * nu5 * nu5,
         (nu1 * nu1 + nu5 * nu5) ** 2,
     )
+
+
+def F_quartic(v) -> np.ndarray:
+    """(nu1^2 - nu2^2)(nu1^2 + nu4^2) + nu1^2 nu3^2 over the last axis."""
+    v = np.asarray(v, dtype=float)
+    n1, n2, n3, n4 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    return (n1 * n1 - n2 * n2) * (n1 * n1 + n4 * n4) + n1 * n1 * n3 * n3
+
+
+_CHORD_NODES = np.linspace(0.0, 1.0, 5)
+_CHORD_VAND_INV = np.linalg.inv(np.vander(_CHORD_NODES, 5))
+
+
+def chord_sign_constant(a, b, sign: float) -> bool:
+    """One chord at a time: True when F keeps the strict sign on the arc a -> b.
+
+    Five samples pin the chord quartic; its value at the nodes and at every
+    stationary point inside (0, 1) decides the sign on the whole arc.
+    """
+    vals = np.array([float(F_quartic((1.0 - t) * a + t * b)) for t in _CHORD_NODES])
+    if np.any(sign * vals <= 0.0):
+        return False
+    coeffs = _CHORD_VAND_INV @ vals
+    for r in np.roots(np.polyder(coeffs)):
+        tr = float(r.real)
+        if 0.0 < tr < 1.0:
+            if sign * float(F_quartic((1.0 - tr) * a + tr * b)) <= 0.0:
+                return False
+    return True
+
+
+def flood_component_counts(points, kinds, tree_k=12, rescue_k=48) -> dict[str, int]:
+    """Component count per stability kind from a union-find flood fill.
+
+    kinds holds 'stable', 'unstable', 'mixed' or 'critical' per point.
+    Same-kind kNN neighbors (not critical, same nonzero sign of F) are
+    joined one at a time when chord_sign_constant holds; members of
+    components smaller than max(3, n // 200) then try their rescue_k
+    nearest neighbors.
+    """
+    from scipy.spatial import cKDTree
+
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    signs = np.sign(F_quartic(points))
+    tree = cKDTree(points)
+    nbrs = tree.query(points, k=min(tree_k + 1, n))[1]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def try_link(i, j):
+        if kinds[i] != kinds[j] or kinds[i] == "critical":
+            return
+        if signs[i] == 0.0 or signs[i] != signs[j]:
+            return
+        ri, rj = find(i), find(j)
+        if ri != rj and chord_sign_constant(points[i], points[j], signs[i]):
+            parent[ri] = rj
+
+    for i in range(n):
+        for j in nbrs[i][1:]:
+            try_link(i, int(j))
+    sizes: dict[int, int] = {}
+    for i in range(n):
+        sizes[find(i)] = sizes.get(find(i), 0) + 1
+    for i in [i for i in range(n) if sizes[find(i)] < max(3, n // 200)]:
+        for j in tree.query(points[i], k=min(rescue_k + 1, n))[1][1:]:
+            try_link(i, int(j))
+    counts = {"stable": 0, "unstable": 0, "mixed": 0}
+    for root in {find(i) for i in range(n)}:
+        if kinds[root] in counts:
+            counts[kinds[root]] += 1
+    return counts

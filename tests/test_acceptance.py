@@ -266,7 +266,7 @@ def test_criterion_11_reduction():
 def test_criterion_12_stability_domain():
     """Strictly stable and strictly unstable samples each form one region."""
     samples = sphere_samples(10_000, 42)
-    report = stability_report(samples, nu5=1.0, workers=4)
+    report = stability_report(samples, nu5=1.0)
 
     assert report.stable_component_count == 1
     assert report.unstable_component_count == 1

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from resonance_atlas.cli import main, worker_count
+import resonance_atlas
+from resonance_atlas.cli import _build_parser, main
 
 
 def test_verify_basis_suite(capsys):
@@ -175,11 +179,30 @@ def test_config_value_validation(tmp_path):
     assert main(["--config", str(cfg), "verify", "--suite", "basis"]) == 2
 
 
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("RESONANCE_ATLAS_THREADS", "1")
-    assert worker_count() == 1
-    assert worker_count(8) == 1
-    monkeypatch.setenv("RESONANCE_ATLAS_THREADS", "not-a-number")
-    assert worker_count() == 1
-    monkeypatch.delenv("RESONANCE_ATLAS_THREADS")
-    assert worker_count(1) == 1
+def test_classify_takes_negative_exponent_coordinates(capsys):
+    """A coordinate like -1e-3 is a number, not an option, without "--"."""
+    assert main(["classify", "0.5", "-1e-3", "0.5", "0.5", "--json"]) == 0
+    a = json.loads(capsys.readouterr().out)
+    assert main(["classify", "--json", "--", "0.5", "-1e-3", "0.5", "0.5"]) == 0
+    b = json.loads(capsys.readouterr().out)
+    assert a == b
+    assert a["point"][1] < 0.0
+    assert main(["classify", "-.5", "-2E-1", "0.5", "0.5", "-1.5"]) == 0
+    assert "stratum" in capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """classify, mesh and verify never use scipy, so importing the CLI
+    must not pay for it; sample loads it on demand."""
+    code = "import sys, resonance_atlas.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(resonance_atlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
