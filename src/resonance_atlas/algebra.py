@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DecompositionFailure
-from .linalg import Mat2, Mat4, exp_generator, frobenius_inner
+from .linalg import Mat4, exp_generator, frobenius_inner
 from .linalg import _COMPLEMENT, _GENERATORS, _I2, _J2, _R2, _T2
 
 __all__ = [
@@ -45,15 +45,16 @@ ROTATING_INDICES = (2, 3, 4, 6, 7, 8)
 
 @dataclass(frozen=True)
 class BasisSet:
-    """The sixteen block matrices, keyed 1..8, plus the 2x2 building blocks."""
+    """The sixteen block matrices, keyed 1..8, plus the read-only 2x2
+    building blocks."""
 
     M: Mapping[int, Mat4]
     P: Mapping[int, Mat4]
     L: Mat4
-    I2: Mat2
-    R: Mat2
-    T: Mat2
-    J: Mat2
+    I2: np.ndarray
+    R: np.ndarray
+    T: np.ndarray
+    J: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +103,7 @@ class ReducedCoords:
 def basis() -> BasisSet:
     M = MappingProxyType({i: Mat4(_GENERATORS[i]) for i in range(1, 9)})
     P = MappingProxyType({i: Mat4(_COMPLEMENT[i]) for i in range(1, 9)})
-    return BasisSet(M=M, P=P, L=M[5], I2=Mat2(_I2), R=Mat2(_R2), T=Mat2(_T2), J=Mat2(_J2))
+    return BasisSet(M=M, P=P, L=M[5], I2=_I2, R=_R2, T=_T2, J=_J2)
 
 
 def homogeneous_unfolding(mu: CentralizerCoords) -> Mat4:

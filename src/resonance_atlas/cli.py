@@ -26,8 +26,8 @@ import numpy as np
 
 from .algebra import (
     basis,
-    centralizer_coefficients,
     CentralizerCoords,
+    commutator_table,
     homogeneous_reduced,
     homogeneous_unfolding,
     reduce_to_canonical,
@@ -46,12 +46,11 @@ from .geometry import (
     normal_form_residual,
 )
 from .linalg import char_poly, commutator, frobenius_inner
-from .spectra import spectrum
 from .stratification import (
     STRATA,
+    _label_and_config,
     classify_point,
     configuration_at,
-    evaluation_matrix,
     mesh_surface,
     representatives,
     sphere_samples,
@@ -141,8 +140,6 @@ def _check_basis(rng, tol):
     )
     yield "basis.centralizer", worst
     worst = 0.0
-    from .algebra import commutator_table
-
     for (i, j), (coef, k) in commutator_table().items():
         got = commutator(b.M[i], b.M[j])
         want = coef * b.M[k] if k else got.zero()
@@ -269,9 +266,8 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("classify: nu5 must be nonzero", file=sys.stderr)
         return 2
     point = SpherePoint(raw / norm)
-    label = classify_point(point, nu5, cfg.tol)
-    config = configuration_at(point, nu5, cfg.tol, cfg.cluster_tol)
-    spec = spectrum(evaluation_matrix(point, nu5), cfg.tol, cfg.cluster_tol)
+    label, config = _label_and_config(point, nu5, cfg.tol, cfg.cluster_tol)
+    spec = config.spectrum
     F = float(F_critical(point.nu4))
     if args.json:
         payload = {

@@ -21,7 +21,6 @@ from .errors import DegeneratePolynomial
 __all__ = [
     "CLUSTER_TOL_DEFAULT",
     "RANK_TOL_DEFAULT",
-    "Mat2",
     "Mat4",
     "PolyCoeffs",
     "RootSet",
@@ -94,19 +93,6 @@ class Mat4:
 
     def __repr__(self):
         return f"Mat4({self.entries.tolist()!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class Mat2:
-    """Real 2x2 matrix with finite entries (immutable)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_array(self.entries, (2, 2), "Mat2"))
-
-    def __repr__(self):
-        return f"Mat2({self.entries.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -201,22 +187,23 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _cubic_largest_real_root(b, c, d):
-    """Largest real root of z^3 + b z^2 + c z + d (Cardano / trig branch)."""
+def _resolvent_root(b, c, d):
+    """The real root of z^3 + b z^2 + c z + d of largest modulus (Cardano /
+    trig branch)."""
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc > 0.0:
         s = math.sqrt(disc)
-        w = _cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s)
-    elif p == 0.0:
-        w = _cbrt(-q)
-    else:
-        # three real roots: the k=0 trig root is the largest
-        r = math.sqrt(-p / 3.0)
-        arg = min(1.0, max(-1.0, 3.0 * q / (2.0 * p * r)))
-        w = 2.0 * r * math.cos(math.acos(arg) / 3.0)
-    return w - b / 3.0
+        return _cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s) - b / 3.0
+    if p == 0.0:
+        return _cbrt(-q) - b / 3.0
+    # three real roots: the k = 0 trig root is the largest, k = 2 the smallest
+    r = math.sqrt(-p / 3.0)
+    phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (2.0 * p * r))))
+    hi = 2.0 * r * math.cos(phi / 3.0) - b / 3.0
+    lo = 2.0 * r * math.cos((phi + 2.0 * math.pi) / 3.0) - b / 3.0
+    return hi if abs(hi) >= abs(lo) else lo
 
 
 def _solve_quadratic(b, c):
@@ -259,14 +246,23 @@ def quartic_roots(p: PolyCoeffs, tol: float) -> RootSet:
         ra, rb = cmath.sqrt(y2a), cmath.sqrt(y2b)
         ys = [ra, -ra, rb, -rb]
     else:
-        # resolvent: m^3 + P m^2 + (P^2/4 - R) m - Q^2/8 = 0 has a positive
-        # real root (value at 0 is -Q^2/8 < 0); the largest real root is it.
-        m = _cubic_largest_real_root(P, P * P / 4.0 - R, -Q * Q / 8.0)
-        m = max(m, 1e-300)
-        alpha = math.sqrt(2.0 * m)
-        beta = P / 2.0 + m - Q / (2.0 * alpha)
-        gamma = P / 2.0 + m + Q / (2.0 * alpha)
-        ys = list(_solve_quadratic(alpha, beta)) + list(_solve_quadratic(-alpha, gamma))
+        # Split into (y^2 + alpha y + beta)(y^2 - alpha y + gamma) through a
+        # root m = alpha^2 / 2 of the resolvent m^3 + P m^2 + (P^2/4 - R) m
+        # - Q^2/8.  The real root of largest modulus keeps Q / (2 alpha)
+        # small; a small positive root is ill-determined next to coincident
+        # pairs, where two roots of the resolvent nearly meet.
+        m = _resolvent_root(P, P * P / 4.0 - R, -Q * Q / 8.0)
+        if m > 0.0:
+            alpha = math.sqrt(2.0 * m)
+            beta = P / 2.0 + m - Q / (2.0 * alpha)
+            gamma = P / 2.0 + m + Q / (2.0 * alpha)
+            ys = list(_solve_quadratic(alpha, beta)) + list(_solve_quadratic(-alpha, gamma))
+        else:
+            # alpha = i s: the two quadratics are conjugate, and y = i x
+            # turns the first into x^2 + s x - beta
+            s = math.sqrt(-2.0 * m)
+            xs = _solve_quadratic(s, -complex(P / 2.0 + m, Q / (2.0 * s)))
+            ys = [1j * x for x in xs] + [(1j * x).conjugate() for x in xs]
 
     shift = b / 4.0
     monic = (1.0, b, c, d, e)
@@ -333,10 +329,10 @@ def numeric_rank(A: Mat4, tol: float) -> int:
 
 # -- generator exponentials ---------------------------------------------------
 
-_I2 = np.array([[1.0, 0.0], [0.0, 1.0]])
-_R2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-_T2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_I2 = _frozen_array([[1.0, 0.0], [0.0, 1.0]], (2, 2), "I2")
+_R2 = _frozen_array([[1.0, 0.0], [0.0, -1.0]], (2, 2), "R")
+_T2 = _frozen_array([[0.0, 1.0], [1.0, 0.0]], (2, 2), "T")
+_J2 = _frozen_array([[0.0, 1.0], [-1.0, 0.0]], (2, 2), "J")
 
 
 def _blk(tl, tr, bl, br):

@@ -2,8 +2,10 @@
 
 A matrix in the commuting family has eigenvalues in conjugate pairs; the
 classifier names the sign pattern of the two pairs (stable/unstable/
-imaginary) and, for a coincident imaginary pair, separates the semisimple
-case from the nilpotent one by the rank of the annihilator A^2 + beta^2 id.
+imaginary) and, for a coincident pair, separates the semisimple case from
+the nilpotent one by the rank of the annihilator A^2 + u A + v id.  Each
+configuration is read from one Spectrum, which computes the characteristic
+polynomial once.
 """
 
 from __future__ import annotations
@@ -55,6 +57,28 @@ CONFIG_COINCIDENT_UNSTABLE = "g+g+"
 CONFIG_COINCIDENT_STABLE_NILPOTENT = "g-^2"
 CONFIG_COINCIDENT_UNSTABLE_NILPOTENT = "g+^2"
 
+# Configuration code of a pair of real-part signs (-1, 0 or +1 each, 0 when
+# the real part reads as zero), indexed by 3 (s_low + 1) + (s_high + 1) with
+# s_low <= s_high.
+_SIGN_CODES = np.array(
+    [
+        CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
+        None, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
+        None, None, CONFIG_UNSTABLE_PAIRS,
+    ],
+    dtype=object,
+)
+# Configuration code of a coincident pair by (sign of its real part,
+# whether the pair is semisimple).
+_COINCIDENT_CODES = {
+    (0, True): CONFIG_DOUBLE_SEMISIMPLE,
+    (0, False): CONFIG_DOUBLE_NILPOTENT,
+    (-1, True): CONFIG_COINCIDENT_STABLE,
+    (-1, False): CONFIG_COINCIDENT_STABLE_NILPOTENT,
+    (1, True): CONFIG_COINCIDENT_UNSTABLE,
+    (1, False): CONFIG_COINCIDENT_UNSTABLE_NILPOTENT,
+}
+
 # Real-part zero thresholds (relative): analytic inputs vs sampled data.
 ZERO_RE_TOL_ANALYTIC = 1e-9
 ZERO_RE_TOL_SAMPLED = 1e-6
@@ -64,21 +88,28 @@ ZERO_RE_TOL_SAMPLED = 1e-6
 class Spectrum:
     """Four eigenvalues, their coincidence clusters, and summary fields.
 
-    semisimple_double_pair is set only when the spectrum is a coincident
-    imaginary pair +-i beta (True: semisimple, False: nilpotent part
-    present); it stays None otherwise.
+    double_pair is (u, v) when the two eigenvalues above the real axis
+    share a cluster: the characteristic polynomial is then (x^2 + u x + v)^2,
+    and the eigenvalues are its roots, each double.  It stays None
+    otherwise.  semisimple_double_pair is set only when that pair is
+    imaginary, +-i beta (True: semisimple, False: nilpotent part present).
     """
 
     eigenvalues: tuple[complex, complex, complex, complex]
     clusters: tuple[tuple[int, ...], ...]
     max_real_part: float
     semisimple_double_pair: bool | None
+    double_pair: tuple[float, float] | None
 
 
 @dataclass(frozen=True)
 class EigConfig:
+    """A configuration code, its count of stable eigenvalues, and the
+    spectrum both were read from."""
+
     code: str
     stable_count: int
+    spectrum: Spectrum
 
 
 def _cluster_indices(roots, cluster_tol):
@@ -111,84 +142,58 @@ def _im_is_zero(z: complex, tol: float) -> bool:
     return abs(z.imag) <= tol * (1.0 + abs(z))
 
 
-def _annihilator_rank(B: Mat4, A: Mat4, tol: float) -> int:
-    """Rank of an annihilator, thresholded against A's own scale.
+def _pair_is_semisimple(A: Mat4, u: float, v: float, tol: float) -> bool:
+    """True iff A, whose spectrum is the roots of x^2 + u x + v, each
+    double, has no nilpotent part.
 
-    A relative-to-B threshold would report full rank for the numerically
-    zero matrix (its largest singular value is roundoff), so singular
-    values are measured against (1 + ||A||)^2, the natural size of a
-    quadratic polynomial in A.
-    """
-    svals = np.linalg.svd(B.entries, compute_uv=False)
-    scale = (1.0 + float(np.linalg.norm(A.entries, 2))) ** 2
-    return int(np.sum(svals > max(tol, 1e-12) * scale))
-
-
-def is_semisimple_double_pair(A: Mat4, beta: float, tol: float) -> bool:
-    """True iff A with spectrum {+-i beta (double)} has no nilpotent part.
-
-    rank(A^2 + beta^2 id) is 0 exactly for the semisimple case and 2 when
+    rank(A^2 + u A + v id) is 0 exactly for the semisimple case and 2 when
     a rank-two nilpotent rides on top; anything else means the premise
-    (a double imaginary pair) did not hold, raised as RankAnomalous.
+    did not hold, raised as RankAnomalous.  Singular values are measured
+    against (1 + ||A||)^2, the natural size of a quadratic polynomial in A:
+    a threshold relative to the annihilator itself would report full rank
+    for the numerically zero matrix, whose largest singular value is
+    roundoff.
     """
-    B = Mat4(A.entries @ A.entries + float(beta) ** 2 * np.eye(4))
-    r = _annihilator_rank(B, A, tol)
+    E = A.entries
+    svals = np.linalg.svd(E @ E + u * E + v * np.eye(4), compute_uv=False)
+    scale = (1.0 + float(np.linalg.norm(E, 2))) ** 2
+    r = int(np.sum(svals > max(tol, 1e-12) * scale))
     if r == 0:
         return True
     if r == 2:
         return False
     raise RankAnomalous(f"annihilator rank {r}, expected 0 or 2")
+
+
+def is_semisimple_double_pair(A: Mat4, beta: float, tol: float) -> bool:
+    """True iff A with spectrum {+-i beta (double)} has no nilpotent part."""
+    return _pair_is_semisimple(A, 0.0, float(beta) ** 2, tol)
 
 
 def spectrum(A: Mat4, tol: float, cluster_tol: float = CLUSTER_TOL_DEFAULT) -> Spectrum:
     """Eigenvalues of A via the quartic of char_poly, plus clustering.
 
-    When the clustered spectrum is a coincident imaginary pair, the
-    semisimple/nilpotent flag is filled in; otherwise left None.
+    When the two eigenvalues above the real axis fall into one cluster,
+    the pair is taken from the square root x^2 + u x + v of the
+    characteristic polynomial instead: u and v come from its third- and
+    second-order coefficients, which traces give accurately, while double
+    roots of the quartic come out only to sqrt(eps).  For an imaginary
+    coincident pair the semisimple/nilpotent flag is filled in.
     """
-    roots = quartic_roots(char_poly(A), tol).roots
+    poly = char_poly(A)
+    roots = quartic_roots(poly, tol).roots
     clusters = _cluster_indices(roots, cluster_tol)
-    max_re = max(z.real for z in roots)
-    flag = None
-    if len(clusters) == 2 and all(len(c) == 2 for c in clusters):
-        means = [sum(roots[i] for i in c) / 2.0 for c in clusters]
-        conj_gap = abs(means[0] - means[1].conjugate())
-        if (
-            conj_gap <= cluster_tol * (1.0 + abs(means[0]))
-            and all(_re_is_zero(m, tol) for m in means)
-            and not any(_im_is_zero(m, tol) for m in means)
-        ):
-            u, v = _double_pair_quadratic(A)
-            beta = math.sqrt(max(v - u * u / 4.0, 0.0))
-            flag = is_semisimple_double_pair(A, beta, tol)
-    return Spectrum(tuple(roots), clusters, float(max_re), flag)
-
-
-def _double_pair_quadratic(A: Mat4) -> tuple[float, float]:
-    """Coefficients (u, v) of the square root of the char polynomial.
-
-    Under the coincident-pair premise the characteristic polynomial is
-    (x^2 + u x + v)^2, so u and v fall out of its third- and second-order
-    coefficients.  Those are computed from traces and stay accurate where
-    the roots themselves are ill-conditioned (double roots only come out
-    to sqrt(eps)), which is exactly when this branch runs.
-    """
-    c = char_poly(A).a
-    u = c[1] / 2.0
-    v = (c[2] - u * u) / 2.0
-    return u, v
-
-
-def _coincident_pair_semisimple(A: Mat4, u: float, v: float, tol: float) -> bool:
-    """Semisimplicity test for a coincident pair with x^2 + u x + v = 0."""
-    E = A.entries
-    B = Mat4(E @ E + u * E + v * np.eye(4))
-    r = _annihilator_rank(B, A, tol)
-    if r == 0:
-        return True
-    if r == 2:
-        return False
-    raise RankAnomalous(f"annihilator rank {r}, expected 0 or 2")
+    upper = {i for i, z in enumerate(roots) if z.imag > 0.0}
+    pair = flag = None
+    if len(upper) == 2 and any(upper <= set(c) for c in clusters):
+        u = poly.a[1] / 2.0
+        v = (poly.a[2] - u * u) / 2.0
+        w = complex(-u / 2.0, math.sqrt(max(v - u * u / 4.0, 0.0)))
+        roots = (w.conjugate(), w.conjugate(), w, w)
+        pair = (u, v)
+        if _re_is_zero(w, tol) and not _im_is_zero(w, tol):
+            flag = _pair_is_semisimple(A, u, v, tol)
+    return Spectrum(tuple(roots), clusters, max(z.real for z in roots), flag, pair)
 
 
 def classify_configuration(
@@ -198,8 +203,8 @@ def classify_configuration(
 
     Cascade: reject real/zero eigenvalues (UnresolvedConfiguration), read
     the sign of each pair's real part against the relative threshold
-    tol*(1+|lambda|), check pair coincidence against cluster_tol, and for
-    coincident pairs split semisimple from nilpotent by annihilator rank.
+    tol*(1+|lambda|), and for a coincident pair split semisimple from
+    nilpotent by annihilator rank.  Everything is read from one spectrum.
     """
     sp = spectrum(A, tol, cluster_tol)
     roots = sp.eigenvalues
@@ -207,55 +212,20 @@ def classify_configuration(
         raise UnresolvedConfiguration(
             f"real or zero eigenvalue in {roots}; no pair configuration applies"
         )
-    upper_idx = [i for i, z in enumerate(roots) if z.imag > 0.0]
-    upper_idx.sort(key=lambda i: (roots[i].real, roots[i].imag))
-    if len(upper_idx) != 2:
+    upper = sorted((z for z in roots if z.imag > 0.0), key=lambda z: (z.real, z.imag))
+    if len(upper) != 2:
         raise UnresolvedConfiguration(f"could not split {roots} into conjugate pairs")
-    i1, i2 = upper_idx
-    w1, w2 = roots[i1], roots[i2]
-    stable_count = 2 * sum(1 for w in (w1, w2) if w.real < -tol * (1.0 + abs(w)))
+    stable_count = 2 * sum(1 for w in upper if w.real < -tol * (1.0 + abs(w)))
+    signs = [0 if _re_is_zero(w, tol) else (-1 if w.real < 0.0 else 1) for w in upper]
 
-    same_cluster = any(i1 in c and i2 in c for c in sp.clusters)
+    if sp.double_pair is not None:
+        # the imaginary pair's flag is already in the spectrum
+        semisimple = (
+            sp.semisimple_double_pair
+            if signs[0] == 0
+            else _pair_is_semisimple(A, *sp.double_pair, tol)
+        )
+        return EigConfig(_COINCIDENT_CODES[signs[0], semisimple], stable_count, sp)
 
-    if same_cluster:
-        u, v = _double_pair_quadratic(A)
-        alpha = -u / 2.0
-        beta = math.sqrt(max(v - alpha * alpha, 0.0))
-        w = complex(alpha, beta)
-        if _re_is_zero(w, tol):
-            flag = sp.semisimple_double_pair
-            if flag is None:
-                flag = is_semisimple_double_pair(A, beta, tol)
-            code = CONFIG_DOUBLE_SEMISIMPLE if flag else CONFIG_DOUBLE_NILPOTENT
-        elif w.real < 0.0:
-            ss = _coincident_pair_semisimple(A, u, v, tol)
-            code = CONFIG_COINCIDENT_STABLE if ss else CONFIG_COINCIDENT_STABLE_NILPOTENT
-        else:
-            ss = _coincident_pair_semisimple(A, u, v, tol)
-            code = (
-                CONFIG_COINCIDENT_UNSTABLE if ss else CONFIG_COINCIDENT_UNSTABLE_NILPOTENT
-            )
-        return EigConfig(code, stable_count)
-
-    signs = []
-    for w in (w1, w2):
-        if _re_is_zero(w, tol):
-            signs.append(0)
-        elif w.real < 0.0:
-            signs.append(-1)
-        else:
-            signs.append(1)
-    s = tuple(sorted(signs))
-    if s == (0, 0):
-        code = CONFIG_TWO_IMAGINARY
-    elif s == (-1, 0):
-        code = CONFIG_BETA_STABLE
-    elif s == (0, 1):
-        code = CONFIG_BETA_UNSTABLE
-    elif s == (-1, -1):
-        code = CONFIG_STABLE_PAIRS
-    elif s == (1, 1):
-        code = CONFIG_UNSTABLE_PAIRS
-    else:
-        code = CONFIG_MIXED
-    return EigConfig(code, stable_count)
+    low, high = sorted(signs)
+    return EigConfig(_SIGN_CODES[3 * (low + 1) + high + 1], stable_count, sp)

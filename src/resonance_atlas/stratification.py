@@ -45,9 +45,9 @@ from .spectra import (
     CONFIG_TWO_IMAGINARY,
     CONFIG_UNSTABLE_PAIRS,
     ZERO_RE_TOL_SAMPLED,
+    _SIGN_CODES,
     EigConfig,
     classify_configuration,
-    spectrum,
 )
 
 __all__ = [
@@ -181,7 +181,14 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
         raise ValueError("classify_point: nu5 must be nonzero")
     if tol <= 0.0:
         raise ValueError("classify_point: tol must be positive")
-    v = p.nu4
+    label = _critical_stratum(p.nu4, tol)
+    if label is None:
+        label = _open_region(p.nu4, configuration_at(p, nu5, tol), tol)
+    return label
+
+
+def _critical_stratum(v: np.ndarray, tol: float) -> StratumLabel | None:
+    """The P/L/S part of classify_point's cascade; None off the critical set."""
     n1, n2, n3, n4 = (float(c) for c in v)
 
     hits = np.nonzero(np.abs(v - _P_ARRAY).max(axis=1) <= tol)[0]
@@ -216,15 +223,31 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
         if n1 > 0.0:
             return STRATA["S1"] if n2 > 0.0 else STRATA["S4"]
         return STRATA["S3"] if n2 > 0.0 else STRATA["S2"]
+    return None
 
-    cfg = configuration_at(p, nu5, tol)
+
+def _open_region(v: np.ndarray, cfg: EigConfig, tol: float) -> StratumLabel:
+    """The open region of a point off the critical set, from its configuration."""
     if cfg.stable_count == 4:
         return STRATA["V3"]
     if cfg.stable_count == 0:
         return STRATA["V1"]
-    if abs(n2) <= tol:
+    if abs(v[1]) <= tol:
         raise AmbiguousStratum("mixed configuration with unresolved sign of nu2")
-    return STRATA["V2"] if n2 > 0.0 else STRATA["V4"]
+    return STRATA["V2"] if v[1] > 0.0 else STRATA["V4"]
+
+
+def _label_and_config(
+    p: SpherePoint, nu5: float, tol: float, cluster_tol: float = CLUSTER_TOL_DEFAULT
+) -> tuple[StratumLabel, EigConfig]:
+    """classify_point's label and the configuration at p, from one spectrum.
+
+    The P/L/S cascade runs first and raises as classify_point does; an
+    open-region label is then read from the configuration.
+    """
+    label = _critical_stratum(p.nu4, tol)
+    cfg = configuration_at(p, nu5, tol, cluster_tol)
+    return (_open_region(p.nu4, cfg, tol) if label is None else label), cfg
 
 
 # -- incidence -----------------------------------------------------------------
@@ -416,24 +439,12 @@ class PointClasses(NamedTuple):
 # path agrees with the closed form to 1e-13 beyond that gap.
 _MARGIN = 100.0
 _PAIR_GAP = 3e-2
-# Configuration code of a pair of real-part signs, indexed by
-# 3 (s_low + 1) + (s_high + 1) with s_low <= s_high.
-_SIGN_CODES = np.array(
-    [
-        CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
-        None, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
-        None, None, CONFIG_UNSTABLE_PAIRS,
-    ],
-    dtype=object,
-)
 
 
 def _sample_record(p: SpherePoint, nu5: float, tol: float, zero_re_tol: float):
     """The scalar path for one point: stratum, config, max real part, kind."""
-    label = classify_point(p, nu5, tol)
-    mat = evaluation_matrix(p, nu5)
-    cfg = classify_configuration(mat, tol)
-    spec = spectrum(mat, tol)
+    label, cfg = _label_and_config(p, nu5, tol)
+    spec = cfg.spectrum
     thresh = zero_re_tol * (1.0 + max(abs(z) for z in spec.eigenvalues))
     res = [z.real for z in spec.eigenvalues]
     if all(r < -thresh for r in res):
@@ -741,13 +752,12 @@ class SurfaceMesh:
     strata: tuple[str, ...]  # per-vertex stratum name
 
     def euler_characteristic(self) -> int:
-        edges = set()
-        for tri in self.triangles:
-            a, b, c = (int(x) for x in tri)
-            edges.add((min(a, b), max(a, b)))
-            edges.add((min(b, c), max(b, c)))
-            edges.add((min(a, c), max(a, c)))
-        return len(self.vertices) - len(edges) + len(self.triangles)
+        """V - E + T; an edge (a, b) with a < b counts once, by its key a V + b."""
+        n = len(self.vertices)
+        t = np.sort(self.triangles, axis=1).astype(np.int64)
+        a, b, c = t.T
+        keys = np.concatenate([a * n + b, b * n + c, a * n + c])
+        return n - len(np.unique(keys)) + len(t)
 
 
 def mesh_surface(

@@ -31,11 +31,14 @@ def test_basis_block_identities():
     assert np.array_equal(b.M[1].entries, np.eye(4))
     assert np.array_equal(b.M[5].entries, b.L.entries)
     # the 2x2 building blocks multiply the way the brackets need
-    R, T, J = b.R.entries, b.T.entries, b.J.entries
+    R, T, J = b.R, b.T, b.J
     assert np.array_equal(R @ J, T)
     assert np.array_equal(J @ R, -T)
     assert np.array_equal(R @ T, J)
     assert np.array_equal(T @ R, -J)
+    for block in (b.I2, R, T, J):
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
 
 
 def test_basis_orthogonality_exact():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import resonance_atlas
+from resonance_atlas import linalg, spectra
 from resonance_atlas.cli import _build_parser, main
+from resonance_atlas.geometry import P_POINTS
 
 
 def test_verify_basis_suite(capsys):
@@ -206,3 +208,45 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def _classify_json(capsys, coords):
+    assert main(["classify", "--json", "--"] + [repr(float(c)) for c in coords]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (-math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0),  # V3
+        (0.25, 0.5, 0.75, 0.35355339059327373),  # S1
+        (1.0, 0.0, 0.0, 0.0),  # the axis, a coincident pair
+        P_POINTS["P1"],
+    ],
+)
+def test_classify_computes_one_spectrum(coords, count_calls, capsys):
+    """Label, config, max real part and eigenvalues all come from one
+    spectrum and one characteristic polynomial."""
+    spectra_calls = count_calls(spectra.spectrum)
+    poly_calls = count_calls(linalg.char_poly)
+    assert _classify_json(capsys, coords)["eigenvalues"]
+    assert (spectra_calls[0], poly_calls[0]) == (1, 1)
+
+
+def test_classify_coincident_pairs_are_exact(capsys):
+    """Two double roots come from the square root of the characteristic
+    polynomial, not from the quartic's sqrt(eps)-accurate roots."""
+    axis = _classify_json(capsys, (1.0, 0.0, 0.0, 0.0))
+    assert axis["config"] == "g+g+"
+    assert abs(axis["max_real_part"] - 1.0 / (2.0 * math.sqrt(2.0))) <= 1e-15
+    for name in ("P1", "P2", "P3", "P4"):
+        payload = _classify_json(capsys, P_POINTS[name])
+        assert payload["stratum"] == name
+        assert abs(payload["max_real_part"]) <= 1e-15
+
+
+def test_classify_next_to_the_axis(capsys):
+    """Pairs 1e-5 apart off the axis: the quartic stays finite."""
+    payload = _classify_json(capsys, (1.0, 1e-5, 1e-5, 1e-5))
+    assert payload["stratum"] == "V1"
+    assert max(abs(complex(e["re"], e["im"])) for e in payload["eigenvalues"]) < 2.0

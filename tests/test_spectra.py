@@ -4,11 +4,13 @@ import pytest
 from resonance_atlas.errors import RankAnomalous, UnresolvedConfiguration
 from resonance_atlas.linalg import Mat4
 from resonance_atlas.algebra import ReducedCoords, basis, homogeneous_reduced
+from resonance_atlas.geometry import SpherePoint
 from resonance_atlas.spectra import (
     classify_configuration,
     is_semisimple_double_pair,
     spectrum,
 )
+from resonance_atlas.stratification import evaluation_matrix
 
 import oracles
 
@@ -69,6 +71,35 @@ def test_spectrum_flag_nilpotent():
 def test_spectrum_flag_none_off_axis():
     sp = spectrum(_coincident(0.4, 1.0, False), 1e-9)
     assert sp.semisimple_double_pair is None  # coincident but not imaginary
+
+
+def test_spectrum_coincident_pair_is_exact():
+    """A coincident pair is read from (x^2 + u x + v)^2, so even a
+    nilpotent one, which the quartic resolves to sqrt(eps) only, comes out
+    to rounding."""
+    for nilpotent in (False, True):
+        sp = spectrum(_coincident(0.4, 1.0, nilpotent), 1e-9)
+        assert sp.double_pair == pytest.approx((-0.8, 1.16), abs=1e-15)
+        want = [0.4 - 1j, 0.4 - 1j, 0.4 + 1j, 0.4 + 1j]
+        assert max(abs(z - w) for z, w in zip(sp.eigenvalues, want)) <= 1e-15
+        assert sp.max_real_part == sp.eigenvalues[-1].real
+    assert spectrum(_two_pairs(0.1, 1.0, -0.2, 2.0), 1e-9).double_pair is None
+
+
+def test_spectrum_next_to_coincident_pairs_matches_lapack():
+    """Points 1e-8 to 1e-2 off the axis, where the two pairs nearly meet:
+    the resolvent split of the quartic stays finite and accurate."""
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        d = rng.standard_normal(4)
+        v = np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0, 0.0])
+        v = v + 10.0 ** rng.uniform(-8.0, -2.0) * d / np.linalg.norm(d)
+        A = evaluation_matrix(SpherePoint(v / np.linalg.norm(v)), 1.0)
+        sp = spectrum(A, 1e-9)
+        lam = oracles.eigvals_lapack(A.entries)
+        bound = 1e-6 * (1.0 + np.abs(lam).max())
+        assert abs(sp.max_real_part - lam.real.max()) <= bound
+        assert oracles.multiset_gap(sp.eigenvalues, lam) <= bound
 
 
 def test_is_semisimple_double_pair():

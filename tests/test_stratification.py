@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resonance_atlas import linalg, spectra, stratification
 from resonance_atlas.errors import AmbiguousStratum
 from resonance_atlas.geometry import F_critical, SpherePoint, param_phi, unit_point
 from resonance_atlas.spectra import ZERO_RE_TOL_SAMPLED, spectrum
@@ -236,6 +237,19 @@ def test_classify_points_matches_scalar_path(nu5):
     assert list(got.config) == [w[1] for w in want]
     assert [KINDS[k] for k in got.kind] == [w[3] for w in want]
     assert np.max(np.abs(got.max_real_part - [w[2] for w in want])) <= 1e-13
+
+
+def test_classify_points_one_spectrum_per_scalar_row(count_calls):
+    """A row that leaves the closed form costs one spectrum and one
+    characteristic polynomial, shared by its stratum, config and kind."""
+    rows = count_calls(stratification._sample_record)
+    spectra_calls = count_calls(spectra.spectrum)
+    poly_calls = count_calls(linalg.char_poly)
+    reps = np.array([p.nu4 for p, _ in representatives().values()])
+    axis = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    classify_points(np.vstack([sphere_samples(500, 3), reps, axis]), 1.0)
+    assert rows[0] > len(axis)
+    assert spectra_calls[0] == poly_calls[0] == rows[0]
 
 
 def test_classify_points_validation():
