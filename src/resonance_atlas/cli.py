@@ -357,37 +357,46 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- mesh ----------------------------------------------------------------------
 
 
+_BLOCK_ROWS = 4096  # rows formatted per % call; bounds the text held at once
+
+
+def _write_blocks(fh, template: str, n: int, values) -> None:
+    """Write n rows of template, formatting a block of rows per % call;
+    values(lo, hi) gives the flat values of rows lo..hi-1 in order."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        fh.write((template * (hi - lo)) % tuple(values(lo, hi)))
+
+
 def _write_obj(fh, meshes) -> None:
     offset = 0
     for mesh in meshes:
         name = "plus" if mesh.disc > 0 else "minus"
         fh.write(f"g {name}\n")
-        for row in mesh.vertices:
-            fh.write("v " + " ".join(_fmt(c) for c in row) + "\n")
-        for tri in mesh.triangles:
-            a, b, c = (int(v) + 1 + offset for v in tri)
-            fh.write(f"f {a} {b} {c}\n")
+        verts, faces = mesh.vertices, mesh.triangles + (1 + offset)
+        _write_blocks(fh, "v %.17g %.17g %.17g %.17g\n", len(verts),
+                      lambda lo, hi: verts[lo:hi].ravel().tolist())
+        _write_blocks(fh, "f %d %d %d\n", len(faces),
+                      lambda lo, hi: faces[lo:hi].ravel().tolist())
         offset += len(mesh.vertices)
 
 
 def _write_mesh_csv(fh, meshes) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        ["type", "disc", "i0", "i1", "i2", "nu1", "nu2", "nu3", "nu4", "s", "t", "stratum"]
-    )
+    """One vertex row (index, coordinates, chart (s, t), stratum) and one
+    face row (three indices) per element, the fields csv.writer would give."""
+    fh.write("type,disc,i0,i1,i2,nu1,nu2,nu3,nu4,s,t,stratum\n")
     for mesh in meshes:
-        for idx, row in enumerate(mesh.vertices):
-            s, t = mesh.params[idx]
-            writer.writerow(
-                ["vertex", mesh.disc, idx, "", ""]
-                + [_fmt(c) for c in row]
-                + [_fmt(s), _fmt(t), mesh.strata[idx]]
-            )
-        for tri in mesh.triangles:
-            writer.writerow(
-                ["face", mesh.disc, int(tri[0]), int(tri[1]), int(tri[2])]
-                + [""] * 6
-            )
+        table = np.column_stack([mesh.vertices, mesh.params])
+        strata, faces = mesh.strata, mesh.triangles
+
+        def vertex_values(lo, hi):
+            rows = zip(range(lo, hi), table[lo:hi].tolist(), strata[lo:hi])
+            return [x for idx, coords, name in rows for x in (idx, *coords, name)]
+
+        _write_blocks(fh, f"vertex,{mesh.disc},%d,,," + "%.17g," * 6 + "%s\n",
+                      len(table), vertex_values)
+        _write_blocks(fh, f"face,{mesh.disc},%d,%d,%d,,,,,,\n", len(faces),
+                      lambda lo, hi: faces[lo:hi].ravel().tolist())
 
 
 def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:

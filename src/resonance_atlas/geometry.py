@@ -34,11 +34,13 @@ __all__ = [
     "P_POINTS",
     "RootTriple",
     "SpherePoint",
+    "check_unit_rows",
     "f_surface",
     "grad_F",
     "hessian_F",
     "normal_form_residual",
     "param_phi",
+    "param_phi_array",
     "phi_coeffs",
     "psi",
     "unit_point",
@@ -46,6 +48,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 SQRT_HALF = math.sqrt(0.5)
+UNIT_NORM_TOL = 1e-12  # how far a SpherePoint's norm may sit from 1
 
 # distinguished zero-dimensional points of the critical surface, exact
 P_POINTS = {
@@ -84,8 +87,10 @@ class SpherePoint:
         if not np.isfinite(arr).all():
             raise ValueError("SpherePoint: coordinates must be finite")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"SpherePoint: |norm - 1| = {abs(norm - 1.0):.3e} > 1e-12")
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
+            raise ValueError(
+                f"SpherePoint: |norm - 1| = {abs(norm - 1.0):.3e} > {UNIT_NORM_TOL:g}"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "nu4", arr)
         d = self.disc
@@ -205,22 +210,49 @@ def param_phi(disc, s: float, t: float) -> SpherePoint:
     nu3^2 = (1 - s^2)(2 - cos^2 t)/2 keeps the completion exact.  Domain
     is the closed rectangle s in [-1, 1], t in [0, 2 pi]; outside raises
     DomainError.  The map is two-to-one along t = pi/2 ~ 3 pi/2 (with s
-    flipped) and along the s = 0 line (t ~ 2 pi - t).
+    flipped) and along the s = 0 line (t ~ 2 pi - t).  A one-point call of
+    param_phi_array.
     """
     d = _normalize_disc(disc)
-    s = float(s)
-    t = float(t)
-    if not (-1.0 <= s <= 1.0):
-        raise DomainError(f"param_phi: s = {s} outside [-1, 1]")
-    if not (0.0 <= t <= TWO_PI + 1e-12):
-        raise DomainError(f"param_phi: t = {t} outside [0, 2*pi]")
-    ct, st = math.cos(t), math.sin(t)
-    n1 = SQRT_HALF * s * ct
-    n2 = SQRT_HALF * ct
-    n4 = s * st
-    n3_sq = max(0.0, (1.0 - s * s) * (2.0 - ct * ct) / 2.0)
-    n3 = d * math.sqrt(n3_sq)
-    return SpherePoint(np.array([n1, n2, n3, n4]), d)
+    return SpherePoint(param_phi_array(d, float(s), float(t)), d)
+
+
+def param_phi_array(disc, s, t) -> np.ndarray:
+    """param_phi over broadcast arrays of s and t, as an (..., 4) array.
+
+    Same domain checks (DomainError naming the first value outside) and
+    the same arithmetic as the one-point chart, so each row equals
+    param_phi(disc, s, t).nu4 bit for bit.  Rows are not validated as
+    SpherePoints; callers that need that check them with check_unit_rows.
+    """
+    d = _normalize_disc(disc)
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    bad = ~((s >= -1.0) & (s <= 1.0))
+    if bad.any():
+        raise DomainError(f"param_phi: s = {float(s[bad].flat[0])} outside [-1, 1]")
+    bad = ~((t >= 0.0) & (t <= TWO_PI + 1e-12))
+    if bad.any():
+        raise DomainError(f"param_phi: t = {float(t[bad].flat[0])} outside [0, 2*pi]")
+    s, t = np.broadcast_arrays(s, t)
+    ct, st = np.cos(t), np.sin(t)
+    n3_sq = np.maximum(0.0, (1.0 - s * s) * (2.0 - ct * ct) / 2.0)
+    return np.stack([SQRT_HALF * s * ct, SQRT_HALF * ct, d * np.sqrt(n3_sq), s * st], axis=-1)
+
+
+def check_unit_rows(v: np.ndarray) -> None:
+    """SpherePoint's rule on every row of an (n, 4) array: finite, with
+    |norm - 1| <= UNIT_NORM_TOL.  Raises ValueError for the first row that
+    breaks it."""
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"SpherePoint: coordinates must be finite (row {np.argmin(finite)})")
+    dev = np.abs(np.linalg.norm(v, axis=1) - 1.0)
+    bad = np.flatnonzero(dev > UNIT_NORM_TOL)
+    if len(bad):
+        raise ValueError(
+            f"SpherePoint: |norm - 1| = {dev[bad[0]]:.3e} > {UNIT_NORM_TOL:g} (row {bad[0]})"
+        )
 
 
 # -- local normal forms -------------------------------------------------------

@@ -32,8 +32,10 @@ from .geometry import (
     SpherePoint,
     TWO_PI,
     _normalize_disc,
+    check_unit_rows,
     grad_F,
     param_phi,
+    param_phi_array,
 )
 from .linalg import CLUSTER_TOL_DEFAULT, Mat4
 from .spectra import (
@@ -224,6 +226,58 @@ def _critical_stratum(v: np.ndarray, tol: float) -> StratumLabel | None:
             return STRATA["S1"] if n2 > 0.0 else STRATA["S4"]
         return STRATA["S3"] if n2 > 0.0 else STRATA["S2"]
     return None
+
+
+_STRATUM_NAMES = tuple(STRATA)
+_CODE = {name: k for k, name in enumerate(_STRATUM_NAMES)}
+_P_CODES = np.array([_CODE[name] for name in _P_NAMES])
+_OFF_CRITICAL = -1  # _critical_stratum returns None
+_AMBIGUOUS = -2  # _critical_stratum raises AmbiguousStratum
+
+
+def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
+    """_critical_stratum on every row of an (n, 4) array.
+
+    One int code per row: an index into _STRATUM_NAMES, _OFF_CRITICAL off
+    the critical set, or _AMBIGUOUS where the scalar cascade raises.  The
+    tests apply in the scalar cascade's order, so each row's code is the
+    first that matches there.
+    """
+    n1, n2, n3, n4 = v.T
+    p_hits = np.abs(v[:, None, :] - _P_ARRAY).max(axis=2) <= tol
+    near_n1 = np.abs(n1) <= tol
+    on_circle_a = near_n1 & (np.abs(n2) <= tol)
+    on_circle_b = near_n1 & (np.abs(n4) <= tol)
+    margin = n2 * n2 - n3 * n3
+    on_sheet = (np.abs(F_critical(v)) <= tol) & (np.abs(n2) * math.sqrt(2.0) <= 1.0 + tol)
+    up = n2 > 0.0
+
+    def pick(name_up, name_down):
+        return np.where(up, _CODE[name_up], _CODE[name_down])
+
+    return np.select(
+        [
+            p_hits.any(axis=1),
+            on_circle_a & on_circle_b,
+            on_circle_a,
+            on_circle_b & (np.abs(margin) <= 4.0 * tol),
+            on_circle_b & (margin < 0.0),
+            on_circle_b,
+            on_sheet & (near_n1 | (np.abs(n2) <= tol)),
+            on_sheet,
+        ],
+        [
+            _P_CODES[p_hits.argmax(axis=1)],
+            _AMBIGUOUS,
+            np.where(n4 > 0.0, _CODE["L5"], _CODE["L6"]),
+            _AMBIGUOUS,
+            np.where(n3 > 0.0, pick("L1", "L2"), pick("L3", "L4")),
+            pick("V2", "V4"),
+            _AMBIGUOUS,
+            np.where(n1 > 0.0, pick("S1", "S4"), pick("S3", "S2")),
+        ],
+        _OFF_CRITICAL,
+    )
 
 
 def _open_region(v: np.ndarray, cfg: EigConfig, tol: float) -> StratumLabel:
@@ -766,12 +820,16 @@ def mesh_surface(
     """Triangulate the chart rectangle and weld the two-to-one loci.
 
     Welds are exact index identifications on the (s, t) grid: the seam
-    t = 0 ~ 2 pi always; the fold (s, pi/2) ~ (-s, 3 pi/2) and the mirror
-    (0, t) ~ (0, 2 pi - t) whenever the grid hits those lines, i.e. when
-    resolution is divisible by 4.  Triangles collapsed by a weld are
-    dropped, and so is the second copy of a triangle that the fold and
-    mirror welds map onto an earlier one next to (s, t) = (0, pi/2).
-    Output is deterministic for a given input.
+    t = 0 ~ 2 pi always; the fold (s, pi/2) ~ (-s, 3 pi/2) when resolution
+    is divisible by 4, and the mirror (0, t) ~ (0, 2 pi - t) when it is
+    even, i.e. whenever the grid hits those lines.  Vertices are numbered
+    by first appearance over the cells (i-major, corners (i, j), (i+1, j),
+    (i, j+1), (i+1, j+1)).  Triangles collapsed by a weld are dropped, and
+    so is the second copy of a triangle that the fold and mirror welds map
+    onto an earlier one next to (s, t) = (0, pi/2).  Vertices are labelled
+    by the P/L/S cascade on the whole array; rows it leaves off the
+    critical set or ambiguous go through classify_point, which raises as
+    it would for that point.  Output is deterministic for a given input.
     """
     if resolution < 8:
         raise ValueError("mesh_surface: resolution must be >= 8")
@@ -779,52 +837,47 @@ def mesh_surface(
     res = int(resolution)
     s_vals = np.linspace(-1.0, 1.0, res + 1)
     t_vals = np.linspace(0.0, TWO_PI, res + 1)
-    quarter = res // 4 if res % 4 == 0 else None
-    half = res // 2 if res % 2 == 0 else None
 
-    def canon(i: int, j: int) -> tuple[int, int]:
-        if j == res:
-            j = 0
-        if quarter is not None and j == 3 * quarter:
-            i, j = res - i, quarter
-        if half is not None and i == half and j != 0:
-            j = min(j, res - j)
-        return i, j
+    # canonical (i, j) of the corners of every cell, welded in the order
+    # seam, fold, mirror
+    i, j = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
+    ci = np.stack([i, i + 1, i, i + 1], axis=-1).ravel()
+    cj = np.stack([j, j, j + 1, j + 1], axis=-1).ravel()
+    cj[cj == res] = 0
+    if res % 4 == 0:
+        fold = cj == 3 * (res // 4)
+        ci[fold] = res - ci[fold]
+        cj[fold] = res // 4
+    if res % 2 == 0:
+        mirror = (ci == res // 2) & (cj != 0)
+        cj[mirror] = np.minimum(cj[mirror], res - cj[mirror])
 
-    vert_id: dict[tuple[int, int], int] = {}
-    coords: list[np.ndarray] = []
-    params: list[tuple[float, float]] = []
-
-    def vid(i: int, j: int) -> int:
-        key = canon(i, j)
-        if key not in vert_id:
-            ci, cj = key
-            p = param_phi(d, float(s_vals[ci]), float(t_vals[cj]))
-            vert_id[key] = len(coords)
-            coords.append(p.nu4)
-            params.append((float(s_vals[ci]), float(t_vals[cj])))
-        return vert_id[key]
-
-    triangles: list[tuple[int, int, int]] = []
-    for i in range(res):
-        for j in range(res):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            for tri in ((v00, v10, v11), (v00, v11, v01)):
-                if len(set(tri)) == 3:
-                    triangles.append(tri)
-    tris = np.array(triangles, dtype=int)
-    first = np.unique(np.sort(tris, axis=1), axis=0, return_index=True)[1]
-    tris = tris[np.sort(first)]
-
-    vertices = np.array(coords)
-    strata = tuple(
-        classify_point(SpherePoint(row, d), nu5, tol).name for row in vertices
+    # vertex ids by first appearance; keys[order] lists the grid keys by id
+    keys, first, inverse = np.unique(
+        ci * (res + 1) + cj, return_index=True, return_inverse=True
     )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # corners v00, v10, v01, v11 -> triangles (v00, v10, v11), (v00, v11, v01)
+    tris = rank[inverse].reshape(-1, 4)[:, [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
+    a, b, c = tris.T
+    tris = tris[(a != b) & (b != c) & (a != c)]
+    first_copy = np.unique(np.sort(tris, axis=1), axis=0, return_index=True)[1]
+    tris = tris[np.sort(first_copy)]
+
+    s = s_vals[keys[order] // (res + 1)]
+    t = t_vals[keys[order] % (res + 1)]
+    vertices = param_phi_array(d, s, t)
+    check_unit_rows(vertices)
+    codes = _critical_strata(vertices, tol)
+    strata = [_STRATUM_NAMES[k] if k >= 0 else "" for k in codes.tolist()]
+    for k in np.flatnonzero(codes < 0):
+        strata[k] = classify_point(SpherePoint(vertices[k], d), nu5, tol).name
     return SurfaceMesh(
         disc=d,
         vertices=vertices,
-        params=np.array(params),
+        params=np.column_stack([s, t]),
         triangles=tris,
-        strata=strata,
+        strata=tuple(strata),
     )

@@ -204,3 +204,66 @@ def flood_component_counts(points, kinds, tree_k=12, rescue_k=48) -> dict[str, i
         if kinds[root] in counts:
             counts[kinds[root]] += 1
     return counts
+
+
+def mesh_surface_reference(disc: int, resolution: int, nu5: float = 1.0, tol: float = 1e-9):
+    """The welded chart mesh built one cell at a time, for comparison with
+    the whole-array mesher.
+
+    A closure maps each grid corner to its canonical (i, j) through the
+    seam, fold and mirror welds in that order, and a dict numbers the
+    vertices by first appearance as the cells are visited.  The chart is
+    evaluated one point at a time with math.cos/sin/sqrt, and every vertex
+    is labelled by the scalar classify_point on SpherePoint(row, disc).
+    Returns (vertices, params, triangles, strata).
+    """
+    import math
+
+    from resonance_atlas.geometry import SpherePoint
+    from resonance_atlas.stratification import classify_point
+
+    res = int(resolution)
+    s_vals = np.linspace(-1.0, 1.0, res + 1)
+    t_vals = np.linspace(0.0, 2.0 * math.pi, res + 1)
+    quarter = res // 4 if res % 4 == 0 else None
+    half = res // 2 if res % 2 == 0 else None
+    h = math.sqrt(0.5)
+
+    def canon(i, j):
+        if j == res:
+            j = 0
+        if quarter is not None and j == 3 * quarter:
+            i, j = res - i, quarter
+        if half is not None and i == half and j != 0:
+            j = min(j, res - j)
+        return i, j
+
+    vert_id = {}
+    coords = []
+    params = []
+
+    def vid(i, j):
+        key = canon(i, j)
+        if key not in vert_id:
+            s, t = float(s_vals[key[0]]), float(t_vals[key[1]])
+            ct, st = math.cos(t), math.sin(t)
+            n3 = disc * math.sqrt(max(0.0, (1.0 - s * s) * (2.0 - ct * ct) / 2.0))
+            vert_id[key] = len(coords)
+            coords.append((h * s * ct, h * ct, n3, s * st))
+            params.append((s, t))
+        return vert_id[key]
+
+    triangles = []
+    seen = set()
+    for i in range(res):
+        for j in range(res):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            for tri in ((v00, v10, v11), (v00, v11, v01)):
+                key = tuple(sorted(tri))
+                if len(set(tri)) == 3 and key not in seen:
+                    seen.add(key)
+                    triangles.append(tri)
+    vertices = np.array(coords)
+    strata = tuple(classify_point(SpherePoint(row, disc), nu5, tol).name for row in vertices)
+    return vertices, np.array(params), np.array(triangles, dtype=np.int64), strata

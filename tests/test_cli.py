@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import resonance_atlas
 from resonance_atlas import linalg, spectra
 from resonance_atlas.cli import _build_parser, main
 from resonance_atlas.geometry import P_POINTS
+from resonance_atlas.stratification import mesh_surface
 
 
 def test_verify_basis_suite(capsys):
@@ -142,6 +144,58 @@ def test_mesh_csv_output(tmp_path):
         assert r[11] != ""  # stratum column filled
     for r in face_rows:
         assert all(int(r[i]) < len(vertex_rows) for i in (2, 3, 4))
+
+
+def _reference_obj(meshes) -> str:
+    lines, offset = [], 0
+    for mesh in meshes:
+        lines.append("g plus" if mesh.disc > 0 else "g minus")
+        lines += ["v " + " ".join("%.17g" % float(c) for c in row) for row in mesh.vertices]
+        lines += ["f %d %d %d" % tuple(int(v) + 1 + offset for v in tri) for tri in mesh.triangles]
+        offset += len(mesh.vertices)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_csv(meshes) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["type", "disc", "i0", "i1", "i2", "nu1", "nu2", "nu3", "nu4", "s", "t", "stratum"]
+    )
+    for mesh in meshes:
+        for idx, row in enumerate(mesh.vertices):
+            values = list(row) + list(mesh.params[idx])
+            writer.writerow(["vertex", mesh.disc, idx, "", ""]
+                            + ["%.17g" % float(x) for x in values] + [mesh.strata[idx]])
+        for tri in mesh.triangles:
+            writer.writerow(["face", mesh.disc] + [int(v) for v in tri] + [""] * 6)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fmt, res, reference", [("obj", 16, _reference_obj), ("csv", 8, _reference_csv)]
+)
+def test_mesh_writer_matches_per_value_reference(tmp_path, fmt, res, reference):
+    """The block writers give the bytes of one '%.17g' per value."""
+    out = tmp_path / f"surface.{fmt}"
+    assert main(["mesh", "--disc", "both", "--resolution", str(res),
+                 "--format", fmt, "--out", str(out)]) == 0
+    meshes = [mesh_surface(+1, res), mesh_surface(-1, res)]
+    assert out.read_bytes() == reference(meshes).encode()
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    """python -m resonance_atlas runs the CLI from a checkout."""
+    src = os.path.dirname(os.path.dirname(resonance_atlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "m.obj"
+    run = subprocess.run(
+        [sys.executable, "-m", "resonance_atlas", "mesh", "--disc", "plus",
+         "--resolution", "8", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert out.read_text().startswith("g plus\n")
 
 
 def test_mesh_rejects_small_resolution(tmp_path):

@@ -12,11 +12,13 @@ from resonance_atlas.geometry import (
     P_POINTS,
     RootTriple,
     SpherePoint,
+    check_unit_rows,
     f_surface,
     grad_F,
     hessian_F,
     normal_form_residual,
     param_phi,
+    param_phi_array,
     phi_coeffs,
     psi,
     unit_point,
@@ -33,6 +35,15 @@ class TestSpherePoint:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
             SpherePoint(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_unit_rows_follow_the_same_rule(self):
+        good = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]])
+        check_unit_rows(good)
+        for bad in ([1.0 + 2e-12, 0.0, 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0]):
+            with pytest.raises(ValueError):
+                SpherePoint(np.array(bad))
+            with pytest.raises(ValueError):
+                check_unit_rows(np.vstack([good, bad]))
 
     def test_disc_derived_from_nu3(self):
         assert SpherePoint(np.array([0.0, 0.0, 1.0, 0.0])).disc == 1
@@ -217,6 +228,14 @@ def test_param_phi_domain_errors():
         param_phi(+1, 0.0, TWO_PI + 0.1)
     with pytest.raises(ValueError):
         param_phi(0, 0.0, 0.5)
+    t = np.linspace(0.0, TWO_PI, 5)
+    assert param_phi_array(-1, 0.5, t).shape == (5, 4)
+    with pytest.raises(DomainError, match="s = 1.2"):
+        param_phi_array(+1, np.array([0.0, 1.2, -3.0]), 0.5)
+    with pytest.raises(DomainError, match="t = -0.5"):
+        param_phi_array(+1, 0.0, np.append(t, -0.5))
+    with pytest.raises(DomainError):
+        param_phi_array(+1, np.nan, 0.5)
 
 
 # -- local normal forms -------------------------------------------------------

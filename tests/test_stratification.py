@@ -5,7 +5,14 @@ import pytest
 
 from resonance_atlas import linalg, spectra, stratification
 from resonance_atlas.errors import AmbiguousStratum
-from resonance_atlas.geometry import F_critical, SpherePoint, param_phi, unit_point
+from resonance_atlas.geometry import (
+    P_POINTS,
+    F_critical,
+    SpherePoint,
+    param_phi,
+    param_phi_array,
+    unit_point,
+)
 from resonance_atlas.spectra import ZERO_RE_TOL_SAMPLED, spectrum
 from resonance_atlas.stratification import (
     KINDS,
@@ -13,6 +20,8 @@ from resonance_atlas.stratification import (
     IncidenceGraph,
     SurfaceMesh,
     _chord_sign_constant,
+    _critical_stratum,
+    _critical_strata,
     build_incidence,
     classify_point,
     classify_points,
@@ -386,6 +395,112 @@ def test_mesh_has_no_repeated_triangles(res):
         keys = {tuple(sorted(int(v) for v in tri)) for tri in mesh.triangles}
         assert len(keys) == len(mesh.triangles)
         assert mesh.euler_characteristic() == 1
+
+
+@pytest.mark.parametrize("res", [8, 9, 10, 12, 16, 17, 30, 64, 128])
+def test_mesh_matches_reference_mesher(res):
+    """Vertices and params bit for bit, triangles and strata exactly, against
+    the cell-by-cell mesher whose strata are the scalar classify_point on
+    SpherePoint(row, disc) of each of its vertices."""
+    for disc in (+1, -1):
+        vertices, params, triangles, strata = oracles.mesh_surface_reference(disc, res)
+        mesh = mesh_surface(disc, res)
+        assert np.array_equal(mesh.vertices.view(np.int64), vertices.view(np.int64))
+        assert np.array_equal(mesh.params.view(np.int64), params.view(np.int64))
+        assert np.array_equal(mesh.triangles, triangles)
+        assert mesh.strata == strata
+
+
+@pytest.mark.parametrize("res, tol", [(16, 1e-17), (17, 1e-17), (16, 0.05), (17, 0.01)])
+def test_mesh_fallback_rows_match_reference_mesher(res, tol):
+    """At these tolerances some vertices are off the critical set or
+    ambiguous for the array cascade; they take the scalar path, so the mesh
+    labels them, or raises, as the reference mesher does."""
+    def outcome(build):
+        try:
+            return build()
+        except AmbiguousStratum as exc:
+            return str(exc)
+
+    want = outcome(lambda: oracles.mesh_surface_reference(+1, res, 1.0, tol)[3])
+    got = outcome(lambda: mesh_surface(+1, res, 1.0, tol).strata)
+    assert got == want
+
+
+def test_mesh_labels_without_scalar_calls(count_calls):
+    """At R = 128 every vertex is labelled by the array cascade: no
+    one-point chart and no scalar classification."""
+    classify_calls = count_calls(stratification.classify_point)
+    chart_calls = count_calls(param_phi)
+    for disc in (+1, -1):
+        assert len(mesh_surface(disc, 128).strata) > 0
+    assert (classify_calls[0], chart_calls[0]) == (0, 0)
+
+
+def _scalar_codes(rows, tol):
+    codes = []
+    for row in rows:
+        try:
+            label = _critical_stratum(row, tol)
+        except AmbiguousStratum:
+            codes.append(stratification._AMBIGUOUS)
+            continue
+        codes.append(
+            stratification._OFF_CRITICAL if label is None else list(STRATA).index(label.name)
+        )
+    return np.array(codes)
+
+
+def _cascade_probe_rows(rng, tol):
+    """Rows at {0.5, 1, 2, 4, 100} tol from each P point, from both
+    self-intersection circles (pinch margin near 4 tol included) and from
+    sheet points with nu1 or nu2 near 0, plus random sphere rows."""
+    scales = np.array([0.5, 1.0, 2.0, 4.0, 100.0]) * tol
+    rows = []
+    dirs = np.vstack([np.eye(4), -np.eye(4), rng.normal(size=(8, 4))])
+    dirs /= np.abs(dirs).max(axis=1)[:, None]
+    for p in P_POINTS.values():
+        rows += [np.array(p) + c * u for c in scales for u in dirs]
+    theta = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 25), rng.uniform(0, 7, 25)])
+    pinch = 0.5 * np.arccos(np.outer([-1.0, 1.0], [0.5, 1.0, 3.9, 4.0, 4.1, 8.0]).ravel() * tol)
+    theta_b = np.concatenate([theta, (pinch[:, None] + np.arange(4) * math.pi / 2.0).ravel()])
+    circle_a = np.column_stack([0 * theta, 0 * theta, np.cos(theta), np.sin(theta)])
+    circle_b = np.column_stack([0 * theta_b, np.cos(theta_b), np.sin(theta_b), 0 * theta_b])
+    for base, free in ((circle_a, (0, 1)), (circle_b, (0, 3))):
+        for c in np.concatenate([[0.0], scales, -scales]):
+            for k in free:
+                shifted = base.copy()
+                shifted[:, k] += c
+                rows += list(shifted)
+            both = base.copy()
+            both[:, free[0]] += c
+            both[:, free[1]] -= c
+            rows += list(both)
+    s = rng.uniform(-1.0, 1.0, 40)
+    t = rng.uniform(0.0, 2.0 * math.pi, 40)
+    for disc in (+1, -1):
+        for c in np.concatenate([[0.0], scales, -scales]):
+            rows += list(param_phi_array(disc, np.clip(c * math.sqrt(2.0), -1, 1), t))
+            rows += list(param_phi_array(disc, s, math.pi / 2.0 + c * math.sqrt(2.0)))
+            rows += list(param_phi_array(disc, s, 3.0 * math.pi / 2.0 + c * math.sqrt(2.0)))
+    random_rows = rng.normal(size=(2000, 4))
+    rows += list(random_rows / np.linalg.norm(random_rows, axis=1)[:, None])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_critical_strata_matches_scalar_cascade(rng, tol):
+    """Row by row the array cascade gives the scalar cascade's stratum, its
+    None, and 'ambiguous' exactly where the scalar cascade raises."""
+    rows = _cascade_probe_rows(rng, tol)
+    want = _scalar_codes(rows, tol)
+    got = _critical_strata(rows, tol)
+    assert np.array_equal(got, want)
+    # every branch of the cascade is exercised
+    names = {list(STRATA)[k][0] for k in want[want >= 0]}
+    assert names == {"P", "L", "S", "V"}
+    assert (want == stratification._AMBIGUOUS).sum() > 50
+    assert (want == stratification._OFF_CRITICAL).sum() > 1000
 
 
 def test_mesh_euler_characteristic_is_resolution_invariant():
