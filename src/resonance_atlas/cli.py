@@ -14,7 +14,6 @@ flags win over the file, the file wins over built-ins.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -299,6 +298,17 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- sample --------------------------------------------------------------------
 
 
+_BLOCK_ROWS = 4096  # rows formatted per % call; bounds the text held at once
+
+
+def _write_blocks(fh, template: str, n: int, values) -> None:
+    """Write n rows of template, formatting a block of rows per % call;
+    values(lo, hi) gives the flat values of rows lo..hi-1 in order."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        fh.write((template * (hi - lo)) % tuple(values(lo, hi)))
+
+
 def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     n = args.n
     if n <= 0:
@@ -307,41 +317,34 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     pts = sphere_samples(n, cfg.seed)
     report = stability_report(pts, cfg.nu5, cfg.tol)
 
-    # formatted as written, so the formatted rows never sit in memory at once
-    rows = (
-        (
-            _fmt(r.point.nu4[0]),
-            _fmt(r.point.nu4[1]),
-            _fmt(r.point.nu4[2]),
-            _fmt(r.point.nu4[3]),
-            r.stratum,
-            r.config,
-            _fmt(r.max_real_part),
-            "true" if r.stable else "false",
-        )
-        for r in report.records
-    )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["nu1", "nu2", "nu3", "nu4", "stratum", "config", "max_real_part", "stable"]
-        )
-        writer.writerows(rows)
+    # stratum and config codes never need CSV quoting
+    points, stratum, config = report.points, report.stratum, report.config
+    max_re, stable = report.max_real_part, np.where(report.stable, "true", "false")
 
-    strata_counts: dict[str, int] = {}
-    config_counts: dict[str, int] = {}
-    for r in report.records:
-        strata_counts[r.stratum] = strata_counts.get(r.stratum, 0) + 1
-        config_counts[r.config] = config_counts.get(r.config, 0) + 1
+    def values(lo, hi):
+        table = np.empty((hi - lo, 8), dtype=object)
+        table[:, :4] = points[lo:hi]
+        table[:, 4], table[:, 5] = stratum[lo:hi], config[lo:hi]
+        table[:, 6], table[:, 7] = max_re[lo:hi], stable[lo:hi]
+        return table.ravel().tolist()
+
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("nu1,nu2,nu3,nu4,stratum,config,max_real_part,stable\n")
+        _write_blocks(fh, "%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%s\n", n, values)
+
+    def counts(column):
+        names, k = np.unique(column.astype(str), return_counts=True)
+        return dict(zip(names.tolist(), k.tolist()))
+
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n": n,
         "seed": cfg.seed,
         "nu5": cfg.nu5,
         "tol": cfg.tol,
-        "stratum_counts": dict(sorted(strata_counts.items())),
-        "config_counts": dict(sorted(config_counts.items())),
-        "stable_fraction": sum(1 for r in report.records if r.stable) / float(n),
+        "stratum_counts": counts(stratum),
+        "config_counts": counts(config),
+        "stable_fraction": int(report.stable.sum()) / float(n),
         "stable_component_count": report.stable_component_count,
         "unstable_component_count": report.unstable_component_count,
         "mixed_component_count": report.mixed_component_count,
@@ -355,17 +358,6 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 # -- mesh ----------------------------------------------------------------------
-
-
-_BLOCK_ROWS = 4096  # rows formatted per % call; bounds the text held at once
-
-
-def _write_blocks(fh, template: str, n: int, values) -> None:
-    """Write n rows of template, formatting a block of rows per % call;
-    values(lo, hi) gives the flat values of rows lo..hi-1 in order."""
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        fh.write((template * (hi - lo)) % tuple(values(lo, hi)))
 
 
 def _write_obj(fh, meshes) -> None:

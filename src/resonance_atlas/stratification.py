@@ -332,6 +332,30 @@ def _probe_classify(point: np.ndarray, nu5: float, tol: float) -> str | None:
         return None
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its norm, bit for bit as row / np.linalg.norm(row)
+    (np.linalg.norm(rows, axis=1) differs in the last place on some rows)."""
+    return rows / np.sqrt(np.vecdot(rows, rows))[:, None]
+
+
+def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
+    """{_probe_classify(q) for q in points} without None, on whole arrays.
+
+    The P/L/S cascade labels the critical rows and marks the ambiguous ones,
+    which are dropped; only rows off the critical set take classify_point.
+    """
+    unit = _unit_rows(points)
+    check_unit_rows(unit)
+    codes = _critical_strata(unit, tol)
+    found = {_STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist()}
+    for k in np.flatnonzero(codes == _OFF_CRITICAL):
+        try:
+            found.add(classify_point(SpherePoint(unit[k]), nu5, tol).name)
+        except AmbiguousStratum:
+            pass
+    return frozenset(found)
+
+
 def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> IncidenceGraph:
     """Adjacency graph of the 20 strata from mesh-scale probing.
 
@@ -462,14 +486,37 @@ class SampleRecord:
     stable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
-    records: tuple[SampleRecord, ...]
-    stable_strata: frozenset[str]
+    """Per-sample columns, one row per sample, plus the region audit."""
+
+    points: np.ndarray  # (n, 4) unit rows
+    stratum: np.ndarray  # (n,) stratum names
+    config: np.ndarray  # (n,) configuration codes
+    max_real_part: np.ndarray  # (n,) float
+    stable: np.ndarray  # (n,) bool
     stable_component_count: int
     unstable_component_count: int
     mixed_component_count: int
     stable_boundary_strata: frozenset[str]
+
+    @property
+    def stable_strata(self) -> frozenset[str]:
+        return frozenset(self.stratum[self.stable].tolist())
+
+    @property
+    def records(self) -> tuple[SampleRecord, ...]:
+        """One SampleRecord per row, built on demand."""
+        return tuple(
+            SampleRecord(SpherePoint(u), s, c, m, k)
+            for u, s, c, m, k in zip(
+                self.points,
+                self.stratum.tolist(),
+                self.config.tolist(),
+                self.max_real_part.tolist(),
+                self.stable.tolist(),
+            )
+        )
 
 
 # Stability kind of a sample, stored as an int8 code into KINDS.
@@ -537,8 +584,7 @@ def classify_points(
     if tol <= 0.0:
         raise ValueError("classify_points: tol must be positive")
     v = np.asarray(pts, dtype=float).reshape(-1, 4)
-    if np.any(np.abs(np.linalg.norm(v, axis=1) - 1.0) > 1e-12):
-        raise ValueError("classify_points: rows must be unit vectors")
+    check_unit_rows(v)
     n1, n2, n3, n4 = v.T
     t0 = interior_scale(nu5)
     d = np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
@@ -582,7 +628,16 @@ def classify_points(
 
 
 _CHORD_NODES = np.linspace(0.0, 1.0, 5)
+# node values -> power coefficients, highest degree first
 _CHORD_VAND_INV = np.linalg.inv(np.vander(_CHORD_NODES, 5))
+# node values -> Bernstein coefficients: with power coefficients a_j
+# (lowest degree first), b_k = sum_{j <= k} C(k, j) / C(4, j) a_j
+_CHORD_BERNSTEIN = np.array(
+    [[math.comb(k, j) / math.comb(4, j) for j in range(5)] for k in range(5)]
+) @ _CHORD_VAND_INV[::-1]
+# share of the largest Bernstein coefficient that every coefficient must
+# clear, far above the rounding of the 5 x 5 map
+_BERNSTEIN_MARGIN = 1e-12
 # Chords per block of the arc test; bounds the temporaries to a few MB.
 _EDGE_BLOCK = 4096
 
@@ -592,17 +647,21 @@ def _chord_points(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (1.0 - t)[..., None] * a[:, None, :] + t[..., None] * b[:, None, :]
 
 
-def _chord_quartic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F at the five chord nodes, and the stationary points of its quartic.
+def _chord_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F at the five chord nodes (m, 5).
 
     F is a quartic form, so on the chord from a to b it is a quartic in
-    the line parameter, pinned exactly by five values.  Returns those
-    values (m, 5) and the real parts (m, 3) of the roots of the quartic's
-    derivative, computed as np.roots does (companion-matrix eigenvalues),
-    nan where the derivative has fewer roots.
+    the line parameter, pinned exactly by these five values.
     """
-    m = len(a)
-    vals = F_critical(_chord_points(a, b, np.broadcast_to(_CHORD_NODES, (m, 5))))
+    return F_critical(_chord_points(a, b, np.broadcast_to(_CHORD_NODES, (len(a), 5))))
+
+
+def _chord_stationary(vals: np.ndarray) -> np.ndarray:
+    """The real parts (m, 3) of the roots of the derivative of the chord
+    quartic through the node values vals, computed as np.roots does
+    (companion-matrix eigenvalues), nan where the derivative has fewer roots.
+    """
+    m = len(vals)
     der = (vals @ _CHORD_VAND_INV.T)[:, :4] * np.array([4.0, 3.0, 2.0, 1.0])
     stat = np.full((m, 3), np.nan)
     regular = (der[:, 0] != 0.0) & (der[:, 3] != 0.0)
@@ -613,23 +672,38 @@ def _chord_quartic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for k in np.nonzero(~regular)[0]:
         r = np.roots(der[k]).real
         stat[k, : len(r)] = r
-    return vals, stat
+    return stat
+
+
+def _bernstein_certified(vals: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """True where every Bernstein coefficient of sign * F on the chord through
+    the node values vals (m, 5) clears _BERNSTEIN_MARGIN of the largest;
+    sign is (m, 1).  The quartic lies in the convex hull of its Bernstein
+    coefficients on [0, 1], so such a chord keeps the sign throughout."""
+    bern = sign * (vals @ _CHORD_BERNSTEIN.T)
+    return np.all(bern > _BERNSTEIN_MARGIN * np.abs(bern).max(axis=1, keepdims=True), axis=1)
 
 
 def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """For each row, True when F keeps the strict sign along the arc a -> b.
 
     Normalizing onto the sphere rescales F positively, so the sign on the
-    arc is the sign of the chord quartic.  Checking it at the nodes and at
-    every stationary point inside (0, 1) decides the sign on the whole
-    arc, not just at sampled points.
+    arc is the sign of the chord quartic.  Chords that _bernstein_certified
+    passes keep it; the others are decided exactly: the sign at the nodes
+    and at every stationary point inside (0, 1) fixes the sign on the
+    whole arc, not just at sampled points.
     """
-    vals, stat = _chord_quartic(a, b)
-    inner = (stat > 0.0) & (stat < 1.0)
-    at_stat = F_critical(_chord_points(a, b, np.where(inner, stat, 0.0)))
+    vals = _chord_values(a, b)
     sign = sign[:, None]
-    at_nodes = np.all(sign * vals > 0.0, axis=1)
-    return at_nodes & ~np.any(inner & (sign * at_stat <= 0.0), axis=1)
+    ok = np.all(sign * vals > 0.0, axis=1)
+    rest = np.flatnonzero(ok & ~_bernstein_certified(vals, sign))
+    if len(rest):
+        a, b, sign = a[rest], b[rest], sign[rest]
+        stat = _chord_stationary(vals[rest])
+        inner = (stat > 0.0) & (stat < 1.0)
+        at_stat = F_critical(_chord_points(a, b, np.where(inner, stat, 0.0)))
+        ok[rest] = ~np.any(inner & (sign * at_stat <= 0.0), axis=1)
+    return ok
 
 
 def _neighbor_pairs(src: np.ndarray, table: np.ndarray):
@@ -723,7 +797,7 @@ def _surface_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     left the sign of F(a) holds exactly one crossing, the first one; it
     is bisected to machine precision.
     """
-    stat = _chord_quartic(a, b)[1]
+    stat = _chord_stationary(_chord_values(a, b))
     stops = np.sort(np.where((stat > 0.0) & (stat < 1.0), stat, 1.0), axis=1)
     ends = np.ones((len(a), 1))
     scan = np.concatenate([np.zeros_like(ends), stops, ends], axis=1)
@@ -760,11 +834,16 @@ def stability_report(
     the threshold are tagged critical and excluded from the component
     counts.  Boundary strata of the stable region are read at the first
     crossing of F = 0 on each sample arc from stable into mixed territory.
+    The report keeps one row per sample in arrays; non-finite rows raise
+    ValueError.
     """
-    rows = np.array(
-        [s.nu4 if isinstance(s, SpherePoint) else s for s in samples], dtype=float
-    )
-    unit = rows / np.array([np.linalg.norm(row) for row in rows]).reshape(-1, 1)
+    if isinstance(samples, np.ndarray):
+        rows = np.asarray(samples, dtype=float)
+    else:
+        rows = np.array(
+            [s.nu4 if isinstance(s, SpherePoint) else s for s in samples], dtype=float
+        )
+    unit = _unit_rows(rows)
     cls = classify_points(unit, nu5, tol, zero_re_tol)
     kinds = cls.kind
 
@@ -775,20 +854,17 @@ def stability_report(
     i, j = _neighbor_pairs(np.arange(len(rows)), nbrs)
     sel = (kinds[i] == _STABLE) & (kinds[j] == _MIXED)
     crossings = _surface_crossings(rows[i[sel]], rows[j[sel]])
-    boundary = {_probe_classify(q, nu5, tol) for q in crossings}
-    boundary.discard(None)
 
-    records = tuple(
-        SampleRecord(SpherePoint(u), s, c, float(m), bool(k == _STABLE))
-        for u, s, c, m, k in zip(unit, *cls)
-    )
     return StabilityReport(
-        records=records,
-        stable_strata=frozenset(r.stratum for r in records if r.stable),
+        points=unit,
+        stratum=cls.stratum,
+        config=cls.config,
+        max_real_part=cls.max_real_part,
+        stable=kinds == _STABLE,
         stable_component_count=int(counts[_STABLE]),
         unstable_component_count=int(counts[_UNSTABLE]),
         mixed_component_count=int(counts[_MIXED]),
-        stable_boundary_strata=frozenset(boundary),
+        stable_boundary_strata=_probe_strata(crossings, nu5, tol),
     )
 
 

@@ -10,6 +10,8 @@ Slow is fine; different is the point.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -267,3 +269,47 @@ def mesh_surface_reference(disc: int, resolution: int, nu5: float = 1.0, tol: fl
     vertices = np.array(coords)
     strata = tuple(classify_point(SpherePoint(row, disc), nu5, tol).name for row in vertices)
     return vertices, np.array(params), np.array(triangles, dtype=np.int64), strata
+
+
+SAMPLE_HEADER = ["nu1", "nu2", "nu3", "nu4", "stratum", "config", "max_real_part", "stable"]
+
+
+def sample_csv_reference(records) -> str:
+    """The sample CSV written row by row through csv.writer, one '%.17g'
+    per float, from SampleRecords."""
+
+    def fmt(x):
+        return "%.17g" % float(x)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SAMPLE_HEADER)
+    writer.writerows(
+        (
+            fmt(r.point.nu4[0]),
+            fmt(r.point.nu4[1]),
+            fmt(r.point.nu4[2]),
+            fmt(r.point.nu4[3]),
+            r.stratum,
+            r.config,
+            fmt(r.max_real_part),
+            "true" if r.stable else "false",
+        )
+        for r in records
+    )
+    return buf.getvalue()
+
+
+def sample_summary_reference(records) -> dict:
+    """stratum_counts, config_counts and stable_fraction of the sample
+    summary, counted one record at a time."""
+    strata_counts: dict[str, int] = {}
+    config_counts: dict[str, int] = {}
+    for r in records:
+        strata_counts[r.stratum] = strata_counts.get(r.stratum, 0) + 1
+        config_counts[r.config] = config_counts.get(r.config, 0) + 1
+    return {
+        "stratum_counts": dict(sorted(strata_counts.items())),
+        "config_counts": dict(sorted(config_counts.items())),
+        "stable_fraction": sum(1 for r in records if r.stable) / float(len(records)),
+    }

@@ -13,7 +13,9 @@ import resonance_atlas
 from resonance_atlas import linalg, spectra
 from resonance_atlas.cli import _build_parser, main
 from resonance_atlas.geometry import P_POINTS
-from resonance_atlas.stratification import mesh_surface
+from resonance_atlas.stratification import mesh_surface, sphere_samples, stability_report
+
+import oracles
 
 
 def test_verify_basis_suite(capsys):
@@ -97,6 +99,19 @@ def test_sample_writes_csv_and_summary(tmp_path, capsys):
     assert 0.0 <= summary["stable_fraction"] <= 1.0
     assert sum(summary["stratum_counts"].values()) == 60
     assert summary["stable_component_count"] == 1
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_sample_writer_matches_csv_writer_reference(tmp_path, n):
+    """The block writer gives the bytes csv.writer gives from the records,
+    and the summary's counts equal a per-record count."""
+    out = tmp_path / "samples.csv"
+    assert main(["sample", "--n", str(n), "--out", str(out)]) == 0
+    records = stability_report(sphere_samples(n, 42), 1.0).records
+    assert out.read_bytes() == oracles.sample_csv_reference(records).encode()
+    summary = json.loads((tmp_path / "samples.csv.summary.json").read_text())
+    want = oracles.sample_summary_reference(records)
+    assert {key: summary[key] for key in want} == want
 
 
 def test_sample_rejects_bad_n(tmp_path):

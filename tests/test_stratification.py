@@ -270,6 +270,32 @@ def test_classify_points_validation():
         classify_points(2.0 * np.eye(4), 1.0)
 
 
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [0.0, 0.0, -np.inf, 1.0]]
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_rows_are_rejected(bad):
+    """A NaN or infinite row fails the unit-row check, which names it,
+    before any label or flood fill is computed."""
+    pts = np.vstack([sphere_samples(50, 0), bad])
+    with pytest.raises(ValueError, match=r"finite \(row 50\)"):
+        classify_points(pts, 1.0)
+    with pytest.raises(ValueError, match=r"finite \(row 50\)"):
+        stability_report(pts, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 3658652565])
+def test_unit_rows_match_per_row_norm(seed):
+    """The array normalisation equals row / np.linalg.norm(row) bit for bit,
+    on sphere samples and on rows far from unit length."""
+    rows = np.vstack(
+        [sphere_samples(10_000, seed), np.random.default_rng(seed).standard_normal((10_000, 4))]
+    )
+    want = np.array([row / np.linalg.norm(row) for row in rows])
+    got = stratification._unit_rows(rows)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_chord_test_matches_scalar_oracle(seed):
     """The batched arc test decides every kNN chord as the scalar one does."""
@@ -285,6 +311,52 @@ def test_chord_test_matches_scalar_oracle(seed):
     want = [oracles.chord_sign_constant(x, y, s) for x, y, s in zip(a, b, sign)]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bernstein_certificate_is_sound(seed):
+    """Every kNN chord the Bernstein pre-certificate passes is one the exact
+    scalar test accepts, and it passes nearly all of those."""
+    from scipy.spatial import cKDTree
+
+    pts = sphere_samples(1500, seed)
+    nbrs = cKDTree(pts).query(pts, k=13)[1]
+    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
+    signs = np.sign(F_critical(pts))
+    same = (signs[i] != 0.0) & (signs[i] == signs[j])
+    a, b, sign = pts[i[same]], pts[j[same]], signs[i[same]]
+    certified = stratification._bernstein_certified(
+        stratification._chord_values(a, b), sign[:, None]
+    )
+    exact = np.array([oracles.chord_sign_constant(x, y, s) for x, y, s in zip(a, b, sign)])
+    assert not np.any(certified & ~exact)
+    assert certified.sum() >= 0.95 * exact.sum()
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+# F = nu1^2 (nu1^2 + nu3^2) >= 0 on the first chord, zero where nu1 changes
+# sign near t = 1/3; on the second F < 0 while |nu1| < |nu2|, for t in about
+# (0.30, 0.37), between the nodes 0.25 and 0.5, and F > 0 at every node.
+_TOUCHING_CHORD = (_unit([-0.1, 0.0, 1.0, 0.0]), _unit([0.2, 0.0, 1.0, 0.0]))
+_DIPPING_CHORD = (_unit([-0.1, 0.01, 0.0, 1.0]), _unit([0.2, 0.01, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("chord", [_TOUCHING_CHORD, _DIPPING_CHORD], ids=["touch", "dip"])
+def test_bernstein_certificate_rejects_chords_reaching_zero(chord):
+    a, b = (row[None, :] for row in chord)
+    vals = stratification._chord_values(a, b)
+    assert np.all(vals > 0.0)
+    assert not stratification._bernstein_certified(vals, np.ones((1, 1)))[0]
+
+
+def test_chord_test_rejects_dip_between_nodes():
+    a, b = (row[None, :] for row in _DIPPING_CHORD)
+    assert not _chord_sign_constant(a, b, np.ones(1))[0]
+    assert not oracles.chord_sign_constant(a[0], b[0], 1.0)
 
 
 @pytest.mark.parametrize(
@@ -316,6 +388,54 @@ def test_stable_boundary_takes_first_crossing(seed):
     three times; only its first crossing bounds the stable region."""
     rep = stability_report(sphere_samples(10_000, seed), nu5=1.0)
     assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
+
+
+@pytest.mark.parametrize("seed", [3658652565, 815100843, 2503583820])
+def test_boundary_probes_match_scalar_probes(seed):
+    """The array probes give the strata that _probe_classify gives one
+    crossing at a time, and those are the report's boundary strata."""
+    from scipy.spatial import cKDTree
+
+    pts = sphere_samples(10_000, seed)
+    kinds = classify_points(stratification._unit_rows(pts), 1.0).kind
+    nbrs = cKDTree(pts).query(pts, k=13)[1]
+    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
+    sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
+    crossings = stratification._surface_crossings(pts[i[sel]], pts[j[sel]])
+    want = {stratification._probe_classify(q, 1.0, 1e-9) for q in crossings} - {None}
+    assert stratification._probe_strata(crossings, 1.0, 1e-9) == want
+    assert stability_report(pts, nu5=1.0).stable_boundary_strata == want
+
+
+def test_boundary_probes_drop_ambiguous_rows(count_calls):
+    """Ambiguous rows are dropped as _probe_classify drops them; only the
+    row off the critical set goes through classify_point.  (At this tol a
+    unit row within tol of both self-intersection circles is within tol of
+    P5 or P6, so the ambiguous rows here are a pinch margin and an
+    unresolved sheet quadrant.)"""
+    theta = math.pi / 4.0 + 1.8e-9
+    pinch = [0.0, math.cos(theta), math.sin(theta), 0.0]
+    quadrant = _unit([5e-10, 0.3, math.sqrt(0.91), 5e-5])
+    reps = representatives()
+    rows = np.array([pinch, quadrant, reps["V3"][0].nu4, reps["S2"][0].nu4])
+    assert stratification._critical_strata(rows, 1e-9).tolist()[:3] == [
+        stratification._AMBIGUOUS, stratification._AMBIGUOUS, stratification._OFF_CRITICAL
+    ]
+    calls = count_calls(stratification.classify_point)
+    got = stratification._probe_strata(rows, 1.0, 1e-9)
+    assert calls[0] == 1
+    assert got == {"V3", "S2"}
+    assert got == {stratification._probe_classify(q, 1.0, 1e-9) for q in rows} - {None}
+
+
+def test_stability_report_builds_no_records_or_scalar_labels(count_calls):
+    """The report is columns: no classify_point call and no SampleRecord
+    until records is read."""
+    labels = count_calls(stratification.classify_point)
+    records = count_calls(stratification.SampleRecord)
+    rep = stability_report(sphere_samples(10_000, 42), 1.0)
+    assert labels[0] == 0 and records[0] == 0
+    assert len(rep.records) == records[0] == 10_000
 
 
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0])
