@@ -50,7 +50,7 @@ from .stratification import (
     _label_and_config,
     classify_point,
     configuration_at,
-    mesh_surface,
+    mesh_surfaces,
     representatives,
     sphere_samples,
     stability_report,
@@ -76,6 +76,9 @@ class RunConfig:
     grid: int = 128
 
     def validate(self) -> None:
+        for key in ("tol", "cluster_tol", "nu5"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
         if not (self.cluster_tol > 0.0):
@@ -117,6 +120,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             overrides[key] = flag
+    # classify's optional positional nu5 wins over the --nu5 flag
+    if getattr(args, "point_nu5", None) is not None:
+        overrides["nu5"] = args.point_nu5
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -260,12 +266,8 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if norm == 0.0:
         print("classify: the first four coordinates must not all be zero", file=sys.stderr)
         return 2
-    nu5 = cfg.nu5 if args.nu5 is None else args.nu5
-    if nu5 == 0.0:
-        print("classify: nu5 must be nonzero", file=sys.stderr)
-        return 2
     point = SpherePoint(raw / norm)
-    label, config = _label_and_config(point, nu5, cfg.tol, cfg.cluster_tol)
+    label, config = _label_and_config(point, cfg.nu5, cfg.tol, cfg.cluster_tol)
     spec = config.spectrum
     F = float(F_critical(point.nu4))
     if args.json:
@@ -273,7 +275,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "point": [float(c) for c in point.nu4],
             "disc": point.disc,
-            "nu5": float(nu5),
+            "nu5": float(cfg.nu5),
             "stratum": label.name,
             "dimension": label.dimension,
             "config": config.code,
@@ -397,7 +399,7 @@ def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("mesh: resolution must be >= 8", file=sys.stderr)
         return 2
     discs = {"plus": [+1], "minus": [-1], "both": [+1, -1]}[args.disc]
-    meshes = [mesh_surface(d, resolution, cfg.nu5, cfg.tol) for d in discs]
+    meshes = mesh_surfaces(discs, resolution, cfg.nu5, cfg.tol)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.format == "obj":
@@ -461,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu2", type=float)
     p.add_argument("nu3", type=float)
     p.add_argument("nu4", type=float)
-    p.add_argument("nu5", type=float, nargs="?", default=None)
+    p.add_argument("point_nu5", metavar="nu5", type=float, nargs="?", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

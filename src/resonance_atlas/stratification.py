@@ -68,6 +68,7 @@ __all__ = [
     "evaluation_matrix",
     "interior_scale",
     "mesh_surface",
+    "mesh_surfaces",
     "representatives",
     "sphere_samples",
     "stability_report",
@@ -228,6 +229,15 @@ def _critical_stratum(v: np.ndarray, tol: float) -> StratumLabel | None:
     return None
 
 
+def _near_p_points(v: np.ndarray, tol: float) -> np.ndarray:
+    """(n, 6) bool: row k lies within tol of P point m in every coordinate,
+    |v[k] - P_m|.max() <= tol compared one column at a time."""
+    hits = np.abs(v[:, :1] - _P_ARRAY[:, 0]) <= tol
+    for c in range(1, 4):
+        hits &= np.abs(v[:, c : c + 1] - _P_ARRAY[:, c]) <= tol
+    return hits
+
+
 _STRATUM_NAMES = tuple(STRATA)
 _CODE = {name: k for k, name in enumerate(_STRATUM_NAMES)}
 _P_CODES = np.array([_CODE[name] for name in _P_NAMES])
@@ -244,7 +254,7 @@ def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
     first that matches there.
     """
     n1, n2, n3, n4 = v.T
-    p_hits = np.abs(v[:, None, :] - _P_ARRAY).max(axis=2) <= tol
+    p_hits = _near_p_points(v, tol)
     near_n1 = np.abs(n1) <= tol
     on_circle_a = near_n1 & (np.abs(n2) <= tol)
     on_circle_b = near_n1 & (np.abs(n4) <= tol)
@@ -611,7 +621,7 @@ def classify_points(
     ratio_label = np.abs(re) / label_tol
     ratio_stable = np.abs(re) / stable_tol[:, None]
     scalar = (
-        np.any([np.abs(v - p).max(axis=1) <= near for p in _P_ARRAY], axis=0)
+        _near_p_points(v, near).any(axis=1)
         | ((np.abs(n1) <= near) & ((np.abs(n2) <= near) | (np.abs(n4) <= near)))
         | (np.abs(F_critical(v)) <= near)
         | (np.abs(n2) <= near)
@@ -884,36 +894,27 @@ class SurfaceMesh:
     def euler_characteristic(self) -> int:
         """V - E + T; an edge (a, b) with a < b counts once, by its key a V + b."""
         n = len(self.vertices)
-        t = np.sort(self.triangles, axis=1).astype(np.int64)
-        a, b, c = t.T
-        keys = np.concatenate([a * n + b, b * n + c, a * n + c])
-        return n - len(np.unique(keys)) + len(t)
+        x, y, z = self.triangles.astype(np.int64).T
+        pairs = ((x, y), (y, z), (x, z))
+        keys = np.concatenate([np.minimum(p, q) * n + np.maximum(p, q) for p, q in pairs])
+        keys.sort()
+        edges = int(np.count_nonzero(np.diff(keys))) + 1 if len(keys) else 0
+        return n - edges + len(self.triangles)
 
 
-def mesh_surface(
-    disc, resolution: int, nu5: float = 1.0, tol: float = 1e-9
-) -> SurfaceMesh:
-    """Triangulate the chart rectangle and weld the two-to-one loci.
+def _chart_topology(res: int) -> tuple[np.ndarray, np.ndarray]:
+    """The welded (s, t) grid of the chart: each vertex's (s, t) in id order
+    (V, 2) and the triangles (T, 3), the same on both discs.
 
-    Welds are exact index identifications on the (s, t) grid: the seam
-    t = 0 ~ 2 pi always; the fold (s, pi/2) ~ (-s, 3 pi/2) when resolution
-    is divisible by 4, and the mirror (0, t) ~ (0, 2 pi - t) when it is
-    even, i.e. whenever the grid hits those lines.  Vertices are numbered
-    by first appearance over the cells (i-major, corners (i, j), (i+1, j),
-    (i, j+1), (i+1, j+1)).  Triangles collapsed by a weld are dropped, and
-    so is the second copy of a triangle that the fold and mirror welds map
-    onto an earlier one next to (s, t) = (0, pi/2).  Vertices are labelled
-    by the P/L/S cascade on the whole array; rows it leaves off the
-    critical set or ambiguous go through classify_point, which raises as
-    it would for that point.  Output is deterministic for a given input.
+    Welds are exact index identifications: the seam t = 0 ~ 2 pi always; the
+    fold (s, pi/2) ~ (-s, 3 pi/2) when res is divisible by 4, and the mirror
+    (0, t) ~ (0, 2 pi - t) when it is even, i.e. whenever the grid hits
+    those lines.  Vertices are numbered by first appearance over the cells
+    (i-major, corners (i, j), (i+1, j), (i, j+1), (i+1, j+1)).  Triangles
+    collapsed by a weld are dropped, and so is the second copy of a triangle
+    that the fold and mirror welds map onto an earlier one next to
+    (s, t) = (0, pi/2).
     """
-    if resolution < 8:
-        raise ValueError("mesh_surface: resolution must be >= 8")
-    d = _normalize_disc(disc)
-    res = int(resolution)
-    s_vals = np.linspace(-1.0, 1.0, res + 1)
-    t_vals = np.linspace(0.0, TWO_PI, res + 1)
-
     # canonical (i, j) of the corners of every cell, welded in the order
     # seam, fold, mirror
     i, j = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
@@ -928,32 +929,73 @@ def mesh_surface(
         mirror = (ci == res // 2) & (cj != 0)
         cj[mirror] = np.minimum(cj[mirror], res - cj[mirror])
 
-    # vertex ids by first appearance; keys[order] lists the grid keys by id
-    keys, first, inverse = np.unique(
-        ci * (res + 1) + cj, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    # corners v00, v10, v01, v11 -> triangles (v00, v10, v11), (v00, v11, v01)
-    tris = rank[inverse].reshape(-1, 4)[:, [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
-    a, b, c = tris.T
-    tris = tris[(a != b) & (b != c) & (a != c)]
-    first_copy = np.unique(np.sort(tris, axis=1), axis=0, return_index=True)[1]
-    tris = tris[np.sort(first_copy)]
+    # vertex ids by first appearance, read off a dense table of grid keys
+    keys = ci * (res + 1) + cj
+    first = np.full((res + 1) ** 2, len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first[first < len(keys)]] = True
+    grid_keys = keys[is_first]  # one per vertex, in id order
+    rank = np.empty_like(first)
+    rank[grid_keys] = np.arange(len(grid_keys))
 
-    s = s_vals[keys[order] // (res + 1)]
-    t = t_vals[keys[order] % (res + 1)]
-    vertices = param_phi_array(d, s, t)
-    check_unit_rows(vertices)
-    codes = _critical_strata(vertices, tol)
-    strata = [_STRATUM_NAMES[k] if k >= 0 else "" for k in codes.tolist()]
-    for k in np.flatnonzero(codes < 0):
-        strata[k] = classify_point(SpherePoint(vertices[k], d), nu5, tol).name
-    return SurfaceMesh(
-        disc=d,
-        vertices=vertices,
-        params=np.column_stack([s, t]),
-        triangles=tris,
-        strata=tuple(strata),
-    )
+    # corners v00, v10, v01, v11 -> triangles (v00, v10, v11), (v00, v11, v01),
+    # as columns a, b, c in cell order
+    v00, v10, v01, v11 = rank[keys].reshape(-1, 4).T
+    a = np.repeat(v00, 2)
+    b = np.stack([v10, v11], axis=1).ravel()
+    c = np.stack([v11, v01], axis=1).ravel()
+    keep = (a != b) & (b != c) & (a != c)
+    # drop all but the first copy of each vertex set: a stable sort of the
+    # row-sorted columns puts the copies of one set next to each other, in
+    # their original order
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    mid = a + b + c - lo - hi
+    order = np.lexsort((mid, hi, lo))
+    lo, mid, hi = lo[order], mid[order], hi[order]
+    keep[order[1:][(lo[1:] == lo[:-1]) & (mid[1:] == mid[:-1]) & (hi[1:] == hi[:-1])]] = False
+    k = np.flatnonzero(keep)
+
+    s_vals = np.linspace(-1.0, 1.0, res + 1)
+    t_vals = np.linspace(0.0, TWO_PI, res + 1)
+    params = np.column_stack([s_vals[grid_keys // (res + 1)], t_vals[grid_keys % (res + 1)]])
+    return params, np.column_stack([a[k], b[k], c[k]])
+
+
+def mesh_surfaces(
+    discs, resolution: int, nu5: float = 1.0, tol: float = 1e-9
+) -> tuple[SurfaceMesh, ...]:
+    """Triangulate the chart rectangle of each disc and weld the two-to-one loci.
+
+    The chart of the two discs differs only in the sign of nu3, so the
+    welded grid and its triangles (_chart_topology) are built once; every
+    mesh shares one read-only params array and one read-only triangles
+    array.  Per disc the chart is evaluated on the whole grid, and vertices
+    are labelled by the P/L/S cascade on the whole array; rows it leaves off
+    the critical set or ambiguous go through classify_point, which raises as
+    it would for that point.  Output is deterministic for a given input.
+    """
+    if resolution < 8:
+        raise ValueError("mesh_surfaces: resolution must be >= 8")
+    discs = [_normalize_disc(disc) for disc in discs]
+    params, tris = _chart_topology(int(resolution))
+    params.setflags(write=False)
+    tris.setflags(write=False)
+    meshes = []
+    for d in discs:
+        vertices = param_phi_array(d, params[:, 0], params[:, 1])
+        check_unit_rows(vertices)
+        codes = _critical_strata(vertices, tol)
+        strata = [_STRATUM_NAMES[k] if k >= 0 else "" for k in codes.tolist()]
+        for k in np.flatnonzero(codes < 0):
+            strata[k] = classify_point(SpherePoint(vertices[k], d), nu5, tol).name
+        meshes.append(SurfaceMesh(d, vertices, params, tris, tuple(strata)))
+    return tuple(meshes)
+
+
+def mesh_surface(
+    disc, resolution: int, nu5: float = 1.0, tol: float = 1e-9
+) -> SurfaceMesh:
+    """The welded mesh of one disc: mesh_surfaces on [disc]."""
+    return mesh_surfaces([disc], resolution, nu5, tol)[0]

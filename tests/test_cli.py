@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import resonance_atlas
-from resonance_atlas import linalg, spectra
+from resonance_atlas import linalg, spectra, stratification
 from resonance_atlas.cli import _build_parser, main
 from resonance_atlas.geometry import P_POINTS
 from resonance_atlas.stratification import mesh_surface, sphere_samples, stability_report
@@ -188,7 +188,8 @@ def _reference_csv(meshes) -> str:
 
 
 @pytest.mark.parametrize(
-    "fmt, res, reference", [("obj", 16, _reference_obj), ("csv", 8, _reference_csv)]
+    "fmt, res, reference",
+    [("obj", 16, _reference_obj), ("obj", 128, _reference_obj), ("csv", 8, _reference_csv)],
 )
 def test_mesh_writer_matches_per_value_reference(tmp_path, fmt, res, reference):
     """The block writers give the bytes of one '%.17g' per value."""
@@ -197,6 +198,14 @@ def test_mesh_writer_matches_per_value_reference(tmp_path, fmt, res, reference):
                  "--format", fmt, "--out", str(out)]) == 0
     meshes = [mesh_surface(+1, res), mesh_surface(-1, res)]
     assert out.read_bytes() == reference(meshes).encode()
+
+
+def test_mesh_builds_chart_topology_once(tmp_path, count_calls):
+    """Both discs are meshed from one welded chart topology."""
+    calls = count_calls(stratification._chart_topology)
+    assert main(["mesh", "--disc", "both", "--resolution", "16",
+                 "--out", str(tmp_path / "m.obj")]) == 0
+    assert calls[0] == 1
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):
@@ -248,6 +257,52 @@ def test_config_value_validation(tmp_path):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("nu5 = 0.0\n")
     assert main(["--config", str(cfg), "verify", "--suite", "basis"]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, argv, config",
+    [
+        ("nu5", ["--nu5", "nan", "sample", "--n", "200", "--out", "{out}"], None),
+        ("nu5", ["--nu5", "inf", "sample", "--n", "200", "--out", "{out}"], None),
+        ("nu5", ["--nu5", "nan", "mesh", "--out", "{out}"], None),
+        ("nu5", ["--nu5=-inf", "classify", "0.3", "0.2", "0.5", "0.1"], None),
+        ("nu5", ["classify", "0.3", "0.2", "0.5", "0.1", "nan"], None),
+        ("tol", ["--tol", "inf", "classify", "0.3", "0.2", "0.5", "0.1"], None),
+        ("tol", ["--tol", "nan", "verify", "--suite", "basis"], None),
+        ("cluster_tol", ["--cluster-tol", "inf", "classify", "0.3", "0.2", "0.5", "0.1"], None),
+        ("nu5", ["sample", "--n", "200", "--out", "{out}"], "nu5 = nan"),
+        ("tol", ["mesh", "--out", "{out}"], "tol = inf"),
+        ("cluster_tol", ["classify", "0.3", "0.2", "0.5", "0.1"], "cluster_tol = -inf"),
+    ],
+)
+def test_non_finite_settings_are_usage_errors(tmp_path, capsys, key, argv, config):
+    """A NaN or infinite nu5, tol or cluster_tol, from a flag, the config
+    file or classify's positional nu5, exits 2 naming the key, and writes
+    nothing."""
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in argv]
+    if config is not None:
+        cfg = tmp_path / "atlas.cfg"
+        cfg.write_text(config + "\n")
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must be finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_global_nu5_reaches_classify(capsys):
+    """--nu5 is read by classify; its positional nu5 still wins over it."""
+    point = ["0.3", "0.2", "0.5", "0.1"]
+    assert main(["--nu5", "3", "classify", *point, "--json"]) == 0
+    flag = json.loads(capsys.readouterr().out)
+    assert main(["classify", *point, "3", "--json"]) == 0
+    positional = json.loads(capsys.readouterr().out)
+    assert flag == positional
+    assert flag["nu5"] == 3.0
+    assert main(["--nu5", "5", "classify", *point, "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == positional
 
 
 def test_classify_takes_negative_exponent_coordinates(capsys):

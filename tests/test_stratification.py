@@ -29,6 +29,7 @@ from resonance_atlas.stratification import (
     evaluation_matrix,
     interior_scale,
     mesh_surface,
+    mesh_surfaces,
     representatives,
     sphere_samples,
     stability_report,
@@ -522,13 +523,27 @@ def test_mesh_matches_reference_mesher(res):
     """Vertices and params bit for bit, triangles and strata exactly, against
     the cell-by-cell mesher whose strata are the scalar classify_point on
     SpherePoint(row, disc) of each of its vertices."""
-    for disc in (+1, -1):
+    both = mesh_surfaces([+1, -1], res)
+    for disc, joint in zip((+1, -1), both):
         vertices, params, triangles, strata = oracles.mesh_surface_reference(disc, res)
-        mesh = mesh_surface(disc, res)
-        assert np.array_equal(mesh.vertices.view(np.int64), vertices.view(np.int64))
-        assert np.array_equal(mesh.params.view(np.int64), params.view(np.int64))
-        assert np.array_equal(mesh.triangles, triangles)
-        assert mesh.strata == strata
+        for mesh in (mesh_surface(disc, res), joint):
+            assert mesh.disc == disc
+            assert np.array_equal(mesh.vertices.view(np.int64), vertices.view(np.int64))
+            assert np.array_equal(mesh.params.view(np.int64), params.view(np.int64))
+            assert np.array_equal(mesh.triangles, triangles)
+            assert mesh.strata == strata
+
+
+def test_mesh_surfaces_share_read_only_topology():
+    """Both discs carry the one chart topology; writing into it raises."""
+    plus, minus = mesh_surfaces([+1, -1], 16)
+    assert plus.params is minus.params and plus.triangles is minus.triangles
+    with pytest.raises(ValueError, match="read-only"):
+        plus.triangles[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        minus.params[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        mesh_surface(+1, 8).triangles[:] = 0
 
 
 @pytest.mark.parametrize("res, tol", [(16, 1e-17), (17, 1e-17), (16, 0.05), (17, 0.01)])
@@ -654,6 +669,20 @@ def test_euler_characteristic_of_hand_mesh():
         strata=("V1", "V1", "V1", "V1"),
     )
     assert mesh.euler_characteristic() == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_euler_characteristic_matches_edge_set(seed):
+    """V - E + T against a set of edges, on triangle soups over few vertices
+    so that many edges are shared, and on a mesh with no triangles."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    tris = np.array([rng.choice(n, 3, replace=False) for _ in range(40)])
+    edges = {frozenset((int(x), int(y))) for a, b, c in tris for x, y in ((a, b), (b, c), (a, c))}
+    soup = SurfaceMesh(1, np.zeros((n, 4)), np.zeros((n, 2)), tris, ("V1",) * n)
+    assert soup.euler_characteristic() == n - len(edges) + len(tris)
+    bare = SurfaceMesh(1, np.zeros((n, 4)), np.zeros((n, 2)), np.zeros((0, 3), int), ("V1",) * n)
+    assert bare.euler_characteristic() == n
 
 
 # -- incidence ------------------------------------------------------------------
