@@ -87,6 +87,8 @@ class RunConfig:
             raise ValueError("nu5 must be nonzero")
         if self.grid < 8:
             raise ValueError("grid must be >= 8")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 _CONFIG_KEYS = {"tol": float, "cluster_tol": float, "nu5": float, "seed": int, "grid": int}
@@ -261,7 +263,14 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    raw = np.array([args.nu1, args.nu2, args.nu3, args.nu4], dtype=float)
+    coords = (args.nu1, args.nu2, args.nu3, args.nu4)
+    if not all(map(math.isfinite, coords)):
+        print("classify: coordinates must be finite", file=sys.stderr)
+        return 2
+    # scale by a power of two, which is exact, so that the norm neither
+    # overflows nor underflows whatever the magnitude of the coordinates
+    exp = math.frexp(max(map(abs, coords)))[1]
+    raw = np.array([math.ldexp(c, -exp) for c in coords])
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         print("classify: the first four coordinates must not all be zero", file=sys.stderr)

@@ -650,11 +650,16 @@ _CHORD_BERNSTEIN = np.array(
 _BERNSTEIN_MARGIN = 1e-12
 # Chords per block of the arc test; bounds the temporaries to a few MB.
 _EDGE_BLOCK = 4096
+# Neighbour ranks at which the rounds of the flood fill end, before the
+# last round, which ends at tree_k.  Most arcs of a round join points that
+# an earlier round already connected, and those are never tested.
+_FLOOD_ROUND_ENDS = (2, 5)
 
 
-def _chord_points(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(1 - t) a + t b for rows a, b of shape (m, 4) and t of shape (m, k)."""
-    return (1.0 - t)[..., None] * a[:, None, :] + t[..., None] * b[:, None, :]
+def _arc_values(at: np.ndarray, bt: np.ndarray, t) -> np.ndarray:
+    """F at (1 - t) a + t b, (m,), for a, b given as (4, m) coordinate rows
+    and t a scalar or an (m,) array; each coordinate is one contiguous row."""
+    return F_critical(((1.0 - t) * at + t * bt).T)
 
 
 def _chord_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -663,7 +668,8 @@ def _chord_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     F is a quartic form, so on the chord from a to b it is a quartic in
     the line parameter, pinned exactly by these five values.
     """
-    return F_critical(_chord_points(a, b, np.broadcast_to(_CHORD_NODES, (len(a), 5))))
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    return np.column_stack([_arc_values(at, bt, t) for t in _CHORD_NODES])
 
 
 def _chord_stationary(vals: np.ndarray) -> np.ndarray:
@@ -708,10 +714,13 @@ def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.n
     ok = np.all(sign * vals > 0.0, axis=1)
     rest = np.flatnonzero(ok & ~_bernstein_certified(vals, sign))
     if len(rest):
-        a, b, sign = a[rest], b[rest], sign[rest]
+        at, bt = np.ascontiguousarray(a[rest].T), np.ascontiguousarray(b[rest].T)
+        sign = sign[rest]
         stat = _chord_stationary(vals[rest])
         inner = (stat > 0.0) & (stat < 1.0)
-        at_stat = F_critical(_chord_points(a, b, np.where(inner, stat, 0.0)))
+        at_stat = np.column_stack(
+            [_arc_values(at, bt, t) for t in np.where(inner, stat, 0.0).T]
+        )
         ok[rest] = ~np.any(inner & (sign * at_stat <= 0.0), axis=1)
     return ok
 
@@ -721,30 +730,51 @@ def _neighbor_pairs(src: np.ndarray, table: np.ndarray):
     return np.repeat(src, table.shape[1] - 1), table[:, 1:].ravel()
 
 
-def _linked_arcs(points, kinds, signs, i, j):
-    """The candidate pairs (i[k], j[k]), deduplicated, that the flood may join:
-    same kind, not critical, the same nonzero sign of F and an arc on
-    which F keeps that sign.  Arcs are tested in blocks of _EDGE_BLOCK."""
-    n = len(points)
-    key = np.minimum(i, j) * n
+def _candidate_arcs(kinds, signs, src, table):
+    """The pairs (src[r], table[r, c]) for c >= 1, deduplicated, that the
+    flood may join -- same kind, not critical, the same nonzero sign of F
+    -- each with the smallest rank c at which it appears in either
+    direction.  Column 0 of table is the point itself."""
+    n, width = len(kinds), table.shape[1]
+    i, j = src[:, None], table[:, 1:]
+    # one sortable key per pair and rank: (min * n + max) * width + rank
+    key = np.minimum(i, j)
+    key *= n
     key += np.maximum(i, j)
-    key = np.sort(key[i != j])
-    key = key[np.diff(key, prepend=-1) != 0]
-    i, j = key // n, key % n
+    key *= width
+    key += np.arange(1, width)
+    key = key[i != j]
+    key.sort()
+    pair = key // width
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    pair, rank = np.divmod(key[first], width)
+    i, j = np.divmod(pair, n)
     keep = (
         (kinds[i] != _CRITICAL)
         & (kinds[i] == kinds[j])
         & (signs[i] != 0.0)
         & (signs[i] == signs[j])
     )
-    i, j = i[keep], j[keep]
+    return i[keep], j[keep], rank[keep]
+
+
+def _join_arcs(points, signs, labels, i, j):
+    """labels after joining every candidate pair (i[k], j[k]) whose arc keeps
+    the sign of F.  Only pairs whose labels differ are tested, in blocks of
+    _EDGE_BLOCK; an arc inside one component cannot change the components."""
+    split = labels[i] != labels[j]
+    i, j = i[split], j[split]
     ok = np.zeros(len(i), dtype=bool)
     for start in range(0, len(i), _EDGE_BLOCK):
         bi, bj = i[start : start + _EDGE_BLOCK], j[start : start + _EDGE_BLOCK]
         ok[start : start + _EDGE_BLOCK] = _chord_sign_constant(
             points[bi], points[bj], signs[bi]
         )
-    return i[ok], j[ok]
+    # the roots of labels are the smallest members of their components, so
+    # joining roots and relabelling through them is exact
+    return _components(len(labels), labels[i[ok]], labels[j[ok]])[labels]
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -773,6 +803,12 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     the critical surface; return each point's component label (its
     smallest member) and the kNN table.
 
+    The candidate arcs go in rounds of neighbour rank (_FLOOD_ROUND_ENDS,
+    then up to tree_k), and a round tests only the arcs whose ends are
+    still in different components.  An arc between two points already
+    connected cannot change the components, so the labels are those of
+    testing every arc.
+
     A second pass widens the neighbor search for members of very small
     components: near the self-intersection circles the mixed regions
     narrow into wedges a few degrees across, and a sample caught there
@@ -785,16 +821,21 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     n = len(points)
     tree = cKDTree(points)
     nbrs = tree.query(points, k=min(tree_k + 1, n))[1].reshape(n, -1)
-    i, j = _linked_arcs(points, kinds, signs, *_neighbor_pairs(np.arange(n), nbrs))
-    labels = _components(n, i, j)
+    i, j, rank = _candidate_arcs(kinds, signs, np.arange(n), nbrs)
+    labels = np.arange(n)
+    last = nbrs.shape[1] - 1
+    start = 0
+    for end in [e for e in _FLOOD_ROUND_ENDS if e < last] + [last]:
+        block = (rank > start) & (rank <= end)
+        labels = _join_arcs(points, signs, labels, i[block], j[block])
+        start = end
 
     sizes = np.bincount(labels, minlength=n)
     strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
     if len(strays):
         wide = tree.query(points[strays], k=min(rescue_k + 1, n))[1]
-        pairs = _neighbor_pairs(strays, wide.reshape(len(strays), -1))
-        ri, rj = _linked_arcs(points, kinds, signs, *pairs)
-        labels = _components(n, np.concatenate([i, ri]), np.concatenate([j, rj]))
+        ri, rj, _ = _candidate_arcs(kinds, signs, strays, wide.reshape(len(strays), -1))
+        labels = _join_arcs(points, signs, labels, ri, rj)
     return labels, nbrs
 
 
@@ -805,28 +846,40 @@ def _surface_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dropped.  The stationary points of the chord quartic cut (0, 1) into
     pieces on which it is monotone, so the first piece whose far end has
     left the sign of F(a) holds exactly one crossing, the first one; it
-    is bisected to machine precision.
+    is bisected to machine precision: until a step changes no row, since
+    every later step would repeat it (about 60 steps), and at most 80.
     """
     stat = _chord_stationary(_chord_values(a, b))
     stops = np.sort(np.where((stat > 0.0) & (stat < 1.0), stat, 1.0), axis=1)
     ends = np.ones((len(a), 1))
     scan = np.concatenate([np.zeros_like(ends), stops, ends], axis=1)
-    fs = F_critical(_chord_points(a, b, scan))
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    fs = np.column_stack([_arc_values(at, bt, t) for t in scan.T])
     keep = (fs[:, 0] != 0.0) & ~(fs[:, 0] * fs[:, -1] > 0.0)
-    a, b, scan, fs = a[keep], b[keep], scan[keep], fs[keep]
+    a, b, at, bt = a[keep], b[keep], at[:, keep], bt[:, keep]
+    scan, fs = scan[keep], fs[keep]
     first = np.argmax(fs[:, :1] * fs <= 0.0, axis=1)
     rows = np.arange(len(a))
     lo, hi, flo = scan[rows, first - 1], scan[rows, first], fs[rows, first - 1]
     live = np.ones(len(a), dtype=bool)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = F_critical(_chord_points(a, b, mid[:, None]))[:, 0]
+        fm = _arc_values(at, bt, mid)
         left = flo * fm < 0.0
-        hi = np.where(live & left, mid, hi)
+        step_hi = np.where(live & left, mid, hi)
         right = live & ~left & (fm != 0.0)
-        lo, flo = np.where(right, mid, lo), np.where(right, fm, flo)
-        live &= fm != 0.0
-    q = _chord_points(a, b, 0.5 * (lo + hi)[:, None])[:, 0]
+        step_lo, step_flo = np.where(right, mid, lo), np.where(right, fm, flo)
+        step_live = live & (fm != 0.0)
+        if (
+            np.array_equal(step_hi, hi)
+            and np.array_equal(step_lo, lo)
+            and np.array_equal(step_flo, flo)
+            and np.array_equal(step_live, live)
+        ):
+            break
+        lo, hi, flo, live = step_lo, step_hi, step_flo, step_live
+    t = 0.5 * (lo + hi)[:, None]
+    q = (1.0 - t) * a + t * b
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 

@@ -208,6 +208,92 @@ def flood_component_counts(points, kinds, tree_k=12, rescue_k=48) -> dict[str, i
     return counts
 
 
+def chord_points_reference(a, b, t) -> np.ndarray:
+    """(1 - t) a + t b for rows a, b of shape (m, 4) and t of shape (m, k),
+    as an (m, k, 4) array."""
+    return (1.0 - t)[..., None] * a[:, None, :] + t[..., None] * b[:, None, :]
+
+
+def flood_components_all_edges(points, kinds, signs, tree_k=12, rescue_k=48):
+    """The flood fill that chord-tests every candidate arc, for comparison
+    with the package's lazy one.  Returns each point's component label (its
+    smallest member) and the kNN table.
+
+    Every deduplicated kNN pair of the same kind (not critical) and the same
+    nonzero sign of F is tested with the package's _chord_sign_constant,
+    and the components of the accepted arcs are labelled; members of
+    components smaller than max(3, n // 200) then test every such pair
+    among their rescue_k nearest neighbours, and the components of all
+    accepted arcs are labelled again.
+    """
+    from scipy.spatial import cKDTree
+
+    from resonance_atlas.stratification import KINDS, _chord_sign_constant, _components
+
+    critical = KINDS.index("critical")
+
+    def linked_arcs(i, j):
+        n = len(points)
+        key = np.minimum(i, j) * n + np.maximum(i, j)
+        key = np.unique(key[i != j])
+        i, j = key // n, key % n
+        keep = (
+            (kinds[i] != critical)
+            & (kinds[i] == kinds[j])
+            & (signs[i] != 0.0)
+            & (signs[i] == signs[j])
+        )
+        i, j = i[keep], j[keep]
+        ok = _chord_sign_constant(points[i], points[j], signs[i])
+        return i[ok], j[ok]
+
+    n = len(points)
+    tree = cKDTree(points)
+    nbrs = tree.query(points, k=min(tree_k + 1, n))[1].reshape(n, -1)
+    i, j = linked_arcs(np.repeat(np.arange(n), nbrs.shape[1] - 1), nbrs[:, 1:].ravel())
+    labels = _components(n, i, j)
+    sizes = np.bincount(labels, minlength=n)
+    strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
+    if len(strays):
+        wide = tree.query(points[strays], k=min(rescue_k + 1, n))[1].reshape(len(strays), -1)
+        ri, rj = linked_arcs(np.repeat(strays, wide.shape[1] - 1), wide[:, 1:].ravel())
+        labels = _components(n, np.concatenate([i, ri]), np.concatenate([j, rj]))
+    return labels, nbrs
+
+
+def surface_crossings_reference(a, b) -> np.ndarray:
+    """The first crossing of F = 0 on each arc a[k] -> b[k], bisected for a
+    fixed 80 steps on (m, k, 4) chord points, for comparison with the
+    package's _surface_crossings.  Arcs with F(a) = 0 or the same sign of F
+    at both ends are dropped; the stationary points of the chord quartic
+    come from the package's _chord_stationary."""
+    from resonance_atlas.stratification import _chord_stationary
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nodes = np.broadcast_to(_CHORD_NODES, (len(a), 5))
+    stat = _chord_stationary(F_quartic(chord_points_reference(a, b, nodes)))
+    stops = np.sort(np.where((stat > 0.0) & (stat < 1.0), stat, 1.0), axis=1)
+    ends = np.ones((len(a), 1))
+    scan = np.concatenate([np.zeros_like(ends), stops, ends], axis=1)
+    fs = F_quartic(chord_points_reference(a, b, scan))
+    keep = (fs[:, 0] != 0.0) & ~(fs[:, 0] * fs[:, -1] > 0.0)
+    a, b, scan, fs = a[keep], b[keep], scan[keep], fs[keep]
+    first = np.argmax(fs[:, :1] * fs <= 0.0, axis=1)
+    rows = np.arange(len(a))
+    lo, hi, flo = scan[rows, first - 1], scan[rows, first], fs[rows, first - 1]
+    live = np.ones(len(a), dtype=bool)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = F_quartic(chord_points_reference(a, b, mid[:, None]))[:, 0]
+        left = flo * fm < 0.0
+        hi = np.where(live & left, mid, hi)
+        right = live & ~left & (fm != 0.0)
+        lo, flo = np.where(right, mid, lo), np.where(right, fm, flo)
+        live &= fm != 0.0
+    q = chord_points_reference(a, b, 0.5 * (lo + hi)[:, None])[:, 0]
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
 def mesh_surface_reference(disc: int, resolution: int, nu5: float = 1.0, tol: float = 1e-9):
     """The welded chart mesh built one cell at a time, for comparison with
     the whole-array mesher.

@@ -292,6 +292,25 @@ def test_non_finite_settings_are_usage_errors(tmp_path, capsys, key, argv, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [None, "seed = -1"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, config):
+    """A negative seed, from the flag or the config file, exits 2 naming
+    the key, and writes nothing."""
+    out = tmp_path / "out.csv"
+    argv = ["sample", "--n", "200", "--out", str(out)]
+    if config is None:
+        argv = ["--seed", "-1"] + argv
+    else:
+        cfg = tmp_path / "atlas.cfg"
+        cfg.write_text(config + "\n")
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "seed must be non-negative" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_global_nu5_reaches_classify(capsys):
     """--nu5 is read by classify; its positional nu5 still wins over it."""
     point = ["0.3", "0.2", "0.5", "0.1"]
@@ -374,3 +393,30 @@ def test_classify_next_to_the_axis(capsys):
     payload = _classify_json(capsys, (1.0, 1e-5, 1e-5, 1e-5))
     assert payload["stratum"] == "V1"
     assert max(abs(complex(e["re"], e["im"])) for e in payload["eigenvalues"]) < 2.0
+
+
+@pytest.mark.parametrize(
+    "coords, same_ray",
+    [
+        ((1e308, 1e308, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)),
+        ((1e-320, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+        ((-3e-310, 0.0, 5e-310, 1e-310), (-3.0, 0.0, 5.0, 1.0)),
+    ],
+)
+def test_classify_takes_finite_directions_of_any_magnitude(capsys, coords, same_ray):
+    """Coordinates near the largest or the smallest double name the same
+    direction as their ordinary-sized multiples."""
+    huge_or_tiny = _classify_json(capsys, coords)
+    ordinary = _classify_json(capsys, same_ray)
+    assert huge_or_tiny["stratum"] == ordinary["stratum"]
+    assert huge_or_tiny["config"] == ordinary["config"]
+    assert max(abs(x - y) for x, y in zip(huge_or_tiny["point"], ordinary["point"])) <= 1e-15
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("coords", [("inf", "0", "0", "1"), ("0", "nan", "0", "0")])
+def test_classify_rejects_non_finite_coordinates(capsys, coords):
+    assert main(["classify", *coords]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "classify: coordinates must be finite\n"
+    assert captured.out == ""

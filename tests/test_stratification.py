@@ -383,6 +383,110 @@ def test_stability_report_matches_reference(n, seed, nu5):
     ) == (counts["stable"], counts["unstable"], counts["mixed"])
 
 
+def _flood_inputs(n, seed, nu5):
+    pts = sphere_samples(n, seed)
+    kinds = classify_points(stratification._unit_rows(pts), nu5).kind
+    return pts, kinds, np.sign(F_critical(pts))
+
+
+@pytest.mark.parametrize(
+    "n, seed, nu5",
+    [(10_000, 42, 1.0), (10_000, 1559737105, 1.0), (10_000, 3658652565, 1.0)]
+    + [(2000, seed, nu5) for seed in (0, 3) for nu5 in (-1.0, 0.3, 7.0)],
+)
+def test_lazy_flood_matches_all_edges_flood(n, seed, nu5):
+    """Testing only the arcs that still join two components gives the labels
+    and the kNN table of testing every candidate arc (1559737105 takes the
+    rescue pass)."""
+    pts, kinds, signs = _flood_inputs(n, seed, nu5)
+    labels, nbrs = stratification._flood_components(pts, kinds, signs)
+    want_labels, want_nbrs = oracles.flood_components_all_edges(pts, kinds, signs)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(nbrs, want_nbrs)
+
+
+def test_lazy_flood_reaches_the_last_rank_round():
+    """Points in tight groups of six see only their own group up to rank 5,
+    so the groups join through arcs of rank 6 to 12 alone (groups of six
+    are not small enough for the rescue pass)."""
+    rng = np.random.default_rng(7)
+    centers = np.repeat(sphere_samples(200, 5), 6, axis=0)
+    pts = stratification._unit_rows(centers + 1e-4 * rng.standard_normal(centers.shape))
+    kinds = classify_points(pts, 1.0).kind
+    signs = np.sign(F_critical(pts))
+    labels, _ = stratification._flood_components(pts, kinds, signs)
+    want, _ = oracles.flood_components_all_edges(pts, kinds, signs)
+    assert np.array_equal(labels, want)
+    assert len(np.unique(want)) < 100
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_candidate_arcs_match_pair_dict(seed):
+    """Each unordered kNN pair appears once, with the smallest rank at which
+    it appears in either direction, when the flood may join it."""
+    from scipy.spatial import cKDTree
+
+    pts = sphere_samples(1500, seed)
+    kinds = classify_points(pts, 1.0).kind
+    signs = np.sign(F_critical(pts))
+    table = cKDTree(pts).query(pts, k=13)[1]
+    want = {}
+    for r, row in enumerate(table.tolist()):
+        for c, q in enumerate(row[1:], start=1):
+            key = (min(r, q), max(r, q))
+            if r != q and c < want.get(key, 99):
+                want[key] = c
+    critical = KINDS.index("critical")
+    want = {
+        (a, b): c
+        for (a, b), c in want.items()
+        if kinds[a] != critical and kinds[a] == kinds[b] and signs[a] != 0 and signs[a] == signs[b]
+    }
+    i, j, rank = stratification._candidate_arcs(kinds, signs, np.arange(len(pts)), table)
+    got = {(a, b): c for a, b, c in zip(i.tolist(), j.tolist(), rank.tolist())}
+    assert len(got) == len(i)
+    assert got == want
+    assert set(want.values()) == set(range(1, 13))
+
+
+def test_flood_tests_few_chords(monkeypatch):
+    """The lazy flood sends at most 20,000 chords through the arc test at
+    n = 10k; testing every candidate arc sends 56,929."""
+    rows = [0]
+    chord_test = stratification._chord_sign_constant
+
+    def counted(a, b, sign):
+        rows[0] += len(a)
+        return chord_test(a, b, sign)
+
+    monkeypatch.setattr(stratification, "_chord_sign_constant", counted)
+    rep = stability_report(sphere_samples(10_000, 42), nu5=1.0)
+    assert rep.mixed_component_count == 2
+    assert 0 < rows[0] <= 20_000
+
+
+@pytest.mark.parametrize("seed", [42, 3658652565, 815100843])
+def test_surface_crossings_match_fixed_step_bisection(seed, count_calls):
+    """The chord values on contiguous columns and the bisection stopped at
+    its fixed point equal, bit for bit, the (m, k, 4) chord points bisected
+    for all 80 steps; the bisection stops well before the cap."""
+    pts, kinds, _ = _flood_inputs(10_000, seed, 1.0)
+    nbrs = stratification._flood_components(pts, kinds, np.sign(F_critical(pts)))[1]
+    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
+    sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
+    a, b = pts[i[sel]], pts[j[sel]]
+    nodes = np.broadcast_to(np.linspace(0.0, 1.0, 5), (len(a), 5))
+    want_vals = F_critical(oracles.chord_points_reference(a, b, nodes))
+    assert np.array_equal(stratification._chord_values(a, b), want_vals)
+    arc_values = count_calls(stratification._arc_values)
+    got = stratification._surface_crossings(a, b)
+    want = oracles.surface_crossings_reference(a, b)
+    assert len(got) > 1000
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # five chord nodes and five scan points, then one call per bisection step
+    assert arc_values[0] - 10 < 70
+
+
 @pytest.mark.parametrize("seed", [3658652565, 815100843, 2503583820])
 def test_stable_boundary_takes_first_crossing(seed):
     """On these sample sets a stable-to-mixed arc crosses the surface
