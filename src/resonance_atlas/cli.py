@@ -58,7 +58,7 @@ from .stratification import (
 
 SCHEMA_VERSION = 1
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "main", "write_rows"]
 
 
 def _fmt(x: float) -> str:
@@ -306,18 +306,224 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-# -- sample --------------------------------------------------------------------
+# -- row writer ----------------------------------------------------------------
+#
+# A block of rows is one matrix of little-endian 4-byte words.  Every field
+# has a fixed slot of whole words, NUL where it uses no byte, and dropping
+# the NULs leaves the text.  A float's slot is built from its 17 significant
+# digits, read off exactly; the digits go in four at a time from tables of
+# the words of 0000..9999.
+
+_BLOCK_ROWS = 2048  # rows formatted at once; bounds the bytes held at once
+_FLOAT_WORDS = 7  # a float's slot, 28 bytes: room for any '%.17g'
+_INT_WORDS = 5  # an integer's slot, 20 bytes: room for any int64 '%d'
+# decimal exponents k of the floats formatted from digits: 10**(16 - k) must
+# be an exact double; '%g' writes k >= -4 in fixed form, d.ddd...e-0K below
+_K_MIN, _K_MAX = -6, 0
+_VELTKAMP = 2.0**27 + 1.0
 
 
-_BLOCK_ROWS = 4096  # rows formatted per % call; bounds the text held at once
+def _split(a):
+    """a == hi + lo with hi and lo of at most 26 significant bits."""
+    t = _VELTKAMP * a
+    hi = t - (t - a)
+    return hi, a - hi
 
 
-def _write_blocks(fh, template: str, n: int, values) -> None:
-    """Write n rows of template, formatting a block of rows per % call;
-    values(lo, hi) gives the flat values of rows lo..hi-1 in order."""
+_POW10_HI, _POW10_LO = _split(10.0 ** np.arange(23))  # 10**n == hi + lo
+
+
+@functools.cache
+def _digit_words():
+    """Words of 0000..9999 as uint32 tables: full, then with trailing zeros
+    as NUL (20000 words); full, then with leading zeros as NUL, the last
+    digit always kept (20000 words)."""
+    i = np.arange(10_000)[:, None]
+    chars = (i // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(np.uint8)
+    trailing = np.where(i % 10 ** np.arange(4, 0, -1) == 0, 0, chars).astype(np.uint8)
+    leading = np.where(i < [1000, 100, 10, 0], 0, chars).astype(np.uint8)
+
+    def words(table):
+        out = np.ascontiguousarray(table).view("<u4").ravel()
+        out.setflags(write=False)  # cached: every caller gets this array
+        return out
+
+    return words(np.vstack([chars, trailing])), words(np.vstack([chars, leading]))
+
+
+@functools.cache
+def _float_heads() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words around a float's last 16 digits, w0, w1 and w6 of its
+    slot, each by ((k - _K_MIN) * 10 + first digit) * 4
+    + 2 * (later digits nonzero) + (sign bit)."""
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        for first in b"0123456789":
+            for more in (False, True):
+                for sign in (b"\0", b"-"):
+                    if -4 <= k < 0:  # 0.000d: '0', '.', -k - 1 zeros, d
+                        head = (b"0." + b"0" * (-k - 1)).ljust(5, b"\0") + bytes([first])
+                    else:  # d., the point only when more digits follow
+                        head = bytes([first]) + (b"." if more else b"\0")
+                    tail = b"e-%02d" % -k if k < -4 else b""
+                    rows.append(sign + head.ljust(7, b"\0") + tail.ljust(4, b"\0"))
+    words = np.frombuffer(b"".join(rows), dtype="<u4").reshape(-1, 3)
+    columns = tuple(np.ascontiguousarray(col) for col in words.T)
+    for col in columns:
+        col.setflags(write=False)  # cached: every caller gets these arrays
+    return columns
+
+
+def _divmod(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod for a >= 0, without numpy's slower integer remainder."""
+    q = a // d
+    return q, a - q * d
+
+
+def _float_slots(x: np.ndarray) -> np.ndarray:
+    """The (m, _FLOAT_WORDS) slots of '%.17g' % v for the floats x (m,).
+
+    The 17 digits are D = round-half-even(|v| 10**(16 - k)), k the decimal
+    exponent; the product is exact as hi + lo (Dekker), hi an even integer
+    >= 2**53, so D = hi + rint(lo).  Zeros, and nonzero values with
+    _K_MIN <= k <= _K_MAX, are built from D; the rest (tiny, large,
+    subnormal, non-finite) take '%.17g' itself."""
+    a = np.abs(x)
+    near = (a >= 1e-7) & (a < 10.0)
+    a = np.where(near, a, 1.0)
+    # floor(log10 a), which is >= -7 here; it may miss k by one next to a
+    # power of ten, and hi + lo decides
+    k = (np.log10(a) + 7.0).astype(np.int32) - 7
+    np.maximum(k, _K_MIN, out=k)
+
+    def product(a, k):
+        p_hi, p_lo = _POW10_HI[16 - k], _POW10_LO[16 - k]
+        hi = a * (p_hi + p_lo)
+        a_hi, a_lo = _split(a)
+        return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+    hi, lo = product(a, k)
+    step = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int32)
+    step -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    k += step
+    ok = near & (k >= _K_MIN) & (k <= _K_MAX)
+    redo = np.flatnonzero(ok & (step != 0))
+    if len(redo):
+        hi[redo], lo[redo] = product(a[redo], k[redo])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    zero = x == 0.0
+    # a carry to 10**17 would raise k; no double in this range rounds so
+    ok = (ok & (digits < 10**17)) | zero
+    unused = ~ok | zero
+    digits[unused] = 0
+    k[unused] = 0
+
+    top, bottom = _divmod(digits, 10**8)
+    first, rest = _divmod(top.astype(np.int32), 10**8)
+    bottom = bottom.astype(np.int32)
+    g0, g1 = _divmod(rest, 10_000)
+    g2, g3 = _divmod(bottom, 10_000)
+    more = (rest != 0) | (bottom != 0)
+    head = ((k - _K_MIN) * 10 + first) * 4 + more * 2 + np.signbit(x)
+    w0, w1, w6 = _float_heads()
+    stripped, _ = _digit_words()
+    slots = np.empty((len(x), _FLOAT_WORDS), dtype="<u4")
+    slots[:, 0] = w0.take(head)
+    slots[:, 1] = w1.take(head)
+    # a digit group drops its trailing zeros when every later group is zero
+    slots[:, 2] = stripped[g0 + 10_000 * ((g1 == 0) & (bottom == 0))]
+    slots[:, 3] = stripped[g1 + 10_000 * (bottom == 0)]
+    slots[:, 4] = stripped[g2 + 10_000 * (g3 == 0)]
+    slots[:, 5] = stripped[g3 + 10_000]
+    slots[:, 6] = w6.take(head)
+    _splice(slots, x, ok, b"%.17g")
+    return slots
+
+
+def _int_slots(i: np.ndarray, size: int = _INT_WORDS) -> np.ndarray:
+    """The (m, size) slots of '%d' % v for the integers i (m,): values
+    0 <= v < 10**8 from the digit tables, the rest from '%d' itself, which
+    size words must hold."""
+    i = i.astype(np.int64)
+    ok = (i >= 0) & (i < 10**8)
+    high, low = _divmod(np.where(ok, i, 0), 10_000)
+    _, leading = _digit_words()
+    slots = np.zeros((len(i), size), dtype="<u4")
+    slots[:, 0] = leading[high + 10_000] * (high != 0)
+    slots[:, 1] = leading[low + 10_000 * (high == 0)]
+    _splice(slots, i, ok, b"%d")
+    return slots
+
+
+def _splice(slots: np.ndarray, values: np.ndarray, ok: np.ndarray, fmt: bytes) -> None:
+    """Write fmt % v into the slot of every value v that ok leaves out."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        text = [fmt % v for v in values[bad].tolist()]
+        width = 4 * slots.shape[1]
+        slots[bad] = np.array(text, dtype=f"S{width}").view("<u4").reshape(len(bad), -1)
+
+
+def write_rows(fh, fields) -> None:
+    """Write one row per index of the columns in fields to the binary file fh.
+
+    A row is the fields in order: a bytes field as it is, a float column
+    as '%.17g' % v, an integer column as '%d' % v, a bytes ('S') column as
+    its value; the text is that of those % formats byte for byte."""
+    fields = [f if isinstance(f, bytes) else np.asarray(f) for f in fields]
+    n = len(next(f for f in fields if not isinstance(f, bytes)))
+    literals, floats, ints, texts = [], [], [], []
+    # integers take two words when all of them have at most 8 digits
+    int_words = 2
+    if any(f.dtype.kind in "iu" and len(f) and (f.min() < 0 or f.max() >= 10**8)
+           for f in fields if not isinstance(f, bytes)):
+        int_words = _INT_WORDS
+    width = 0
+    for f in fields:
+        if isinstance(f, bytes):
+            words = np.frombuffer(f + b"\0" * (-len(f) % 4), dtype="<u4")
+            literals.append((width, words))
+            width += len(words)
+        elif f.dtype.kind == "f":
+            floats.append((width, f))
+            width += _FLOAT_WORDS
+        elif f.dtype.kind in "iu":
+            ints.append((width, f))
+            width += int_words
+        elif f.dtype.kind == "S":
+            size = -(-f.dtype.itemsize // 4)
+            texts.append((width, f.astype(f"S{4 * size}").view("<u4").reshape(len(f), size)))
+            width += size
+        else:
+            raise TypeError(f"write_rows: cannot write a {f.dtype} column")
+
+    block = np.zeros((min(n, _BLOCK_ROWS), width), dtype="<u4")
+    for at, words in literals:
+        block[:, at : at + len(words)] = words
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        fh.write((template * (hi - lo)) % tuple(values(lo, hi)))
+        rows = block[: hi - lo]
+        for columns, slots, size in ((floats, _float_slots, _FLOAT_WORDS),
+                                     (ints, lambda i: _int_slots(i, int_words), int_words)):
+            if columns:
+                flat = np.concatenate([col[lo:hi] for _, col in columns])
+                out = slots(flat).reshape(len(columns), hi - lo, size)
+                for (at, _), part in zip(columns, out):
+                    rows[:, at : at + size] = part
+        for at, words in texts:
+            rows[:, at : at + words.shape[1]] = words[lo:hi]
+        fh.write(rows.tobytes().translate(None, b"\0"))
+
+
+def _joined(sep: bytes, columns) -> list:
+    """The columns with sep between each two, as write_rows fields."""
+    fields = []
+    for col in columns:
+        fields += [sep, col]
+    return fields[1:]
+
+
+# -- sample --------------------------------------------------------------------
 
 
 def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -329,19 +535,11 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = stability_report(pts, cfg.nu5, cfg.tol)
 
     # stratum and config codes never need CSV quoting
-    points, stratum, config = report.points, report.stratum, report.config
-    max_re, stable = report.max_real_part, np.where(report.stable, "true", "false")
-
-    def values(lo, hi):
-        table = np.empty((hi - lo, 8), dtype=object)
-        table[:, :4] = points[lo:hi]
-        table[:, 4], table[:, 5] = stratum[lo:hi], config[lo:hi]
-        table[:, 6], table[:, 7] = max_re[lo:hi], stable[lo:hi]
-        return table.ravel().tolist()
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("nu1,nu2,nu3,nu4,stratum,config,max_real_part,stable\n")
-        _write_blocks(fh, "%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%s\n", n, values)
+    columns = [*report.points.T, report.stratum.astype("S"), report.config.astype("S"),
+               report.max_real_part, np.where(report.stable, b"true", b"false")]
+    with open(args.out, "wb") as fh:
+        fh.write(b"nu1,nu2,nu3,nu4,stratum,config,max_real_part,stable\n")
+        write_rows(fh, [*_joined(b",", columns), b"\n"])
 
     def counts(column):
         names, k = np.unique(column.astype(str), return_counts=True)
@@ -353,8 +551,8 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "nu5": cfg.nu5,
         "tol": cfg.tol,
-        "stratum_counts": counts(stratum),
-        "config_counts": counts(config),
+        "stratum_counts": counts(report.stratum),
+        "config_counts": counts(report.config),
         "stable_fraction": int(report.stable.sum()) / float(n),
         "stable_component_count": report.stable_component_count,
         "unstable_component_count": report.unstable_component_count,
@@ -374,32 +572,23 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _write_obj(fh, meshes) -> None:
     offset = 0
     for mesh in meshes:
-        name = "plus" if mesh.disc > 0 else "minus"
-        fh.write(f"g {name}\n")
-        verts, faces = mesh.vertices, mesh.triangles + (1 + offset)
-        _write_blocks(fh, "v %.17g %.17g %.17g %.17g\n", len(verts),
-                      lambda lo, hi: verts[lo:hi].ravel().tolist())
-        _write_blocks(fh, "f %d %d %d\n", len(faces),
-                      lambda lo, hi: faces[lo:hi].ravel().tolist())
+        name = b"plus" if mesh.disc > 0 else b"minus"
+        fh.write(b"g %s\n" % name)
+        write_rows(fh, [b"v ", *_joined(b" ", mesh.vertices.T), b"\n"])
+        write_rows(fh, [b"f ", *_joined(b" ", (mesh.triangles + (1 + offset)).T), b"\n"])
         offset += len(mesh.vertices)
 
 
 def _write_mesh_csv(fh, meshes) -> None:
     """One vertex row (index, coordinates, chart (s, t), stratum) and one
     face row (three indices) per element, the fields csv.writer would give."""
-    fh.write("type,disc,i0,i1,i2,nu1,nu2,nu3,nu4,s,t,stratum\n")
+    fh.write(b"type,disc,i0,i1,i2,nu1,nu2,nu3,nu4,s,t,stratum\n")
     for mesh in meshes:
-        table = np.column_stack([mesh.vertices, mesh.params])
-        strata, faces = mesh.strata, mesh.triangles
-
-        def vertex_values(lo, hi):
-            rows = zip(range(lo, hi), table[lo:hi].tolist(), strata[lo:hi])
-            return [x for idx, coords, name in rows for x in (idx, *coords, name)]
-
-        _write_blocks(fh, f"vertex,{mesh.disc},%d,,," + "%.17g," * 6 + "%s\n",
-                      len(table), vertex_values)
-        _write_blocks(fh, f"face,{mesh.disc},%d,%d,%d,,,,,,\n", len(faces),
-                      lambda lo, hi: faces[lo:hi].ravel().tolist())
+        columns = [*mesh.vertices.T, *mesh.params.T, np.asarray(mesh.strata, dtype="S")]
+        write_rows(fh, [b"vertex,%d," % mesh.disc, np.arange(len(mesh.vertices)), b",,,",
+                        *_joined(b",", columns), b"\n"])
+        write_rows(fh, [b"face,%d," % mesh.disc, *_joined(b",", mesh.triangles.T),
+                        b",,,,,,\n"])
 
 
 def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -410,7 +599,7 @@ def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
     discs = {"plus": [+1], "minus": [-1], "both": [+1, -1]}[args.disc]
     meshes = mesh_surfaces(discs, resolution, cfg.nu5, cfg.tol)
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "wb") as fh:
         if args.format == "obj":
             _write_obj(fh, meshes)
         else:

@@ -101,13 +101,17 @@ def test_sample_writes_csv_and_summary(tmp_path, capsys):
     assert summary["stable_component_count"] == 1
 
 
-@pytest.mark.parametrize("n", [500, 2000])
-def test_sample_writer_matches_csv_writer_reference(tmp_path, n):
+@pytest.mark.parametrize(
+    "n, seed",
+    [pytest.param(500, 42, id="500"), pytest.param(2000, 42, id="2000"),
+     pytest.param(10_000, 1559737105, id="10000-1559737105")],
+)
+def test_sample_writer_matches_csv_writer_reference(tmp_path, n, seed):
     """The block writer gives the bytes csv.writer gives from the records,
     and the summary's counts equal a per-record count."""
     out = tmp_path / "samples.csv"
-    assert main(["sample", "--n", str(n), "--out", str(out)]) == 0
-    records = stability_report(sphere_samples(n, 42), 1.0).records
+    assert main(["--seed", str(seed), "sample", "--n", str(n), "--out", str(out)]) == 0
+    records = stability_report(sphere_samples(n, seed), 1.0).records
     assert out.read_bytes() == oracles.sample_csv_reference(records).encode()
     summary = json.loads((tmp_path / "samples.csv.summary.json").read_text())
     want = oracles.sample_summary_reference(records)
@@ -121,6 +125,15 @@ def test_sample_rejects_bad_n(tmp_path):
 def test_sample_unwritable_path_is_io_error(tmp_path):
     out = tmp_path / "missing" / "deep" / "samples.csv"
     assert main(["sample", "--n", "10", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+@pytest.mark.parametrize("target", ["directory", "missing directory"])
+def test_mesh_unwritable_path_is_io_error(tmp_path, capsys, fmt, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / f"x.{fmt}"
+    assert main(["mesh", "--resolution", "8", "--format", fmt, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "I/O error" in err and "Traceback" not in err
 
 
 def test_mesh_obj_output(tmp_path):
@@ -189,7 +202,8 @@ def _reference_csv(meshes) -> str:
 
 @pytest.mark.parametrize(
     "fmt, res, reference",
-    [("obj", 16, _reference_obj), ("obj", 128, _reference_obj), ("csv", 8, _reference_csv)],
+    [("obj", 16, _reference_obj), ("obj", 128, _reference_obj), ("csv", 8, _reference_csv),
+     ("csv", 128, _reference_csv)],
 )
 def test_mesh_writer_matches_per_value_reference(tmp_path, fmt, res, reference):
     """The block writers give the bytes of one '%.17g' per value."""
@@ -198,6 +212,10 @@ def test_mesh_writer_matches_per_value_reference(tmp_path, fmt, res, reference):
                  "--format", fmt, "--out", str(out)]) == 0
     meshes = [mesh_surface(+1, res), mesh_surface(-1, res)]
     assert out.read_bytes() == reference(meshes).encode()
+    if res == 128:
+        # values below the digit kernel's range, which '%.17g' itself writes
+        coords = np.abs(np.concatenate([mesh.vertices for mesh in meshes]))
+        assert np.any((coords > 0.0) & (coords < 1e-6))
 
 
 def test_mesh_builds_chart_topology_once(tmp_path, count_calls):
