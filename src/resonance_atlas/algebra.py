@@ -132,7 +132,18 @@ def embed(nu: ReducedCoords) -> CentralizerCoords:
 
 
 def homogeneous_reduced(nu: ReducedCoords) -> Mat4:
-    return homogeneous_unfolding(embed(nu))
+    """homogeneous_unfolding(embed(nu)), filled in entry by entry.
+
+    Each entry adds its terms onto 0.0 in the generator order M1..M8 of
+    that sum, so the bits are the same, signed zeros included.
+    """
+    n1, n2, n3, n4, n5 = nu.nu.tolist()
+    return Mat4([
+        [0.0 + n1, 0.0 + n4, 0.0 + n5 + n3, 0.0 + n2],
+        [0.0 - n4, 0.0 + n1, 0.0 - n2, 0.0 + n5 - n3],
+        [0.0 - n5 - n3, 0.0 - n2, 0.0 + n1, 0.0 + n4],
+        [0.0 + n2, 0.0 - n5 + n3, 0.0 - n4, 0.0 + n1],
+    ])
 
 
 def reduced_unfolding(nu: ReducedCoords) -> Mat4:

@@ -262,6 +262,30 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- classify ------------------------------------------------------------------
 
 
+# json.dumps(payload, indent=2, sort_keys=True) of classify's fixed schema,
+# keys in sorted order: ints go in as %d, strings as json.dumps of the string,
+# floats as _json_float
+_EIG_JSON = '    {\n      "im": %s,\n      "re": %s\n    }'
+_CLASSIFY_JSON = (
+    '{\n  "F": %s,\n  "config": %s,\n  "dimension": %d,\n  "disc": %d,\n'
+    '  "eigenvalues": [\n' + ",\n".join([_EIG_JSON] * 4) + "\n  ],\n"
+    '  "max_real_part": %s,\n  "nu5": %s,\n'
+    '  "point": [\n' + ",\n".join(["    %s"] * 4) + "\n  ],\n"
+    '  "schema_version": %d,\n  "stable_count": %d,\n  "stratum": %s\n}'
+)
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it: its repr, or NaN / Infinity / -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     coords = (args.nu1, args.nu2, args.nu3, args.nu4)
     if not all(map(math.isfinite, coords)):
@@ -280,22 +304,13 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = config.spectrum
     F = float(F_critical(point.nu4))
     if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "point": [float(c) for c in point.nu4],
-            "disc": point.disc,
-            "nu5": float(cfg.nu5),
-            "stratum": label.name,
-            "dimension": label.dimension,
-            "config": config.code,
-            "stable_count": config.stable_count,
-            "F": F,
-            "max_real_part": spec.max_real_part,
-            "eigenvalues": [
-                {"re": z.real, "im": z.imag} for z in spec.eigenvalues
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_CLASSIFY_JSON % (
+            _json_float(F), json.dumps(config.code), label.dimension, point.disc,
+            *[_json_float(w) for z in spec.eigenvalues for w in (z.imag, z.real)],
+            _json_float(spec.max_real_part), _json_float(cfg.nu5),
+            *map(_json_float, point.nu4.tolist()),
+            SCHEMA_VERSION, config.stable_count, json.dumps(label.name),
+        ))
     else:
         coords = " ".join(_fmt(c) for c in point.nu4)
         print(f"point    {coords}")

@@ -142,11 +142,15 @@ def phi_coeffs(nu: ReducedCoords) -> PolyCoeffs:
 
 def F_critical(nu):
     """(nu1^2 - nu2^2)(nu1^2 + nu4^2) + nu1^2 nu3^2, broadcasting over
-    leading axes of an (..., 4) array."""
+    leading axes of an (..., 4) array.  One (4,) vector is evaluated on
+    Python floats and gives a float."""
     v = np.asarray(nu, dtype=float)
-    n1, n2, n3, n4 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
-    out = (n1 * n1 - n2 * n2) * (n1 * n1 + n4 * n4) + n1 * n1 * n3 * n3
-    return float(out) if out.ndim == 0 else out
+    if v.shape == (4,):
+        n1, n2, n3, n4 = v.tolist()
+    else:
+        n1, n2, n3, n4 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    s = n1 * n1
+    return (s - n2 * n2) * (s + n4 * n4) + s * n3 * n3
 
 
 def G_full(nu: ReducedCoords) -> float:

@@ -239,6 +239,7 @@ def _near_p_points(v: np.ndarray, tol: float) -> np.ndarray:
 
 
 _STRATUM_NAMES = tuple(STRATA)
+_NAME_TABLE = np.array(_STRATUM_NAMES, dtype=object)  # code -> name, by indexing
 _CODE = {name: k for k, name in enumerate(_STRATUM_NAMES)}
 _P_CODES = np.array([_CODE[name] for name in _P_NAMES])
 _OFF_CRITICAL = -1  # _critical_stratum returns None
@@ -1040,7 +1041,8 @@ def mesh_surfaces(
         vertices = param_phi_array(d, params[:, 0], params[:, 1])
         check_unit_rows(vertices)
         codes = _critical_strata(vertices, tol)
-        strata = [_STRATUM_NAMES[k] if k >= 0 else "" for k in codes.tolist()]
+        # a negative code picks a name from the end; those rows are replaced
+        strata = _NAME_TABLE[codes].tolist()
         for k in np.flatnonzero(codes < 0):
             strata[k] = classify_point(SpherePoint(vertices[k], d), nu5, tol).name
         meshes.append(SurfaceMesh(d, vertices, params, tris, tuple(strata)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 
 import numpy as np
 
@@ -399,3 +400,24 @@ def sample_summary_reference(records) -> dict:
         "config_counts": dict(sorted(config_counts.items())),
         "stable_fraction": sum(1 for r in records if r.stable) / float(len(records)),
     }
+
+
+def classify_json_reference(point, nu5, label, config, F) -> str:
+    """`classify --json`'s text (without the newline) from the SpherePoint,
+    nu5, StratumLabel, EigConfig and F it reports: the payload as a dict,
+    through json.dumps(indent=2, sort_keys=True)."""
+    spec = config.spectrum
+    payload = {
+        "schema_version": 1,
+        "point": [float(c) for c in point.nu4],
+        "disc": point.disc,
+        "nu5": float(nu5),
+        "stratum": label.name,
+        "dimension": label.dimension,
+        "config": config.code,
+        "stable_count": config.stable_count,
+        "F": F,
+        "max_real_part": spec.max_real_part,
+        "eigenvalues": [{"re": z.real, "im": z.imag} for z in spec.eigenvalues],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

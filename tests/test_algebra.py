@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from resonance_atlas.algebra import (
     reduced_unfolding,
 )
 from resonance_atlas.linalg import Mat4, char_poly, commutator, frobenius_inner
+from resonance_atlas.stratification import evaluation_matrix, interior_scale, representatives
 
 import oracles
 from expected_values import ADJOINT_ORBITS, COMMUTATORS
@@ -247,3 +249,30 @@ def test_reduced_family_axis_char_poly(rng):
         got = np.array(char_poly(H).a)
         want = np.array(oracles.axis_char_coeffs(n1, n5))
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def _unfolding_bytes(nu: ReducedCoords) -> bytes:
+    return homogeneous_unfolding(embed(nu)).entries.tobytes()
+
+
+def test_homogeneous_reduced_matches_generator_sum_bit_for_bit():
+    """The direct build equals the sum over the eight generators in every
+    bit, signed zeros included, over the whole double range."""
+    rng = np.random.default_rng(20261018)
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, size=(10_000, 5))
+    signs = rng.choice([-1.0, 1.0], size=(10_000, 5))
+    for row in mags * signs:
+        nu = ReducedCoords(row)
+        assert homogeneous_reduced(nu).entries.tobytes() == _unfolding_bytes(nu)
+    for pattern in itertools.product((0.0, -0.0), repeat=5):
+        nu = ReducedCoords(np.array(pattern))
+        assert homogeneous_reduced(nu).entries.tobytes() == _unfolding_bytes(nu), pattern
+
+
+def test_evaluation_matrices_match_generator_sum_bit_for_bit():
+    """The representatives' evaluation matrices at every nu5 the point
+    queries use are those of the generator sum."""
+    for point, _ in representatives().values():
+        for nu5 in (-2.0, -1.0, -0.5, 0.5, 1.0, 3.0):
+            nu = ReducedCoords(np.append(interior_scale(nu5) * point.nu4, nu5))
+            assert evaluation_matrix(point, nu5).entries.tobytes() == _unfolding_bytes(nu)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import resonance_atlas
-from resonance_atlas import linalg, spectra, stratification
-from resonance_atlas.cli import _build_parser, main
-from resonance_atlas.geometry import P_POINTS
+from resonance_atlas import algebra, cli, linalg, spectra, stratification
+from resonance_atlas.cli import _build_parser, _json_float, main
+from resonance_atlas.geometry import F_critical, P_POINTS, param_phi
 from resonance_atlas.stratification import mesh_surface, sphere_samples, stability_report
 
 import oracles
@@ -76,6 +76,92 @@ def test_classify_ambiguous_point_is_numerical_failure(capsys):
     args = ["classify", "0", repr(math.cos(theta)), repr(math.sin(theta)), "0"]
     assert main(args) == 1
     assert "resonance-atlas:" in capsys.readouterr().err
+
+
+def _classify_json_cases():
+    """(coordinate strings, nu5) for the byte-identity test of classify --json."""
+    rng = np.random.default_rng(20261018)
+    cases = [
+        ([repr(c) for c in point.nu4.tolist()], nu5)
+        for point, nu5 in stratification.representatives().values()
+    ]
+    cases += [([repr(sgn), "0.0", "0.0", "0.0"], nu5) for sgn in (1.0, -1.0) for nu5 in (1.0, -2.0)]
+    for disc in (+1, -1):
+        for _ in range(16):
+            s = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.85))
+            t = float(rng.integers(0, 4) * (math.pi / 2.0) + rng.uniform(0.15, math.pi / 2.0 - 0.15))
+            cases.append(([repr(c) for c in param_phi(disc, s, t).nu4.tolist()], 1.0))
+    for row in rng.normal(size=(300, 4)):
+        for nu5 in (-2.0, -1.0, -0.5, 0.5, 1.0, 3.0):
+            cases.append(([repr(c) for c in row.tolist()], nu5))
+    cases += [
+        (["-0", "0.6", "-0.0", "0.8"], 1.0),
+        (["0.3", "-0", "0.5", "-0.0"], -0.5),
+        (["-0.0", "-0", "1", "-0"], 3.0),
+    ]
+    for row in rng.normal(size=(4, 4)):
+        for scale in (1e300, 1e-300):
+            cases.append(([repr(c) for c in (row * scale).tolist()], 1.0))
+    return cases
+
+
+def test_classify_json_matches_json_dumps(monkeypatch, capsys):
+    """classify --json prints json.dumps(payload, indent=2, sort_keys=True)
+    of the values it classified, byte for byte; nu5 comes in through the
+    positional and the --nu5 flag in turn."""
+    seen = []
+
+    def recording(p, nu5, tol, cluster_tol):
+        out = label_and_config(p, nu5, tol, cluster_tol)
+        seen.append((p, nu5) + out)
+        return out
+
+    label_and_config = cli._label_and_config
+    monkeypatch.setattr(cli, "_label_and_config", recording)
+    for k, (coords, nu5) in enumerate(_classify_json_cases()):
+        if k % 2:
+            argv = [f"--nu5={nu5!r}", "classify", "--json", "--", *coords]
+        else:
+            argv = ["classify", "--json", "--", *coords, repr(nu5)]
+        assert main(argv) == 0, argv
+        point, used_nu5, label, config = seen.pop()
+        assert used_nu5 == nu5
+        want = oracles.classify_json_reference(
+            point, used_nu5, label, config, F_critical(point.nu4)
+        )
+        assert capsys.readouterr().out == want + "\n", argv
+
+
+def test_json_float_matches_json_dumps():
+    """Floats in classify --json are spelled as json spells them."""
+    rng = np.random.default_rng(11)
+    values = [
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+        5e-324, -5e-324, 2.2250738585072009e-308, -2.225073858507201e-308, 1e-310,
+        1.7976931348623157e308, 0.1, 1e16, 1e-5, 123456789.0,
+    ]
+    values += rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64).tolist()
+    for x in values:
+        assert _json_float(x) == json.dumps(x), x
+    for x in np.array(values[:16]):  # numpy scalars, as spectra may hand in
+        assert _json_float(x) == json.dumps(x), x
+
+
+def test_classify_json_skips_generator_sum_and_python_encoder(count_calls, monkeypatch, capsys):
+    """One classify --json call builds its matrix without the eight-generator
+    sum and writes without json's pure-Python indenting encoder."""
+    unfold_calls = count_calls(algebra.homogeneous_unfolding)
+    encode_calls = [0]
+    iterencode = json.JSONEncoder.iterencode
+
+    def counted(self, o, _one_shot=False):
+        encode_calls[0] += 1
+        return iterencode(self, o, _one_shot)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counted)
+    assert main(["classify", "--json", "0.3", "0.2", "0.5", "0.1"]) == 0
+    assert (unfold_calls[0], encode_calls[0]) == (0, 0)
+    assert json.loads(capsys.readouterr().out)["stratum"] == "V1"
 
 
 def test_sample_writes_csv_and_summary(tmp_path, capsys):

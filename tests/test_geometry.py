@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -275,3 +276,36 @@ def test_normal_form_domain_errors():
     off_center = unit_point([0.1, 0.1, 0.9, 0.1])
     with pytest.raises(DomainError):
         normal_form_residual("self-tangency", off_center, 0.05)
+
+
+def _F_literal(v):
+    """F as the plain (..., 4) expression, one numpy operation at a time."""
+    v = np.asarray(v, dtype=float)
+    n1, n2, n3, n4 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    return (n1 * n1 - n2 * n2) * (n1 * n1 + n4 * n4) + n1 * n1 * n3 * n3
+
+
+def test_F_critical_matches_literal_expression_bit_for_bit():
+    """Every shape F_critical is given reads the same bits as the literal
+    expression: one point (as a Python float), rows, a stack of rows and
+    the transposed coordinate rows of the chord evaluations."""
+    rng = np.random.default_rng(7)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1.0, -1.0]
+    pts = np.concatenate([
+        rng.normal(size=(2000, 4)),
+        rng.choice([-1.0, 1.0], size=(2000, 4)) * 10.0 ** rng.uniform(-170.0, 70.0, size=(2000, 4)),
+        np.array(list(itertools.product(specials[:4], repeat=4))),
+        rng.choice(specials, size=(500, 4)),
+    ])
+    for row in pts:
+        got = F_critical(row)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == _F_literal(row).tobytes()
+    assert F_critical(pts).tobytes() == _F_literal(pts).tobytes()
+    stack = pts[:6].reshape(2, 3, 4)
+    assert F_critical(stack).shape == (2, 3)
+    assert F_critical(stack).tobytes() == _F_literal(stack).tobytes()
+    for m in (1, 4, 5, 257):
+        rows = np.ascontiguousarray(pts[:m].T)  # (4, m), each coordinate contiguous
+        view = ((1.0 - 0.25) * rows + 0.25 * rows[:, ::-1]).T
+        assert F_critical(view).tobytes() == _F_literal(view).tobytes()
