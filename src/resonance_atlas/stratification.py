@@ -639,16 +639,14 @@ def classify_points(
 
 
 _CHORD_NODES = np.linspace(0.0, 1.0, 5)
-# node values -> power coefficients, highest degree first
-_CHORD_VAND_INV = np.linalg.inv(np.vander(_CHORD_NODES, 5))
-# node values -> Bernstein coefficients: with power coefficients a_j
-# (lowest degree first), b_k = sum_{j <= k} C(k, j) / C(4, j) a_j
-_CHORD_BERNSTEIN = np.array(
-    [[math.comb(k, j) / math.comb(4, j) for j in range(5)] for k in range(5)]
-) @ _CHORD_VAND_INV[::-1]
-# share of the largest Bernstein coefficient that every coefficient must
-# clear, far above the rounding of the 5 x 5 map
+# node values -> Bernstein coefficients: the inverse of the basis at the nodes
+_CHORD_BERNSTEIN = np.linalg.inv(
+    [[math.comb(4, k) * t**k * (1.0 - t) ** (4 - k) for k in range(5)] for t in _CHORD_NODES]
+)
+# share of a chord's largest Bernstein coefficient that a coefficient must
+# clear to count as signed, far above the rounding of the map and halvings
 _BERNSTEIN_MARGIN = 1e-12
+_SUBDIVISION_DEPTH = 20  # halvings before a piece still undecided is given up
 # Chords per block of the arc test; bounds the temporaries to a few MB.
 _EDGE_BLOCK = 4096
 # Neighbour ranks at which the rounds of the flood fill end, before the
@@ -673,56 +671,38 @@ def _chord_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack([_arc_values(at, bt, t) for t in _CHORD_NODES])
 
 
-def _chord_stationary(vals: np.ndarray) -> np.ndarray:
-    """The real parts (m, 3) of the roots of the derivative of the chord
-    quartic through the node values vals, computed as np.roots does
-    (companion-matrix eigenvalues), nan where the derivative has fewer roots.
-    """
-    m = len(vals)
-    der = (vals @ _CHORD_VAND_INV.T)[:, :4] * np.array([4.0, 3.0, 2.0, 1.0])
-    stat = np.full((m, 3), np.nan)
-    regular = (der[:, 0] != 0.0) & (der[:, 3] != 0.0)
-    comp = np.zeros((int(regular.sum()), 3, 3))
-    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    comp[:, 0, :] = -der[regular, 1:] / der[regular, :1]
-    stat[regular] = np.linalg.eigvals(comp).real
-    for k in np.nonzero(~regular)[0]:
-        r = np.roots(der[k]).real
-        stat[k, : len(r)] = r
-    return stat
-
-
-def _bernstein_certified(vals: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """True where every Bernstein coefficient of sign * F on the chord through
-    the node values vals (m, 5) clears _BERNSTEIN_MARGIN of the largest;
-    sign is (m, 1).  The quartic lies in the convex hull of its Bernstein
-    coefficients on [0, 1], so such a chord keeps the sign throughout."""
-    bern = sign * (vals @ _CHORD_BERNSTEIN.T)
-    return np.all(bern > _BERNSTEIN_MARGIN * np.abs(bern).max(axis=1, keepdims=True), axis=1)
+def _halves(bern: np.ndarray) -> np.ndarray:
+    """de Casteljau at t = 1/2: each row's left and then right half, (2m, 5)."""
+    halves = np.empty((len(bern), 2, 5))
+    for k in range(5):
+        halves[:, 0, k], halves[:, 1, 4 - k] = bern[:, 0], bern[:, -1]
+        bern = 0.5 * (bern[:, :-1] + bern[:, 1:])
+    return halves.reshape(-1, 5)
 
 
 def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """For each row, True when F keeps the strict sign along the arc a -> b.
 
-    Normalizing onto the sphere rescales F positively, so the sign on the
-    arc is the sign of the chord quartic.  Chords that _bernstein_certified
-    passes keep it; the others are decided exactly: the sign at the nodes
-    and at every stationary point inside (0, 1) fixes the sign on the
-    whole arc, not just at sampled points.
+    The sign on the arc is that of the chord quartic, which lies in the
+    convex hull of its Bernstein coefficients.  A piece whose coefficients
+    of sign * F all clear _BERNSTEIN_MARGIN of the whole chord's largest
+    keeps the sign; a piece with an end value <= 0, or still open after
+    _SUBDIVISION_DEPTH halvings, rejects the chord.  An accepted arc never
+    meets F = 0, a tangent one included.
     """
-    vals = _chord_values(a, b)
-    sign = sign[:, None]
-    ok = np.all(sign * vals > 0.0, axis=1)
-    rest = np.flatnonzero(ok & ~_bernstein_certified(vals, sign))
-    if len(rest):
-        at, bt = np.ascontiguousarray(a[rest].T), np.ascontiguousarray(b[rest].T)
-        sign = sign[rest]
-        stat = _chord_stationary(vals[rest])
-        inner = (stat > 0.0) & (stat < 1.0)
-        at_stat = np.column_stack(
-            [_arc_values(at, bt, t) for t in np.where(inner, stat, 0.0).T]
-        )
-        ok[rest] = ~np.any(inner & (sign * at_stat <= 0.0), axis=1)
+    vals = sign[:, None] * _chord_values(a, b)
+    ok = np.all(vals > 0.0, axis=1)
+    bern = vals @ _CHORD_BERNSTEIN.T
+    floor = _BERNSTEIN_MARGIN * np.abs(bern).max(axis=1, keepdims=True)
+    rows, pieces = np.arange(len(bern)), bern
+    for depth in range(_SUBDIVISION_DEPTH + 1):
+        ok[rows[np.minimum(pieces[:, 0], pieces[:, 4]) <= 0.0]] = False
+        open_ = ok[rows] & ~np.all(pieces > floor[rows], axis=1)
+        rows, pieces = rows[open_], pieces[open_]
+        if not len(rows) or depth == _SUBDIVISION_DEPTH:
+            break
+        rows, pieces = np.repeat(rows, 2), _halves(pieces)
+    ok[rows] = False
     return ok
 
 
@@ -814,8 +794,8 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     components: near the self-intersection circles the mixed regions
     narrow into wedges a few degrees across, and a sample caught there
     may see no valid arc among its first dozen neighbors even though the
-    wedge widens a step further out.  The arc test itself is exact, so
-    extra candidates can only connect what is genuinely connected.
+    wedge widens a step further out.  The arc test is sound (an undecided
+    arc is rejected), so extra candidates can only join what is connected.
     """
     from scipy.spatial import cKDTree
 
@@ -840,28 +820,47 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     return labels, nbrs
 
 
+def _first_root_brackets(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets lo, hi (m,) of the first root in [0, 1] of each quartic with
+    Bernstein coefficients bern (m, 5) and ends of opposite sign.  By Descartes'
+    rule a piece whose control polygon changes sign once holds one root, one
+    without a change none; the latter are dropped and the rest halved until a
+    row's leftmost piece changes once, or for _SUBDIVISION_DEPTH halvings.  An
+    inner coefficient within the margin counts as a change (the ends keep their
+    exact sign), so rounding never hides a root."""
+    lo, hi = np.zeros(len(bern)), np.ones(len(bern))
+    floor = _BERNSTEIN_MARGIN * np.abs(bern).max(axis=1, keepdims=True) * [0, 1, 1, 1, 0]
+    rows, start, pieces = np.arange(len(bern)), lo.copy(), bern
+    for depth in range(_SUBDIVISION_DEPTH + 1):
+        signs = np.sign(pieces) * (np.abs(pieces) > floor[rows])
+        changes = np.count_nonzero(np.diff(signs, axis=1), axis=1)
+        live = np.flatnonzero(changes)
+        first = live[np.unique(rows[live], return_index=True)[1]]
+        done = first[(changes[first] == 1) | (depth == _SUBDIVISION_DEPTH)]
+        lo[rows[done]], hi[rows[done]] = start[done], start[done] + 0.5**depth
+        live = live[~np.isin(rows[live], rows[done])]
+        if not len(live):
+            break
+        rows, start = np.repeat(rows[live], 2), np.repeat(start[live], 2)
+        start[1::2] += 0.5 ** (depth + 1)
+        pieces = _halves(pieces[live])
+    return lo, hi
+
+
 def _surface_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The first point where each arc from a[k] to b[k] crosses F = 0.
 
     Arcs with F(a) = 0 or with the same sign of F at both ends are
-    dropped.  The stationary points of the chord quartic cut (0, 1) into
-    pieces on which it is monotone, so the first piece whose far end has
-    left the sign of F(a) holds exactly one crossing, the first one; it
-    is bisected to machine precision: until a step changes no row, since
-    every later step would repeat it (about 60 steps), and at most 80.
+    dropped.  The piece that _first_root_brackets isolates is bisected to
+    machine precision: until a step changes no row, since every later step
+    would repeat it (about 60 steps), and at most 80.
     """
-    stat = _chord_stationary(_chord_values(a, b))
-    stops = np.sort(np.where((stat > 0.0) & (stat < 1.0), stat, 1.0), axis=1)
-    ends = np.ones((len(a), 1))
-    scan = np.concatenate([np.zeros_like(ends), stops, ends], axis=1)
+    vals = _chord_values(a, b)
+    keep = (vals[:, 0] != 0.0) & ~(vals[:, 0] * vals[:, 4] > 0.0)
+    a, b = a[keep], b[keep]
+    lo, hi = _first_root_brackets(vals[keep] @ _CHORD_BERNSTEIN.T)
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    fs = np.column_stack([_arc_values(at, bt, t) for t in scan.T])
-    keep = (fs[:, 0] != 0.0) & ~(fs[:, 0] * fs[:, -1] > 0.0)
-    a, b, at, bt = a[keep], b[keep], at[:, keep], bt[:, keep]
-    scan, fs = scan[keep], fs[keep]
-    first = np.argmax(fs[:, :1] * fs <= 0.0, axis=1)
-    rows = np.arange(len(a))
-    lo, hi, flo = scan[rows, first - 1], scan[rows, first], fs[rows, first - 1]
+    flo = _arc_values(at, bt, lo)
     live = np.ones(len(a), dtype=bool)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -896,8 +895,9 @@ def stability_report(
     A sample is stable when every eigenvalue real part sits below the
     relative threshold at the ray-interior evaluation; samples straddling
     the threshold are tagged critical and excluded from the component
-    counts.  Boundary strata of the stable region are read at the first
-    crossing of F = 0 on each sample arc from stable into mixed territory.
+    counts, which join samples only by arcs the sound arc test accepts
+    (never one that meets F = 0).  Boundary strata of the stable region are
+    read at the first crossing of F = 0 on each stable-to-mixed arc.
     The report keeps one row per sample in arrays; non-finite rows raise
     ValueError.
     """

@@ -147,6 +147,11 @@ def chord_sign_constant(a, b, sign: float) -> bool:
 
     Five samples pin the chord quartic; its value at the nodes and at every
     stationary point inside (0, 1) decides the sign on the whole arc.
+
+    Known defect: it accepts a chord on which F touches zero, such as
+    (-0.1, 0, 1, 0) -> (0.2, 0, 1, 0) (normalized), where F = nu1^2 (nu1^2 +
+    nu3^2) has a double root.  np.roots finds that double stationary point
+    only to about 1e-8, and F there evaluates to a small positive number.
     """
     vals = np.array([float(F_quartic((1.0 - t) * a + t * b)) for t in _CHORD_NODES])
     if np.any(sign * vals <= 0.0):
@@ -262,26 +267,29 @@ def flood_components_all_edges(points, kinds, signs, tree_k=12, rescue_k=48):
     return labels, nbrs
 
 
-def surface_crossings_reference(a, b) -> np.ndarray:
-    """The first crossing of F = 0 on each arc a[k] -> b[k], bisected for a
-    fixed 80 steps on (m, k, 4) chord points, for comparison with the
-    package's _surface_crossings.  Arcs with F(a) = 0 or the same sign of F
-    at both ends are dropped; the stationary points of the chord quartic
-    come from the package's _chord_stationary."""
-    from resonance_atlas.stratification import _chord_stationary
+def chord_stationary_reference(vals: np.ndarray) -> np.ndarray:
+    """The real parts (m, 3) of the roots of the derivative of the chord
+    quartic through the node values vals (m, 5), computed as np.roots does
+    (companion-matrix eigenvalues), nan where the derivative has fewer roots.
+    """
+    m = len(vals)
+    der = (vals @ _CHORD_VAND_INV.T)[:, :4] * np.array([4.0, 3.0, 2.0, 1.0])
+    stat = np.full((m, 3), np.nan)
+    regular = (der[:, 0] != 0.0) & (der[:, 3] != 0.0)
+    comp = np.zeros((int(regular.sum()), 3, 3))
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    comp[:, 0, :] = -der[regular, 1:] / der[regular, :1]
+    stat[regular] = np.linalg.eigvals(comp).real
+    for k in np.nonzero(~regular)[0]:
+        r = np.roots(der[k]).real
+        stat[k, : len(r)] = r
+    return stat
 
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    nodes = np.broadcast_to(_CHORD_NODES, (len(a), 5))
-    stat = _chord_stationary(F_quartic(chord_points_reference(a, b, nodes)))
-    stops = np.sort(np.where((stat > 0.0) & (stat < 1.0), stat, 1.0), axis=1)
-    ends = np.ones((len(a), 1))
-    scan = np.concatenate([np.zeros_like(ends), stops, ends], axis=1)
-    fs = F_quartic(chord_points_reference(a, b, scan))
-    keep = (fs[:, 0] != 0.0) & ~(fs[:, 0] * fs[:, -1] > 0.0)
-    a, b, scan, fs = a[keep], b[keep], scan[keep], fs[keep]
-    first = np.argmax(fs[:, :1] * fs <= 0.0, axis=1)
-    rows = np.arange(len(a))
-    lo, hi, flo = scan[rows, first - 1], scan[rows, first], fs[rows, first - 1]
+
+def _bisect_first_crossing(a, b, lo, hi, flo) -> np.ndarray:
+    """Bisect each arc a[k] -> b[k] on the bracket [lo[k], hi[k]], with F at
+    lo given as flo, for a fixed 80 steps on (m, k, 4) chord points; return
+    the unit crossing points."""
     live = np.ones(len(a), dtype=bool)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -293,6 +301,46 @@ def surface_crossings_reference(a, b) -> np.ndarray:
         live &= fm != 0.0
     q = chord_points_reference(a, b, 0.5 * (lo + hi)[:, None])[:, 0]
     return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def surface_crossings_stationary_reference(a, b) -> np.ndarray:
+    """The first crossing of F = 0 on each arc a[k] -> b[k], found between
+    the stationary points of the chord quartic (chord_stationary_reference):
+    they cut (0, 1) into pieces on which it is monotone, so the first piece
+    whose far end has left the sign of F(a) holds exactly the first
+    crossing, bisected for a fixed 80 steps.  Arcs with F(a) = 0 or the
+    same sign of F at both ends are dropped."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nodes = np.broadcast_to(_CHORD_NODES, (len(a), 5))
+    stat = chord_stationary_reference(F_quartic(chord_points_reference(a, b, nodes)))
+    stops = np.sort(np.where((stat > 0.0) & (stat < 1.0), stat, 1.0), axis=1)
+    ends = np.ones((len(a), 1))
+    scan = np.concatenate([np.zeros_like(ends), stops, ends], axis=1)
+    fs = F_quartic(chord_points_reference(a, b, scan))
+    keep = (fs[:, 0] != 0.0) & ~(fs[:, 0] * fs[:, -1] > 0.0)
+    a, b, scan, fs = a[keep], b[keep], scan[keep], fs[keep]
+    first = np.argmax(fs[:, :1] * fs <= 0.0, axis=1)
+    rows = np.arange(len(a))
+    lo, hi, flo = scan[rows, first - 1], scan[rows, first], fs[rows, first - 1]
+    return _bisect_first_crossing(a, b, lo, hi, flo)
+
+
+def surface_crossings_reference(a, b) -> np.ndarray:
+    """The first crossing of F = 0 on each arc a[k] -> b[k], bisected for a
+    fixed 80 steps on (m, k, 4) chord points, for comparison with the
+    package's _surface_crossings.  Arcs with F(a) = 0 or the same sign of F
+    at both ends are dropped; the brackets come from the package's
+    _first_root_brackets on the Bernstein coefficients of the chord."""
+    from resonance_atlas.stratification import _CHORD_BERNSTEIN, _first_root_brackets
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nodes = np.broadcast_to(_CHORD_NODES, (len(a), 5))
+    vals = F_quartic(chord_points_reference(a, b, nodes))
+    keep = (vals[:, 0] != 0.0) & ~(vals[:, 0] * vals[:, 4] > 0.0)
+    a, b = a[keep], b[keep]
+    lo, hi = _first_root_brackets(vals[keep] @ _CHORD_BERNSTEIN.T)
+    flo = F_quartic(chord_points_reference(a, b, lo[:, None]))[:, 0]
+    return _bisect_first_crossing(a, b, lo, hi, flo)
 
 
 def mesh_surface_reference(disc: int, resolution: int, nu5: float = 1.0, tol: float = 1e-9):

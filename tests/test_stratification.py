@@ -297,7 +297,7 @@ def test_unit_rows_match_per_row_norm(seed):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_chord_test_matches_scalar_oracle(seed):
     """The batched arc test decides every kNN chord as the scalar one does."""
     from scipy.spatial import cKDTree
@@ -315,20 +315,20 @@ def test_chord_test_matches_scalar_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_bernstein_certificate_is_sound(seed):
-    """Every kNN chord the Bernstein pre-certificate passes is one the exact
-    scalar test accepts, and it passes nearly all of those."""
+def test_bernstein_certificate_is_sound(seed, monkeypatch):
+    """Every kNN chord the Bernstein bound passes without a halving (the
+    arc test at depth 0) is one the exact scalar test accepts, and it
+    passes nearly all of those."""
     from scipy.spatial import cKDTree
 
+    monkeypatch.setattr(stratification, "_SUBDIVISION_DEPTH", 0)
     pts = sphere_samples(1500, seed)
     nbrs = cKDTree(pts).query(pts, k=13)[1]
     i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
     signs = np.sign(F_critical(pts))
     same = (signs[i] != 0.0) & (signs[i] == signs[j])
     a, b, sign = pts[i[same]], pts[j[same]], signs[i[same]]
-    certified = stratification._bernstein_certified(
-        stratification._chord_values(a, b), sign[:, None]
-    )
+    certified = _chord_sign_constant(a, b, sign)
     exact = np.array([oracles.chord_sign_constant(x, y, s) for x, y, s in zip(a, b, sign)])
     assert not np.any(certified & ~exact)
     assert certified.sum() >= 0.95 * exact.sum()
@@ -347,11 +347,25 @@ _DIPPING_CHORD = (_unit([-0.1, 0.01, 0.0, 1.0]), _unit([0.2, 0.01, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("chord", [_TOUCHING_CHORD, _DIPPING_CHORD], ids=["touch", "dip"])
-def test_bernstein_certificate_rejects_chords_reaching_zero(chord):
+def test_bernstein_certificate_rejects_chords_reaching_zero(chord, monkeypatch):
+    monkeypatch.setattr(stratification, "_SUBDIVISION_DEPTH", 0)
     a, b = (row[None, :] for row in chord)
     vals = stratification._chord_values(a, b)
     assert np.all(vals > 0.0)
-    assert not stratification._bernstein_certified(vals, np.ones((1, 1)))[0]
+    assert not _chord_sign_constant(a, b, np.ones(1))[0]
+
+
+@pytest.mark.parametrize("chord", [_TOUCHING_CHORD, _DIPPING_CHORD], ids=["touch", "dip"])
+def test_chord_test_rejects_chords_reaching_zero_at_every_depth(chord, monkeypatch):
+    """F is positive at every node of both chords, but it touches zero on
+    the first and dips below it on the second: the arc test rejects both at
+    the default depth and whatever the depth cap.  (The scalar oracle
+    accepts the touching chord; see oracles.chord_sign_constant.)"""
+    a, b = (row[None, :] for row in chord)
+    assert not _chord_sign_constant(a, b, np.ones(1))[0]
+    for depth in range(31):
+        monkeypatch.setattr(stratification, "_SUBDIVISION_DEPTH", depth)
+        assert not _chord_sign_constant(a, b, np.ones(1))[0], depth
 
 
 def test_chord_test_rejects_dip_between_nodes():
@@ -465,16 +479,20 @@ def test_flood_tests_few_chords(monkeypatch):
     assert 0 < rows[0] <= 20_000
 
 
+def _stable_to_mixed_arcs(seed):
+    pts, kinds, _ = _flood_inputs(10_000, seed, 1.0)
+    nbrs = stratification._flood_components(pts, kinds, np.sign(F_critical(pts)))[1]
+    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
+    sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
+    return pts[i[sel]], pts[j[sel]]
+
+
 @pytest.mark.parametrize("seed", [42, 3658652565, 815100843])
 def test_surface_crossings_match_fixed_step_bisection(seed, count_calls):
     """The chord values on contiguous columns and the bisection stopped at
     its fixed point equal, bit for bit, the (m, k, 4) chord points bisected
     for all 80 steps; the bisection stops well before the cap."""
-    pts, kinds, _ = _flood_inputs(10_000, seed, 1.0)
-    nbrs = stratification._flood_components(pts, kinds, np.sign(F_critical(pts)))[1]
-    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
-    sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
-    a, b = pts[i[sel]], pts[j[sel]]
+    a, b = _stable_to_mixed_arcs(seed)
     nodes = np.broadcast_to(np.linspace(0.0, 1.0, 5), (len(a), 5))
     want_vals = F_critical(oracles.chord_points_reference(a, b, nodes))
     assert np.array_equal(stratification._chord_values(a, b), want_vals)
@@ -483,8 +501,64 @@ def test_surface_crossings_match_fixed_step_bisection(seed, count_calls):
     want = oracles.surface_crossings_reference(a, b)
     assert len(got) > 1000
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # five chord nodes and five scan points, then one call per bisection step
-    assert arc_values[0] - 10 < 70
+    # five chord nodes and one call for F at the bracket ends, then one call
+    # per bisection step
+    assert arc_values[0] - 6 < 70
+
+
+@pytest.mark.parametrize("seed", [42, 3658652565, 815100843, 2503583820])
+def test_first_root_isolation_matches_stationary_points(seed):
+    """On the stable-to-mixed arcs whose Bernstein control polygon changes
+    sign more than once, so that the brackets come from halving, the first
+    crossing is the one found between the stationary points of the chord
+    quartic."""
+    a, b = _stable_to_mixed_arcs(seed)
+    bern = stratification._chord_values(a, b) @ stratification._CHORD_BERNSTEIN.T
+    multi = np.count_nonzero(np.diff(np.sign(bern), axis=1), axis=1) > 1
+    assert multi.any()
+    lo, hi = stratification._first_root_brackets(bern[multi])
+    assert np.all(hi - lo < 1.0)
+    got = stratification._surface_crossings(a[multi], b[multi])
+    want = oracles.surface_crossings_stationary_reference(a[multi], b[multi])
+    assert got.shape == want.shape == (multi.sum(), 4)
+    assert np.abs(got - want).max() <= 4e-15
+
+
+def test_first_root_isolation_with_three_crossings():
+    """F has three simple roots on this chord, near t = 0.17, 0.44 and 0.66;
+    the crossing is the first one."""
+    a, b = np.array([[-0.4, -0.7, -0.7, 0.0]]), np.array([[0.6, 0.8, 0.8, 0.8]])
+    t = np.array([0.0, 0.3, 0.5, 1.0])
+    assert np.sign(F_critical((1.0 - t)[:, None] * a + t[:, None] * b)).tolist() == [
+        1.0, -1.0, 1.0, -1.0
+    ]
+    got = stratification._surface_crossings(a, b)
+    want = oracles.surface_crossings_stationary_reference(a, b)
+    assert got.shape == want.shape == (1, 4)
+    assert np.abs(got - want).max() <= 4e-15
+    first = (1.0 - 0.17) * a + 0.17 * b
+    assert np.abs(got - first / np.linalg.norm(first)).max() < 1e-2
+
+
+def test_stability_report_without_eigensolver_roots(monkeypatch):
+    """The arc test and the crossing search run on Bernstein coefficients
+    alone: no companion-matrix eigenvalues and no np.roots."""
+    calls = {"eigvals": 0, "roots": 0}
+
+    def counting(module, name):
+        func = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(np.linalg, "eigvals")
+    counting(np, "roots")
+    rep = stability_report(sphere_samples(10_000, 42), nu5=1.0)
+    assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
+    assert calls == {"eigvals": 0, "roots": 0}
 
 
 @pytest.mark.parametrize("seed", [3658652565, 815100843, 2503583820])
