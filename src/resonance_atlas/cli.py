@@ -60,6 +60,12 @@ SCHEMA_VERSION = 1
 
 __all__ = ["RunConfig", "main", "write_rows"]
 
+# The |nu5| range a run accepts.  Configurations do not depend on the scale
+# of nu5, but outside this range the fixed tolerances no longer fit the
+# spectrum's scale and some points read a wrong stratum; far outside it the
+# characteristic polynomial overflows.
+_NU5_MIN, _NU5_MAX = 1e-3, 1e3
+
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
@@ -83,8 +89,10 @@ class RunConfig:
             raise ValueError("tol must be positive")
         if not (self.cluster_tol > 0.0):
             raise ValueError("cluster_tol must be positive")
-        if self.nu5 == 0.0:
-            raise ValueError("nu5 must be nonzero")
+        if not (_NU5_MIN <= abs(self.nu5) <= _NU5_MAX):
+            raise ValueError(
+                f"nu5 must satisfy {_NU5_MIN:g} <= |nu5| <= {_NU5_MAX:g}, got {self.nu5!r}"
+            )
         if self.grid < 8:
             raise ValueError("grid must be >= 8")
         if self.seed < 0:

@@ -171,16 +171,18 @@ def G_sphere(nu):
 
 
 def grad_F(nu) -> np.ndarray:
-    """Analytic gradient of F_critical at a single point."""
-    v = np.asarray(nu, dtype=float).reshape(4)
-    n1, n2, n3, n4 = v
-    return np.array(
+    """Analytic gradient of F_critical, broadcasting over leading axes of
+    an (..., 4) array like F_critical; the result has the input's shape."""
+    v = np.asarray(nu, dtype=float)
+    n1, n2, n3, n4 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    return np.stack(
         [
             2.0 * n1 * (2.0 * n1 * n1 + n3 * n3 + n4 * n4 - n2 * n2),
             -2.0 * n2 * (n1 * n1 + n4 * n4),
             2.0 * n3 * n1 * n1,
             2.0 * n4 * (n1 * n1 - n2 * n2),
-        ]
+        ],
+        axis=-1,
     )
 
 

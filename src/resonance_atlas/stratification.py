@@ -34,7 +34,6 @@ from .geometry import (
     _normalize_disc,
     check_unit_rows,
     grad_F,
-    param_phi,
     param_phi_array,
 )
 from .linalg import CLUSTER_TOL_DEFAULT, Mat4
@@ -198,13 +197,13 @@ def _critical_stratum(v: np.ndarray, tol: float) -> StratumLabel | None:
     if len(hits):
         return STRATA[_P_NAMES[hits[0]]]
 
-    on_circle_a = abs(n1) <= tol and abs(n2) <= tol  # nu1 = nu2 = 0
-    on_circle_b = abs(n1) <= tol and abs(n4) <= tol  # nu1 = nu4 = 0
-    if on_circle_a and on_circle_b:
+    on_circle_12 = abs(n1) <= tol and abs(n2) <= tol  # nu1 = nu2 = 0
+    on_circle_14 = abs(n1) <= tol and abs(n4) <= tol  # nu1 = nu4 = 0
+    if on_circle_12 and on_circle_14:
         raise AmbiguousStratum("point sits within tol of both self-intersection loci")
-    if on_circle_a:
+    if on_circle_12:
         return STRATA["L5"] if n4 > 0.0 else STRATA["L6"]
-    if on_circle_b:
+    if on_circle_14:
         margin = n2 * n2 - n3 * n3
         if abs(margin) <= 4.0 * tol:
             raise AmbiguousStratum(
@@ -257,8 +256,8 @@ def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
     n1, n2, n3, n4 = v.T
     p_hits = _near_p_points(v, tol)
     near_n1 = np.abs(n1) <= tol
-    on_circle_a = near_n1 & (np.abs(n2) <= tol)
-    on_circle_b = near_n1 & (np.abs(n4) <= tol)
+    on_circle_12 = near_n1 & (np.abs(n2) <= tol)
+    on_circle_14 = near_n1 & (np.abs(n4) <= tol)
     margin = n2 * n2 - n3 * n3
     on_sheet = (np.abs(F_critical(v)) <= tol) & (np.abs(n2) * math.sqrt(2.0) <= 1.0 + tol)
     up = n2 > 0.0
@@ -269,11 +268,11 @@ def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
     return np.select(
         [
             p_hits.any(axis=1),
-            on_circle_a & on_circle_b,
-            on_circle_a,
-            on_circle_b & (np.abs(margin) <= 4.0 * tol),
-            on_circle_b & (margin < 0.0),
-            on_circle_b,
+            on_circle_12 & on_circle_14,
+            on_circle_12,
+            on_circle_14 & (np.abs(margin) <= 4.0 * tol),
+            on_circle_14 & (margin < 0.0),
+            on_circle_14,
             on_sheet & (near_n1 | (np.abs(n2) <= tol)),
             on_sheet,
         ],
@@ -336,13 +335,6 @@ class IncidenceGraph:
         return frozenset(out)
 
 
-def _probe_classify(point: np.ndarray, nu5: float, tol: float) -> str | None:
-    try:
-        return classify_point(SpherePoint(point / np.linalg.norm(point)), nu5, tol).name
-    except AmbiguousStratum:
-        return None
-
-
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row divided by its norm, bit for bit as row / np.linalg.norm(row)
     (np.linalg.norm(rows, axis=1) differs in the last place on some rows)."""
@@ -350,7 +342,8 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
-    """{_probe_classify(q) for q in points} without None, on whole arrays.
+    """The stratum names classify_point gives the rows of points, each
+    divided by its norm, without the ambiguous ones, on whole arrays.
 
     The P/L/S cascade labels the critical rows and marks the ambiguous ones,
     which are dropped; only rows off the critical set take classify_point.
@@ -368,88 +361,41 @@ def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
 
 
 def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> IncidenceGraph:
-    """Adjacency graph of the 20 strata from mesh-scale probing.
+    """Adjacency graph of the 20 strata, read off the welded mesh.
 
-    Probes sit one mesh step h = 2 pi / grid_n away from each lower
-    stratum: along the two self-intersection circles on either side of
-    each P point (P-L edges), at chart neighbors of anchor points on each
-    L locus (L-S edges), and off-sheet along the gradient of F from
-    interior sheet points (S-V edges).  Anchors and offsets are fixed, so
-    refining the grid reproduces the same edge set.
+    Incidence is the frontier relation, which the welded chart grid of
+    mesh_surfaces([+1, -1], grid_n, nu5, tol) realises: a triangle edge
+    whose ends' dimension goes up by one is a P-L or L-S edge.  For S-V
+    edges every sheet vertex q is pushed to q +- h g (g the unit tangent
+    gradient of F, h = 2 pi / grid_n) and labelled by classify_points.  A
+    push counts only when _chord_sign_constant certifies the sign +-1 of F
+    from q +- (h / 64) g to it: near the fold |grad F| is about 0.006 and
+    the step crosses the other sheet.  grid_n must be >= 64 and a multiple
+    of 4, which the fold and mirror welds need; otherwise ValueError.
     """
-    if grid_n < 64:
-        raise ValueError("build_incidence: grid_n must be >= 64")
+    if grid_n < 64 or grid_n % 4:
+        raise ValueError("build_incidence: grid_n must be a multiple of 4 and >= 64")
     h = TWO_PI / float(grid_n)
+    dims = np.array([STRATA[name].dimension for name in _STRATUM_NAMES])
     edges: set[tuple[str, str]] = set()
+    for mesh in mesh_surfaces([+1, -1], grid_n, nu5, tol):
+        codes = np.array([_CODE[name] for name in mesh.strata])
+        ends = codes[mesh.triangles]
+        a, b = ends.ravel(), np.roll(ends, 1, axis=1).ravel()
+        lo, hi = np.concatenate([a, b]), np.concatenate([b, a])
+        up = dims[hi] == dims[lo] + 1
+        edges |= set(zip(_NAME_TABLE[lo[up]], _NAME_TABLE[hi[up]]))
 
-    def circle_a(theta: float) -> np.ndarray:  # nu1 = nu2 = 0
-        return np.array([0.0, 0.0, math.cos(theta), math.sin(theta)])
-
-    def circle_b(theta: float) -> np.ndarray:  # nu1 = nu4 = 0
-        return np.array([0.0, math.cos(theta), math.sin(theta), 0.0])
-
-    p_angles = {
-        "P1": [(circle_b, math.pi / 4.0)],
-        "P2": [(circle_b, 3.0 * math.pi / 4.0)],
-        "P3": [(circle_b, -math.pi / 4.0)],
-        "P4": [(circle_b, 5.0 * math.pi / 4.0)],
-        "P5": [(circle_a, 0.0), (circle_b, math.pi / 2.0)],
-        "P6": [(circle_a, math.pi), (circle_b, 3.0 * math.pi / 2.0)],
-    }
-    for pname, specs in p_angles.items():
-        for circ, theta in specs:
-            for sgn in (+1.0, -1.0):
-                label = _probe_classify(circ(theta + sgn * h), nu5, tol)
-                if label is not None and STRATA[label].dimension == 1:
-                    edges.add((pname, label))
-
-    # L-S edges from chart neighbors: L5/L6 cross the fold columns
-    # t = pi/2 and 3 pi/2, L1..L4 cross the mirror column s = 0.
-    l_anchors = {
-        "L5": [(+1, 0.55, math.pi / 2.0), (+1, -0.55, 3.0 * math.pi / 2.0),
-               (-1, 0.55, math.pi / 2.0), (-1, -0.55, 3.0 * math.pi / 2.0)],
-        "L6": [(+1, -0.55, math.pi / 2.0), (+1, 0.55, 3.0 * math.pi / 2.0),
-               (-1, -0.55, math.pi / 2.0), (-1, 0.55, 3.0 * math.pi / 2.0)],
-        "L1": [(+1, 0.0, 0.6), (+1, 0.0, TWO_PI - 0.6)],
-        "L2": [(+1, 0.0, math.pi - 0.6), (+1, 0.0, math.pi + 0.6)],
-        "L3": [(-1, 0.0, 0.6), (-1, 0.0, TWO_PI - 0.6)],
-        "L4": [(-1, 0.0, math.pi - 0.6), (-1, 0.0, math.pi + 0.6)],
-    }
-    for lname, spots in l_anchors.items():
-        for disc, s0, t0 in spots:
-            anchor = param_phi(disc, s0, t0)
-            if classify_point(anchor, nu5, tol).name != lname:
-                raise AmbiguousStratum(f"anchor for {lname} drifted off its locus")
-            deltas = [(h, 0.0), (-h, 0.0)] if s0 == 0.0 else [(0.0, h), (0.0, -h)]
-            for ds, dt in deltas:
-                q = param_phi(disc, s0 + ds, (t0 + dt) % TWO_PI)
-                label = _probe_classify(q.nu4, nu5, tol)
-                if label is not None and STRATA[label].dimension == 2:
-                    edges.add((lname, label))
-
-    # S-V edges: push off the sheet along the gradient of F (tangent to
-    # the sphere automatically: F is homogeneous and vanishes there).
-    s_anchors = {
-        "S1": [(+1, 0.5, math.pi / 4.0), (-1, 0.5, math.pi / 4.0)],
-        "S2": [(+1, 0.5, 3.0 * math.pi / 4.0), (-1, 0.5, 3.0 * math.pi / 4.0)],
-        "S3": [(+1, -0.5, math.pi / 4.0), (-1, -0.5, math.pi / 4.0)],
-        "S4": [(+1, -0.5, 3.0 * math.pi / 4.0), (-1, -0.5, 3.0 * math.pi / 4.0)],
-    }
-    for sname, spots in s_anchors.items():
-        for disc, s0, t0 in spots:
-            q = param_phi(disc, s0, t0)
-            if classify_point(q, nu5, tol).name != sname:
-                raise AmbiguousStratum(f"anchor for {sname} drifted off its sheet")
-            g = grad_F(q.nu4)
-            g = g - float(np.dot(g, q.nu4)) * q.nu4
-            gn = float(np.linalg.norm(g))
-            if gn == 0.0:
-                continue
-            g = g / gn
-            for sgn in (+1.0, -1.0):
-                label = _probe_classify(q.nu4 + sgn * h * g, nu5, tol)
-                if label is not None and STRATA[label].dimension == 3:
-                    edges.add((sname, label))
+        on_sheet = dims[codes] == 2
+        q, sheet = mesh.vertices[on_sheet], _NAME_TABLE[codes[on_sheet]]
+        g = grad_F(q)
+        g = _unit_rows(g - np.vecdot(g, q)[:, None] * q)
+        for sgn in (+1.0, -1.0):
+            p = q + sgn * h * g
+            kept = _chord_sign_constant(q + sgn * (h / 64.0) * g, p, np.full(len(q), sgn))
+            labels = classify_points(_unit_rows(p[kept]), nu5, tol).stratum
+            pushes = set(zip(sheet[kept].tolist(), labels.tolist()))
+            edges |= {(s, v) for s, v in pushes if STRATA[v].dimension == 3}
 
     return IncidenceGraph(tuple(sorted(STRATA)), frozenset(edges))
 

@@ -343,6 +343,19 @@ def surface_crossings_reference(a, b) -> np.ndarray:
     return _bisect_first_crossing(a, b, lo, hi, flo)
 
 
+def probe_classify(point, nu5: float, tol: float):
+    """classify_point's stratum name at point / |point|, one point at a
+    time, or None where the label is ambiguous at this tol."""
+    from resonance_atlas.errors import AmbiguousStratum
+    from resonance_atlas.geometry import SpherePoint
+    from resonance_atlas.stratification import classify_point
+
+    try:
+        return classify_point(SpherePoint(point / np.linalg.norm(point)), nu5, tol).name
+    except AmbiguousStratum:
+        return None
+
+
 def mesh_surface_reference(disc: int, resolution: int, nu5: float = 1.0, tol: float = 1e-9):
     """The welded chart mesh built one cell at a time, for comparison with
     the whole-array mesher.

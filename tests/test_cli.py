@@ -428,6 +428,36 @@ def test_global_nu5_reaches_classify(capsys):
     assert json.loads(capsys.readouterr().out) == positional
 
 
+def _classify_labels(capsys, nu5):
+    """(stratum, config) that classify --json reports for each row of
+    sphere_samples(200, 0) at this nu5."""
+    out = []
+    for row in sphere_samples(200, 0):
+        assert main(["classify", "--json", "--", *map(repr, row.tolist()), repr(nu5)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        out.append((got["stratum"], got["config"]))
+    return out
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_classify_labels_hold_over_the_nu5_range(capsys, sign):
+    """At both ends of the accepted |nu5| range every point reads the
+    stratum and configuration it reads at |nu5| = 1."""
+    want = _classify_labels(capsys, sign)
+    assert _classify_labels(capsys, sign * 1e-3) == want
+    assert _classify_labels(capsys, sign * 1e3) == want
+
+
+@pytest.mark.parametrize("nu5", ["1e-5", "1e14", "1e80", "1e-70"])
+def test_nu5_outside_its_range_is_a_usage_error(capsys, nu5):
+    """Far from 1, nu5 would give wrong labels or overflow; classify exits
+    2 naming the range, and prints nothing."""
+    assert main(["classify", "0.3", "0.2", "0.5", "0.1", nu5]) == 2
+    captured = capsys.readouterr()
+    assert "nu5 must satisfy 0.001 <= |nu5| <= 1000" in captured.err
+    assert captured.out == ""
+
+
 def test_classify_takes_negative_exponent_coordinates(capsys):
     """A coordinate like -1e-3 is a number, not an option, without "--"."""
     assert main(["classify", "0.5", "-1e-3", "0.5", "0.5", "--json"]) == 0

@@ -158,6 +158,18 @@ def test_grad_F_matches_finite_differences(rng):
         assert np.max(np.abs(got - want)) <= 1e-7 * (1.0 + np.max(np.abs(got)))
 
 
+def test_grad_F_broadcasts_over_rows():
+    """grad_F on an (n, 4) array is its (4,) call on each row, bit for bit,
+    and keeps further leading axes."""
+    from resonance_atlas.stratification import sphere_samples
+
+    pts = sphere_samples(1000, 0)
+    got = grad_F(pts)
+    assert got.shape == pts.shape
+    assert np.array_equal(got, np.array([grad_F(row) for row in pts]))
+    assert np.array_equal(grad_F(pts.reshape(10, 100, 4)), got.reshape(10, 100, 4))
+
+
 def test_grad_F_euler_identity(rng):
     v = rng.uniform(-2.0, 2.0, size=4)
     assert float(np.dot(grad_F(v), v)) == pytest.approx(4.0 * F_critical(v), rel=1e-12)

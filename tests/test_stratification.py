@@ -571,8 +571,8 @@ def test_stable_boundary_takes_first_crossing(seed):
 
 @pytest.mark.parametrize("seed", [3658652565, 815100843, 2503583820])
 def test_boundary_probes_match_scalar_probes(seed):
-    """The array probes give the strata that _probe_classify gives one
-    crossing at a time, and those are the report's boundary strata."""
+    """The array probes give the strata that oracles.probe_classify gives
+    one crossing at a time, and those are the report's boundary strata."""
     from scipy.spatial import cKDTree
 
     pts = sphere_samples(10_000, seed)
@@ -581,17 +581,17 @@ def test_boundary_probes_match_scalar_probes(seed):
     i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
     sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
     crossings = stratification._surface_crossings(pts[i[sel]], pts[j[sel]])
-    want = {stratification._probe_classify(q, 1.0, 1e-9) for q in crossings} - {None}
+    want = {oracles.probe_classify(q, 1.0, 1e-9) for q in crossings} - {None}
     assert stratification._probe_strata(crossings, 1.0, 1e-9) == want
     assert stability_report(pts, nu5=1.0).stable_boundary_strata == want
 
 
 def test_boundary_probes_drop_ambiguous_rows(count_calls):
-    """Ambiguous rows are dropped as _probe_classify drops them; only the
-    row off the critical set goes through classify_point.  (At this tol a
-    unit row within tol of both self-intersection circles is within tol of
-    P5 or P6, so the ambiguous rows here are a pinch margin and an
-    unresolved sheet quadrant.)"""
+    """Ambiguous rows are dropped as oracles.probe_classify drops them;
+    only the row off the critical set goes through classify_point.  (At
+    this tol a unit row within tol of both self-intersection circles is
+    within tol of P5 or P6, so the ambiguous rows here are a pinch margin
+    and an unresolved sheet quadrant.)"""
     theta = math.pi / 4.0 + 1.8e-9
     pinch = [0.0, math.cos(theta), math.sin(theta), 0.0]
     quadrant = _unit([5e-10, 0.3, math.sqrt(0.91), 5e-5])
@@ -604,7 +604,7 @@ def test_boundary_probes_drop_ambiguous_rows(count_calls):
     got = stratification._probe_strata(rows, 1.0, 1e-9)
     assert calls[0] == 1
     assert got == {"V3", "S2"}
-    assert got == {stratification._probe_classify(q, 1.0, 1e-9) for q in rows} - {None}
+    assert got == {oracles.probe_classify(q, 1.0, 1e-9) for q in rows} - {None}
 
 
 def test_stability_report_builds_no_records_or_scalar_labels(count_calls):
@@ -871,15 +871,34 @@ def test_incidence_graph_rejects_dimension_jumps():
         IncidenceGraph(tuple(sorted(STRATA)), frozenset({("P1", "S1")}))
 
 
-def test_build_incidence_validation():
+@pytest.mark.parametrize("grid_n", [32, 66, 130])
+def test_build_incidence_validation(grid_n):
+    """Below 64, or off a multiple of 4 (where the fold weld is missing),
+    the grid is refused."""
     with pytest.raises(ValueError):
-        build_incidence(32)
+        build_incidence(grid_n)
 
 
-def test_build_incidence_matches_frozen_edge_set():
-    graph = build_incidence(128)
+@pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0])
+@pytest.mark.parametrize("grid_n", [64, 100, 128, 256])
+def test_build_incidence_matches_frozen_edge_set(grid_n, nu5):
+    graph = build_incidence(grid_n, nu5)
     assert set(graph.nodes) == set(STRATA)
     assert graph.edges == INCIDENCE_EDGES
+
+
+def test_build_incidence_certifies_off_sheet_pushes(monkeypatch):
+    """With every push accepted, the pushes from near the fold cross the
+    other sheet and add four false sheet-region edges; the chord
+    certificate is what keeps them out."""
+    monkeypatch.setattr(
+        stratification, "_chord_sign_constant", lambda a, b, sign: np.ones(len(a), dtype=bool)
+    )
+    graph = build_incidence(128)
+    assert graph.edges - INCIDENCE_EDGES == {
+        ("S1", "V3"), ("S4", "V3"), ("S2", "V1"), ("S3", "V1"),
+    }
+    assert INCIDENCE_EDGES <= graph.edges
 
 
 def test_incidence_region_enclosures():
