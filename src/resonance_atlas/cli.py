@@ -45,8 +45,12 @@ from .geometry import (
     normal_form_residual,
 )
 from .linalg import char_poly, commutator, frobenius_inner
+from .spectra import CONFIG_NAMES
 from .stratification import (
     STRATA,
+    STRATUM_NAMES,
+    _NU5_MAX,
+    _NU5_MIN,
     _label_and_config,
     classify_point,
     configuration_at,
@@ -59,12 +63,6 @@ from .stratification import (
 SCHEMA_VERSION = 1
 
 __all__ = ["RunConfig", "main", "write_rows"]
-
-# The |nu5| range a run accepts.  Configurations do not depend on the scale
-# of nu5, but outside this range the fixed tolerances no longer fit the
-# spectrum's scale and some points read a wrong stratum; far outside it the
-# characteristic polynomial overflows.
-_NU5_MIN, _NU5_MAX = 1e-3, 1e3
 
 
 def _fmt(x: float) -> str:
@@ -548,6 +546,10 @@ def _joined(sep: bytes, columns) -> list:
 
 # -- sample --------------------------------------------------------------------
 
+# the CSV bytes of each stratum and configuration code; none needs quoting
+_STRATUM_BYTES = np.array(STRATUM_NAMES, dtype="S")
+_CONFIG_BYTES = np.array(CONFIG_NAMES, dtype="S")
+
 
 def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     n = args.n
@@ -557,16 +559,15 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     pts = sphere_samples(n, cfg.seed)
     report = stability_report(pts, cfg.nu5, cfg.tol)
 
-    # stratum and config codes never need CSV quoting
-    columns = [*report.points.T, report.stratum.astype("S"), report.config.astype("S"),
+    columns = [*report.points.T, _STRATUM_BYTES[report.stratum], _CONFIG_BYTES[report.config],
                report.max_real_part, np.where(report.stable, b"true", b"false")]
     with open(args.out, "wb") as fh:
         fh.write(b"nu1,nu2,nu3,nu4,stratum,config,max_real_part,stable\n")
         write_rows(fh, [*_joined(b",", columns), b"\n"])
 
-    def counts(column):
-        names, k = np.unique(column.astype(str), return_counts=True)
-        return dict(zip(names.tolist(), k.tolist()))
+    def counts(codes, names):
+        k = np.bincount(codes, minlength=len(names))
+        return {names[c]: int(k[c]) for c in np.flatnonzero(k).tolist()}
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -574,8 +575,8 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "nu5": cfg.nu5,
         "tol": cfg.tol,
-        "stratum_counts": counts(report.stratum),
-        "config_counts": counts(report.config),
+        "stratum_counts": counts(report.stratum, STRATUM_NAMES),
+        "config_counts": counts(report.config, CONFIG_NAMES),
         "stable_fraction": int(report.stable.sum()) / float(n),
         "stable_component_count": report.stable_component_count,
         "unstable_component_count": report.unstable_component_count,

@@ -28,6 +28,7 @@ __all__ = [
     "CONFIG_DOUBLE_NILPOTENT",
     "CONFIG_DOUBLE_SEMISIMPLE",
     "CONFIG_MIXED",
+    "CONFIG_NAMES",
     "CONFIG_STABLE_PAIRS",
     "CONFIG_TWO_IMAGINARY",
     "CONFIG_UNSTABLE_PAIRS",
@@ -57,16 +58,35 @@ CONFIG_COINCIDENT_UNSTABLE = "g+g+"
 CONFIG_COINCIDENT_STABLE_NILPOTENT = "g-^2"
 CONFIG_COINCIDENT_UNSTABLE_NILPOTENT = "g+^2"
 
-# Configuration code of a pair of real-part signs (-1, 0 or +1 each, 0 when
-# the real part reads as zero), indexed by 3 (s_low + 1) + (s_high + 1) with
-# s_low <= s_high.
+# Every configuration code; arrays of configurations hold int8 indices into it.
+CONFIG_NAMES = (
+    CONFIG_STABLE_PAIRS,
+    CONFIG_UNSTABLE_PAIRS,
+    CONFIG_MIXED,
+    CONFIG_BETA_STABLE,
+    CONFIG_BETA_UNSTABLE,
+    CONFIG_TWO_IMAGINARY,
+    CONFIG_DOUBLE_SEMISIMPLE,
+    CONFIG_DOUBLE_NILPOTENT,
+    CONFIG_COINCIDENT_STABLE,
+    CONFIG_COINCIDENT_UNSTABLE,
+    CONFIG_COINCIDENT_STABLE_NILPOTENT,
+    CONFIG_COINCIDENT_UNSTABLE_NILPOTENT,
+)
+
+# Index into CONFIG_NAMES of the configuration of a pair of real-part signs
+# (-1, 0 or +1 each, 0 when the real part reads as zero), indexed by
+# 3 (s_low + 1) + (s_high + 1) with s_low <= s_high; -1 where s_low > s_high.
 _SIGN_CODES = np.array(
     [
-        CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
-        None, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
-        None, None, CONFIG_UNSTABLE_PAIRS,
+        CONFIG_NAMES.index(code) if code else -1
+        for code in (
+            CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
+            None, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
+            None, None, CONFIG_UNSTABLE_PAIRS,
+        )
     ],
-    dtype=object,
+    dtype=np.int8,
 )
 # Configuration code of a coincident pair by (sign of its real part,
 # whether the pair is semisimple).
@@ -228,4 +248,4 @@ def classify_configuration(
         return EigConfig(_COINCIDENT_CODES[signs[0], semisimple], stable_count, sp)
 
     low, high = sorted(signs)
-    return EigConfig(_SIGN_CODES[3 * (low + 1) + high + 1], stable_count, sp)
+    return EigConfig(CONFIG_NAMES[_SIGN_CODES[3 * (low + 1) + high + 1]], stable_count, sp)

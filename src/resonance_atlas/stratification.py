@@ -42,6 +42,7 @@ from .spectra import (
     CONFIG_BETA_UNSTABLE,
     CONFIG_DOUBLE_NILPOTENT,
     CONFIG_MIXED,
+    CONFIG_NAMES,
     CONFIG_STABLE_PAIRS,
     CONFIG_TWO_IMAGINARY,
     CONFIG_UNSTABLE_PAIRS,
@@ -56,6 +57,7 @@ __all__ = [
     "KINDS",
     "PointClasses",
     "STRATA",
+    "STRATUM_NAMES",
     "SampleRecord",
     "StabilityReport",
     "StratumLabel",
@@ -103,6 +105,23 @@ STRATA: dict[str, StratumLabel] = {
     "P5": StratumLabel("P5", 0, CONFIG_TWO_IMAGINARY),
     "P6": StratumLabel("P6", 0, CONFIG_TWO_IMAGINARY),
 }
+# Every stratum name, in the order of STRATA; arrays of strata hold int8
+# indices into it.
+STRATUM_NAMES = tuple(STRATA)
+
+# The |nu5| range the sampled entry points accept.  Configurations do not
+# depend on the scale of nu5, but outside this range the fixed tolerances no
+# longer fit the spectrum's scale and some points read a wrong stratum; far
+# outside it the characteristic polynomial overflows.
+_NU5_MIN, _NU5_MAX = 1e-3, 1e3
+
+
+def _check_nu5(nu5: float, caller: str) -> None:
+    """ValueError unless _NU5_MIN <= |nu5| <= _NU5_MAX (NaN included)."""
+    if not (_NU5_MIN <= abs(nu5) <= _NU5_MAX):
+        raise ValueError(
+            f"{caller}: nu5 must satisfy {_NU5_MIN:g} <= |nu5| <= {_NU5_MAX:g}, got {nu5!r}"
+        )
 
 
 def interior_scale(nu5: float) -> float:
@@ -230,16 +249,21 @@ def _critical_stratum(v: np.ndarray, tol: float) -> StratumLabel | None:
 
 def _near_p_points(v: np.ndarray, tol: float) -> np.ndarray:
     """(n, 6) bool: row k lies within tol of P point m in every coordinate,
-    |v[k] - P_m|.max() <= tol compared one column at a time."""
-    hits = np.abs(v[:, :1] - _P_ARRAY[:, 0]) <= tol
-    for c in range(1, 4):
-        hits &= np.abs(v[:, c : c + 1] - _P_ARRAY[:, c]) <= tol
+    |v[k] - P_m|.max() <= tol compared one column at a time.  Every P point
+    has nu1 = nu4 = 0, so only rows with |nu1| <= tol and |nu4| <= tol are
+    compared in nu2 and nu3."""
+    hits = np.zeros((len(v), len(_P_ARRAY)), dtype=bool)
+    rows = np.flatnonzero((np.abs(v[:, 0]) <= tol) & (np.abs(v[:, 3]) <= tol))
+    w = v[rows]
+    hits[rows] = (np.abs(w[:, 1:2] - _P_ARRAY[:, 1]) <= tol) & (
+        np.abs(w[:, 2:3] - _P_ARRAY[:, 2]) <= tol
+    )
     return hits
 
 
-_STRATUM_NAMES = tuple(STRATA)
-_NAME_TABLE = np.array(_STRATUM_NAMES, dtype=object)  # code -> name, by indexing
-_CODE = {name: k for k, name in enumerate(_STRATUM_NAMES)}
+_NAME_TABLE = np.array(STRATUM_NAMES, dtype=object)  # code -> name, by indexing
+_CODE = {name: k for k, name in enumerate(STRATUM_NAMES)}
+_CONFIG_CODE = {name: k for k, name in enumerate(CONFIG_NAMES)}
 _P_CODES = np.array([_CODE[name] for name in _P_NAMES])
 _OFF_CRITICAL = -1  # _critical_stratum returns None
 _AMBIGUOUS = -2  # _critical_stratum raises AmbiguousStratum
@@ -248,7 +272,7 @@ _AMBIGUOUS = -2  # _critical_stratum raises AmbiguousStratum
 def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
     """_critical_stratum on every row of an (n, 4) array.
 
-    One int code per row: an index into _STRATUM_NAMES, _OFF_CRITICAL off
+    One int code per row: an index into STRATUM_NAMES, _OFF_CRITICAL off
     the critical set, or _AMBIGUOUS where the scalar cascade raises.  The
     tests apply in the scalar cascade's order, so each row's code is the
     first that matches there.
@@ -351,7 +375,7 @@ def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
     unit = _unit_rows(points)
     check_unit_rows(unit)
     codes = _critical_strata(unit, tol)
-    found = {_STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist()}
+    found = {STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist()}
     for k in np.flatnonzero(codes == _OFF_CRITICAL):
         try:
             found.add(classify_point(SpherePoint(unit[k]), nu5, tol).name)
@@ -376,7 +400,7 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
     if grid_n < 64 or grid_n % 4:
         raise ValueError("build_incidence: grid_n must be a multiple of 4 and >= 64")
     h = TWO_PI / float(grid_n)
-    dims = np.array([STRATA[name].dimension for name in _STRATUM_NAMES])
+    dims = np.array([STRATA[name].dimension for name in STRATUM_NAMES])
     edges: set[tuple[str, str]] = set()
     for mesh in mesh_surfaces([+1, -1], grid_n, nu5, tol):
         codes = np.array([_CODE[name] for name in mesh.strata])
@@ -387,15 +411,15 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
         edges |= set(zip(_NAME_TABLE[lo[up]], _NAME_TABLE[hi[up]]))
 
         on_sheet = dims[codes] == 2
-        q, sheet = mesh.vertices[on_sheet], _NAME_TABLE[codes[on_sheet]]
+        q, sheet = mesh.vertices[on_sheet], codes[on_sheet]
         g = grad_F(q)
         g = _unit_rows(g - np.vecdot(g, q)[:, None] * q)
         for sgn in (+1.0, -1.0):
             p = q + sgn * h * g
             kept = _chord_sign_constant(q + sgn * (h / 64.0) * g, p, np.full(len(q), sgn))
             labels = classify_points(_unit_rows(p[kept]), nu5, tol).stratum
-            pushes = set(zip(sheet[kept].tolist(), labels.tolist()))
-            edges |= {(s, v) for s, v in pushes if STRATA[v].dimension == 3}
+            into = dims[labels] == 3
+            edges |= set(zip(_NAME_TABLE[sheet[kept][into]], _NAME_TABLE[labels[into]]))
 
     return IncidenceGraph(tuple(sorted(STRATA)), frozenset(edges))
 
@@ -448,8 +472,8 @@ class StabilityReport:
     """Per-sample columns, one row per sample, plus the region audit."""
 
     points: np.ndarray  # (n, 4) unit rows
-    stratum: np.ndarray  # (n,) stratum names
-    config: np.ndarray  # (n,) configuration codes
+    stratum: np.ndarray  # (n,) int8 codes into STRATUM_NAMES
+    config: np.ndarray  # (n,) int8 codes into CONFIG_NAMES
     max_real_part: np.ndarray  # (n,) float
     stable: np.ndarray  # (n,) bool
     stable_component_count: int
@@ -459,13 +483,13 @@ class StabilityReport:
 
     @property
     def stable_strata(self) -> frozenset[str]:
-        return frozenset(self.stratum[self.stable].tolist())
+        return frozenset(STRATUM_NAMES[k] for k in np.unique(self.stratum[self.stable]).tolist())
 
     @property
     def records(self) -> tuple[SampleRecord, ...]:
-        """One SampleRecord per row, built on demand."""
+        """One SampleRecord per row, built on demand, with the names of its codes."""
         return tuple(
-            SampleRecord(SpherePoint(u), s, c, m, k)
+            SampleRecord(SpherePoint(u), STRATUM_NAMES[s], CONFIG_NAMES[c], m, k)
             for u, s, c, m, k in zip(
                 self.points,
                 self.stratum.tolist(),
@@ -484,8 +508,8 @@ _STABLE, _UNSTABLE, _MIXED, _CRITICAL = range(len(KINDS))
 class PointClasses(NamedTuple):
     """Per-row output of classify_points."""
 
-    stratum: np.ndarray  # (n,) stratum names
-    config: np.ndarray  # (n,) configuration codes
+    stratum: np.ndarray  # (n,) int8 codes into STRATUM_NAMES
+    config: np.ndarray  # (n,) int8 codes into CONFIG_NAMES
     max_real_part: np.ndarray  # (n,) float
     kind: np.ndarray  # (n,) int8 codes into KINDS
 
@@ -497,10 +521,14 @@ class PointClasses(NamedTuple):
 # path agrees with the closed form to 1e-13 beyond that gap.
 _MARGIN = 100.0
 _PAIR_GAP = 3e-2
+# Open-region code by 2 (stable pairs) + (nu2 > 0): V1 with no stable pair, V3
+# with two, otherwise V4 or V2 by the sign of nu2.
+_OPEN_CODES = np.array([_CODE[name] for name in ("V1", "V1", "V4", "V2", "V3", "V3")], np.int8)
 
 
 def _sample_record(p: SpherePoint, nu5: float, tol: float, zero_re_tol: float):
-    """The scalar path for one point: stratum, config, max real part, kind."""
+    """The scalar path for one point: stratum code, config code, max real
+    part, kind."""
     label, cfg = _label_and_config(p, nu5, tol)
     spec = cfg.spectrum
     thresh = zero_re_tol * (1.0 + max(abs(z) for z in spec.eigenvalues))
@@ -513,7 +541,7 @@ def _sample_record(p: SpherePoint, nu5: float, tol: float, zero_re_tol: float):
         kind = _CRITICAL
     else:
         kind = _MIXED
-    return label.name, cfg.code, spec.max_real_part, kind
+    return _CODE[label.name], _CONFIG_CODE[cfg.code], spec.max_real_part, kind
 
 
 def classify_points(
@@ -534,10 +562,11 @@ def classify_points(
     (zero_re_tol) threshold -- take the scalar classify_point path, so
     every label is the one classify_point gives.  A sample is stable when
     every real part lies below -zero_re_tol (1 + max |lambda|), critical
-    when one lies within that threshold of zero.
+    when one lies within that threshold of zero.  Strata and configurations
+    come as int8 codes into STRATUM_NAMES and CONFIG_NAMES.  ValueError
+    unless 1e-3 <= |nu5| <= 1e3.
     """
-    if nu5 == 0.0:
-        raise ValueError("classify_points: nu5 must be nonzero")
+    _check_nu5(nu5, "classify_points")
     if tol <= 0.0:
         raise ValueError("classify_points: tol must be positive")
     v = np.asarray(pts, dtype=float).reshape(-1, 4)
@@ -554,10 +583,7 @@ def classify_points(
     signs = np.where(np.abs(re) <= label_tol, 0, np.sign(re)).astype(int)
     stable_count = 2 * np.sum(re < -label_tol, axis=1)
     config = _SIGN_CODES[3 * (signs.min(axis=1) + 1) + signs.max(axis=1) + 1]
-    stratum = np.where(
-        stable_count == 4, "V3",
-        np.where(stable_count == 0, "V1", np.where(n2 > 0.0, "V2", "V4")),
-    ).astype(object)
+    stratum = _OPEN_CODES[stable_count + (n2 > 0.0)]
     kind = np.full(len(v), _MIXED, dtype=np.int8)
     kind[np.any(np.abs(re) <= stable_tol[:, None], axis=1)] = _CRITICAL
     kind[np.all(re > stable_tol[:, None], axis=1)] = _UNSTABLE
@@ -597,8 +623,12 @@ _SUBDIVISION_DEPTH = 20  # halvings before a piece still undecided is given up
 _EDGE_BLOCK = 4096
 # Neighbour ranks at which the rounds of the flood fill end, before the
 # last round, which ends at tree_k.  Most arcs of a round join points that
-# an earlier round already connected, and those are never tested.
+# an earlier round already connected, and those are never tested.  Every
+# row queries the ranks of the first round; only the wide rows query more.
 _FLOOD_ROUND_ENDS = (2, 5)
+# After the first round a row is wide when its component holds fewer than
+# n // _WIDE_SHARE rows or one of its first-round neighbours is in another.
+_WIDE_SHARE = 20
 
 
 def _arc_values(at: np.ndarray, bt: np.ndarray, t) -> np.ndarray:
@@ -650,11 +680,6 @@ def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.n
         rows, pieces = np.repeat(rows, 2), _halves(pieces)
     ok[rows] = False
     return ok
-
-
-def _neighbor_pairs(src: np.ndarray, table: np.ndarray):
-    """Flat pairs (src[r], table[r, c]) for c >= 1; column 0 is the point itself."""
-    return np.repeat(src, table.shape[1] - 1), table[:, 1:].ravel()
 
 
 def _candidate_arcs(kinds, signs, src, table):
@@ -728,13 +753,22 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     """Join same-kind neighbors whose connecting arc stays on one side of
     the critical surface; return each point's component label (its
-    smallest member) and the kNN table.
+    smallest member) and the directed neighbour pairs (i, j) it queried.
 
     The candidate arcs go in rounds of neighbour rank (_FLOOD_ROUND_ENDS,
     then up to tree_k), and a round tests only the arcs whose ends are
     still in different components.  An arc between two points already
-    connected cannot change the components, so the labels are those of
-    testing every arc.
+    connected cannot change the components, so skipping it changes no label.
+
+    The neighbours come in two tiers.  Every row queries the ranks of the
+    first round.  After it, a row is wide when its component holds fewer
+    than n // _WIDE_SHARE rows or one of those neighbours lies in another
+    component, which covers every row next to another class; only the wide
+    rows query ranks up to tree_k, for the later rounds.  A settled row's
+    later arcs are tested only when their other end is wide and queries
+    them, so the candidate graph is part of the all-rows kNN graph.  The
+    pairs returned are the first-round ranks of every row and the later
+    ranks of the wide rows, each once unless two neighbours tie in distance.
 
     A second pass widens the neighbor search for members of very small
     components: near the self-intersection circles the mixed regions
@@ -746,13 +780,28 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     from scipy.spatial import cKDTree
 
     n = len(points)
+    rows = np.arange(n)
     tree = cKDTree(points)
-    nbrs = tree.query(points, k=min(tree_k + 1, n))[1].reshape(n, -1)
-    i, j, rank = _candidate_arcs(kinds, signs, np.arange(n), nbrs)
-    labels = np.arange(n)
-    last = nbrs.shape[1] - 1
-    start = 0
-    for end in [e for e in _FLOOD_ROUND_ENDS if e < last] + [last]:
+
+    def neighbours(x, k):
+        """The min(k, n) samples nearest each row of x, nearest first."""
+        k = min(k, n)
+        return tree.query(x, k=k)[1].reshape(len(x), k)
+
+    first = _FLOOD_ROUND_ENDS[0]
+    near = neighbours(points, first + 1)
+    i, j, _ = _candidate_arcs(kinds, signs, rows, near)
+    labels = _join_arcs(points, signs, rows, i, j)
+
+    sizes = np.bincount(labels, minlength=n)
+    wide = np.flatnonzero(
+        (sizes[labels] < n // _WIDE_SHARE) | np.any(labels[near] != labels[:, None], axis=1)
+    )
+    table = neighbours(points[wide], tree_k + 1)
+    i, j, rank = _candidate_arcs(kinds, signs, wide, table)
+    last = table.shape[1] - 1
+    start = first
+    for end in [e for e in _FLOOD_ROUND_ENDS[1:] if e < last] + [last]:
         block = (rank > start) & (rank <= end)
         labels = _join_arcs(points, signs, labels, i[block], j[block])
         start = end
@@ -760,10 +809,13 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     sizes = np.bincount(labels, minlength=n)
     strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
     if len(strays):
-        wide = tree.query(points[strays], k=min(rescue_k + 1, n))[1]
-        ri, rj, _ = _candidate_arcs(kinds, signs, strays, wide.reshape(len(strays), -1))
+        ri, rj, _ = _candidate_arcs(kinds, signs, strays, neighbours(points[strays], rescue_k + 1))
         labels = _join_arcs(points, signs, labels, ri, rj)
-    return labels, nbrs
+
+    later = table[:, first + 1 :]
+    src = np.concatenate([np.repeat(rows, near.shape[1] - 1), np.repeat(wide, later.shape[1])])
+    dst = np.concatenate([near[:, 1:].ravel(), later.ravel()])
+    return labels, (src, dst)
 
 
 def _first_root_brackets(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -843,10 +895,12 @@ def stability_report(
     the threshold are tagged critical and excluded from the component
     counts, which join samples only by arcs the sound arc test accepts
     (never one that meets F = 0).  Boundary strata of the stable region are
-    read at the first crossing of F = 0 on each stable-to-mixed arc.
-    The report keeps one row per sample in arrays; non-finite rows raise
-    ValueError.
+    read at the first crossing of F = 0 on each stable-to-mixed pair that
+    the flood fill queried.  The report keeps one row per sample in arrays,
+    strata and configurations as int8 codes; non-finite rows, and nu5
+    outside 1e-3 <= |nu5| <= 1e3, raise ValueError.
     """
+    _check_nu5(nu5, "stability_report")
     if isinstance(samples, np.ndarray):
         rows = np.asarray(samples, dtype=float)
     else:
@@ -857,11 +911,10 @@ def stability_report(
     cls = classify_points(unit, nu5, tol, zero_re_tol)
     kinds = cls.kind
 
-    labels, nbrs = _flood_components(rows, kinds, np.sign(F_critical(rows)))
+    labels, (i, j) = _flood_components(rows, kinds, np.sign(F_critical(rows)))
     roots = labels == np.arange(len(rows))
     counts = np.bincount(kinds[roots], minlength=len(KINDS))
 
-    i, j = _neighbor_pairs(np.arange(len(rows)), nbrs)
     sel = (kinds[i] == _STABLE) & (kinds[j] == _MIXED)
     crossings = _surface_crossings(rows[i[sel]], rows[j[sel]])
 

@@ -214,6 +214,15 @@ def flood_component_counts(points, kinds, tree_k=12, rescue_k=48) -> dict[str, i
     return counts
 
 
+def near_p_points_reference(v, p_points, tol: float) -> np.ndarray:
+    """(n, 6) bool: row k lies within tol of P point m in every coordinate,
+    compared one column at a time over all rows."""
+    hits = np.abs(v[:, :1] - p_points[:, 0]) <= tol
+    for c in range(1, 4):
+        hits &= np.abs(v[:, c : c + 1] - p_points[:, c]) <= tol
+    return hits
+
+
 def chord_points_reference(a, b, t) -> np.ndarray:
     """(1 - t) a + t b for rows a, b of shape (m, 4) and t of shape (m, k),
     as an (m, k, 4) array."""

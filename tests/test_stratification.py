@@ -13,10 +13,11 @@ from resonance_atlas.geometry import (
     param_phi_array,
     unit_point,
 )
-from resonance_atlas.spectra import ZERO_RE_TOL_SAMPLED, spectrum
+from resonance_atlas.spectra import CONFIG_NAMES, ZERO_RE_TOL_SAMPLED, spectrum
 from resonance_atlas.stratification import (
     KINDS,
     STRATA,
+    STRATUM_NAMES,
     IncidenceGraph,
     SurfaceMesh,
     _chord_sign_constant,
@@ -243,8 +244,9 @@ def test_classify_points_matches_scalar_path(nu5):
     pts = np.vstack([sphere_samples(10_000, 42), reps, axis, sheets])
     got = classify_points(pts, nu5)
     want = _scalar_path(pts, nu5)
-    assert list(got.stratum) == [w[0] for w in want]
-    assert list(got.config) == [w[1] for w in want]
+    assert got.stratum.dtype == got.config.dtype == np.int8
+    assert [STRATUM_NAMES[k] for k in got.stratum] == [w[0] for w in want]
+    assert [CONFIG_NAMES[k] for k in got.config] == [w[1] for w in want]
     assert [KINDS[k] for k in got.kind] == [w[3] for w in want]
     assert np.max(np.abs(got.max_real_part - [w[2] for w in want])) <= 1e-13
 
@@ -269,6 +271,45 @@ def test_classify_points_validation():
         classify_points(np.eye(4), 1.0, tol=0.0)
     with pytest.raises(ValueError):
         classify_points(2.0 * np.eye(4), 1.0)
+
+
+@pytest.mark.parametrize("nu5", [1e-7, -1e-7, 1e4, -1e4, np.nan])
+def test_sampled_entry_points_reject_nu5_outside_its_range(nu5):
+    """Outside 1e-3 <= |nu5| <= 1e3 the fixed tolerances give wrong labels,
+    so classify_points and stability_report refuse such a nu5."""
+    pts = sphere_samples(200, 0)
+    with pytest.raises(ValueError, match=r"nu5 must satisfy 0.001 <= \|nu5\| <= 1000"):
+        classify_points(pts, nu5)
+    with pytest.raises(ValueError, match=r"nu5 must satisfy 0.001 <= \|nu5\| <= 1000"):
+        stability_report(pts, nu5)
+
+
+@pytest.mark.parametrize("nu5", [1e-3, -1e-3, 1e3, -1e3])
+def test_sampled_entry_points_accept_the_ends_of_the_nu5_range(nu5):
+    pts = sphere_samples(200, 0)
+    got = classify_points(pts, nu5)
+    assert got.stratum.tolist() == classify_points(pts, 1.0).stratum.tolist()
+    assert len(stability_report(pts, nu5).records) == 200
+
+
+def test_p_point_screen_matches_column_by_column_test():
+    """Screening on nu1 and nu4 first gives the (n, 6) hits of comparing
+    every coordinate, bit for bit, next to the P points and off them."""
+    moved = []
+    for p in stratification._P_ARRAY:
+        for tol in (1e-9, 1e-7):
+            for step in (0.5 * tol, 2.0 * tol):
+                for sign in (+1.0, -1.0):
+                    for c in range(4):
+                        moved.append(p + sign * step * np.eye(4)[c])
+                    moved.append(p + sign * step)
+    rows = np.vstack([sphere_samples(5000, 0), stratification._P_ARRAY, moved])
+    for tol in (1e-9, 1e-7):
+        got = stratification._near_p_points(rows, tol)
+        want = oracles.near_p_points_reference(rows, stratification._P_ARRAY, tol)
+        assert got.shape == want.shape == (len(rows), 6)
+        assert np.array_equal(got, want)
+        assert 6 < want.sum() < len(moved)
 
 
 @pytest.mark.parametrize(
@@ -406,17 +447,49 @@ def _flood_inputs(n, seed, nu5):
 @pytest.mark.parametrize(
     "n, seed, nu5",
     [(10_000, 42, 1.0), (10_000, 1559737105, 1.0), (10_000, 3658652565, 1.0)]
-    + [(2000, seed, nu5) for seed in (0, 3) for nu5 in (-1.0, 0.3, 7.0)],
+    + [(2000, seed, nu5) for seed in (0, 3) for nu5 in (-1.0, 0.3, 7.0)]
+    + [(10_000, seed, 1.0) for seed in range(6)],
 )
 def test_lazy_flood_matches_all_edges_flood(n, seed, nu5):
-    """Testing only the arcs that still join two components gives the labels
-    and the kNN table of testing every candidate arc (1559737105 takes the
-    rescue pass)."""
+    """Testing only the arcs that still join two components, with the wide
+    neighbours of the wide rows alone, gives the labels of testing every
+    candidate arc of the kNN table (1559737105 takes the rescue pass).  The
+    pairs returned are pairs of that table, once each: ranks 1 to 2 of
+    every row, and all 12 ranks of a wide row."""
     pts, kinds, signs = _flood_inputs(n, seed, nu5)
-    labels, nbrs = stratification._flood_components(pts, kinds, signs)
-    want_labels, want_nbrs = oracles.flood_components_all_edges(pts, kinds, signs)
+    labels, (i, j) = stratification._flood_components(pts, kinds, signs)
+    want_labels, table = oracles.flood_components_all_edges(pts, kinds, signs)
     assert np.array_equal(labels, want_labels)
-    assert np.array_equal(nbrs, want_nbrs)
+    rows = np.arange(n)
+    got = i * n + j
+    assert len(np.unique(got)) == len(got)
+    assert np.isin(got, np.repeat(rows, 12) * n + table[:, 1:].ravel()).all()
+    assert np.isin(np.repeat(rows, 2) * n + table[:, 1:3].ravel(), got).all()
+    per_row = np.bincount(i, minlength=n)
+    assert set(per_row.tolist()) == {2, 12}
+    # a row next to another class (kind or sign of F) at rank 1 or 2 is wide
+    near = table[:, 1:3]
+    other = (kinds[near] != kinds[:, None]) | (signs[near] != signs[:, None])
+    assert np.all(per_row[other.any(axis=1)] == 12)
+
+
+def test_few_rows_take_the_wide_query(monkeypatch):
+    """At n = 10k fewer than a quarter of the rows query 13 neighbours;
+    every row queries 3."""
+    import scipy.spatial
+
+    queried = {}
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query(self, x, k=1, **kwargs):
+            queried[k] = queried.get(k, 0) + len(x)
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    pts, kinds, signs = _flood_inputs(10_000, 42, 1.0)
+    stratification._flood_components(pts, kinds, signs)
+    assert queried[3] == 10_000
+    assert 0 < queried[13] < 2_500
 
 
 def test_lazy_flood_reaches_the_last_rank_round():
@@ -480,8 +553,10 @@ def test_flood_tests_few_chords(monkeypatch):
 
 
 def _stable_to_mixed_arcs(seed):
+    from scipy.spatial import cKDTree
+
     pts, kinds, _ = _flood_inputs(10_000, seed, 1.0)
-    nbrs = stratification._flood_components(pts, kinds, np.sign(F_critical(pts)))[1]
+    nbrs = cKDTree(pts).query(pts, k=13)[1]
     i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
     sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
     return pts[i[sel]], pts[j[sel]]
