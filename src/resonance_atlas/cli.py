@@ -608,7 +608,7 @@ def _write_mesh_csv(fh, meshes) -> None:
     face row (three indices) per element, the fields csv.writer would give."""
     fh.write(b"type,disc,i0,i1,i2,nu1,nu2,nu3,nu4,s,t,stratum\n")
     for mesh in meshes:
-        columns = [*mesh.vertices.T, *mesh.params.T, np.asarray(mesh.strata, dtype="S")]
+        columns = [*mesh.vertices.T, *mesh.params.T, _STRATUM_BYTES[mesh.strata]]
         write_rows(fh, [b"vertex,%d," % mesh.disc, np.arange(len(mesh.vertices)), b",,,",
                         *_joined(b",", columns), b"\n"])
         write_rows(fh, [b"face,%d," % mesh.disc, *_joined(b",", mesh.triangles.T),
@@ -639,7 +639,9 @@ def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "vertices": int(len(mesh.vertices)),
                 "triangles": int(len(mesh.triangles)),
                 "euler_characteristic": mesh.euler_characteristic(),
-                "strata": sorted(set(mesh.strata)),
+                "strata": sorted(
+                    STRATUM_NAMES[k] for k in np.flatnonzero(np.bincount(mesh.strata)).tolist()
+                ),
             }
             for mesh in meshes
         ],

@@ -20,7 +20,6 @@ from .errors import DegeneratePolynomial
 
 __all__ = [
     "CLUSTER_TOL_DEFAULT",
-    "RANK_TOL_DEFAULT",
     "Mat4",
     "PolyCoeffs",
     "RootSet",
@@ -33,11 +32,9 @@ __all__ = [
     "quartic_roots",
 ]
 
-# Relative thresholds shared across the package: roots closer than
-# CLUSTER_TOL_DEFAULT * (1 + max |root|) count as one cluster; singular
-# values below RANK_TOL_DEFAULT * sigma_max count as zero.
+# Relative threshold shared across the package: roots closer than
+# CLUSTER_TOL_DEFAULT * (1 + max |root|) count as one cluster.
 CLUSTER_TOL_DEFAULT = 1e-6
-RANK_TOL_DEFAULT = 1e-8
 
 
 def _frozen_array(entries, shape, ctx):

@@ -34,7 +34,6 @@ __all__ = [
     "CONFIG_UNSTABLE_PAIRS",
     "EigConfig",
     "Spectrum",
-    "ZERO_RE_TOL_ANALYTIC",
     "ZERO_RE_TOL_SAMPLED",
     "classify_configuration",
     "is_semisimple_double_pair",
@@ -99,8 +98,7 @@ _COINCIDENT_CODES = {
     (1, False): CONFIG_COINCIDENT_UNSTABLE_NILPOTENT,
 }
 
-# Real-part zero thresholds (relative): analytic inputs vs sampled data.
-ZERO_RE_TOL_ANALYTIC = 1e-9
+# Relative real-part zero threshold of a sampled point's stability kind.
 ZERO_RE_TOL_SAMPLED = 1e-6
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import ReducedCoords, homogeneous_reduced
-from .errors import AmbiguousStratum
+from .errors import AmbiguousStratum, UnresolvedConfiguration
 from .geometry import (
     F_critical,
     P_POINTS,
@@ -41,14 +41,19 @@ from .spectra import (
     CONFIG_BETA_STABLE,
     CONFIG_BETA_UNSTABLE,
     CONFIG_DOUBLE_NILPOTENT,
+    CONFIG_DOUBLE_SEMISIMPLE,
     CONFIG_MIXED,
     CONFIG_NAMES,
     CONFIG_STABLE_PAIRS,
     CONFIG_TWO_IMAGINARY,
     CONFIG_UNSTABLE_PAIRS,
     ZERO_RE_TOL_SAMPLED,
+    _COINCIDENT_CODES,
     _SIGN_CODES,
     EigConfig,
+    Spectrum,
+    _cluster_indices,
+    _pair_is_semisimple,
     classify_configuration,
 )
 
@@ -195,8 +200,9 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
     signs of nu2 and nu3 (its nu2^2 > nu3^2 remainder carries the mixed
     configuration and is grouped with V2/V4); then the sheets via
     |F| <= tol, labelled by the (nu1, nu2) sign quadrant; otherwise an
-    open region via the count of stable eigenvalues.  Matches that leave
-    the label undetermined at this tol raise AmbiguousStratum.
+    open region via the count of stable eigenvalues of the closed-form
+    spectrum.  Matches that leave the label undetermined at this tol raise
+    AmbiguousStratum.
     """
     if nu5 == 0.0:
         raise ValueError("classify_point: nu5 must be nonzero")
@@ -204,7 +210,8 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
         raise ValueError("classify_point: tol must be positive")
     label = _critical_stratum(p.nu4, tol)
     if label is None:
-        label = _open_region(p.nu4, configuration_at(p, nu5, tol), tol)
+        stable_count = _family_spectra(p.nu4[None, :], nu5, tol, CLUSTER_TOL_DEFAULT)[2]
+        label = _open_region(p.nu4, int(stable_count[0]), tol)
     return label
 
 
@@ -261,9 +268,7 @@ def _near_p_points(v: np.ndarray, tol: float) -> np.ndarray:
     return hits
 
 
-_NAME_TABLE = np.array(STRATUM_NAMES, dtype=object)  # code -> name, by indexing
 _CODE = {name: k for k, name in enumerate(STRATUM_NAMES)}
-_CONFIG_CODE = {name: k for k, name in enumerate(CONFIG_NAMES)}
 _P_CODES = np.array([_CODE[name] for name in _P_NAMES])
 _OFF_CRITICAL = -1  # _critical_stratum returns None
 _AMBIGUOUS = -2  # _critical_stratum raises AmbiguousStratum
@@ -314,15 +319,55 @@ def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
     )
 
 
-def _open_region(v: np.ndarray, cfg: EigConfig, tol: float) -> StratumLabel:
-    """The open region of a point off the critical set, from its configuration."""
-    if cfg.stable_count == 4:
+def _open_region(v: np.ndarray, stable_count: int, tol: float) -> StratumLabel:
+    """The open region of a point off the critical set, from its count of
+    stable eigenvalues."""
+    if stable_count == 4:
         return STRATA["V3"]
-    if cfg.stable_count == 0:
+    if stable_count == 0:
         return STRATA["V1"]
     if abs(v[1]) <= tol:
         raise AmbiguousStratum("mixed configuration with unresolved sign of nu2")
     return STRATA["V2"] if v[1] > 0.0 else STRATA["V4"]
+
+
+def _family_spectra(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
+    """The closed-form spectrum of the evaluation matrix on unit rows v (n, 4).
+
+    Its eigenvalues are t0 nu1 + i(nu5 +- t0 D) and their conjugates, with
+    D = sqrt(nu3^2 + nu4^2 - nu2^2 + 2 i nu2 nu4).  Returns those two (n, 2),
+    the config codes into CONFIG_NAMES, the stable counts and the max real
+    parts; a real part reads as zero within tol (1 + |lambda|).  Two
+    eigenvalues within cluster_tol (1 + max |lambda|) are the double root
+    w = t0 nu1 + i nu5 (on the axis and the curves nu4 = 0, nu2^2 = nu3^2
+    through P1..P4), split semisimple from nilpotent by one rank test.
+    Raises UnresolvedConfiguration where an imaginary part reads as zero,
+    as classify_configuration does.
+    """
+    n1, n2, n3, n4 = v.T
+    t0 = interior_scale(nu5)
+    d = np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
+    lam = (t0 * n1)[:, None] + 1j * (nu5 + t0 * np.column_stack([d, -d]))
+    gap = np.abs(lam[:, 0] - lam[:, 1])
+    coincident = np.flatnonzero(gap <= cluster_tol * (1.0 + np.abs(lam).max(axis=1)))
+    if len(coincident):
+        lam[coincident] = (t0 * n1[coincident] + 1j * nu5)[:, None]
+    re, label_tol = lam.real, tol * (1.0 + np.abs(lam))
+    unresolved = np.abs(lam.imag) <= label_tol
+    if unresolved.any():
+        raise UnresolvedConfiguration(
+            f"real or zero eigenvalue in row {unresolved.any(axis=1).argmax()}; "
+            "no pair configuration applies"
+        )
+    signs = np.where(np.abs(re) <= label_tol, 0, np.sign(re)).astype(int)
+    config = _SIGN_CODES[3 * (signs.min(axis=1) + 1) + signs.max(axis=1) + 1]
+    for k in coincident.tolist():
+        w = complex(lam[k, 0])
+        semisimple = _pair_is_semisimple(
+            evaluation_matrix(SpherePoint(v[k]), nu5), -2.0 * w.real, abs(w) ** 2, tol
+        )
+        config[k] = CONFIG_NAMES.index(_COINCIDENT_CODES[int(signs[k, 0]), semisimple])
+    return lam, config, 2 * (re < -label_tol).sum(axis=1), re.max(axis=1)
 
 
 def _label_and_config(
@@ -330,12 +375,23 @@ def _label_and_config(
 ) -> tuple[StratumLabel, EigConfig]:
     """classify_point's label and the configuration at p, from one spectrum.
 
-    The P/L/S cascade runs first and raises as classify_point does; an
-    open-region label is then read from the configuration.
+    The P/L/S cascade runs first and raises as classify_point does; the
+    spectrum is the closed form of _family_spectra on one row, its four
+    eigenvalues sorted by (imag, real) as quartic_roots returns them, and an
+    open-region label is read from its stable count.
     """
     label = _critical_stratum(p.nu4, tol)
-    cfg = configuration_at(p, nu5, tol, cluster_tol)
-    return (_open_region(p.nu4, cfg, tol) if label is None else label), cfg
+    lam, config, stable_count, max_re = _family_spectra(p.nu4[None, :], nu5, tol, cluster_tol)
+    w, w2 = lam[0].tolist()
+    roots = sorted([w, w2, w.conjugate(), w2.conjugate()], key=lambda z: (z.imag, z.real))
+    code, count = CONFIG_NAMES[config[0]], int(stable_count[0])
+    flag = {CONFIG_DOUBLE_SEMISIMPLE: True, CONFIG_DOUBLE_NILPOTENT: False}.get(code)
+    pair = (-2.0 * w.real, abs(w) ** 2) if w == w2 else None
+    clusters = _cluster_indices(roots, cluster_tol)
+    spec = Spectrum(tuple(roots), clusters, float(max_re[0]), flag, pair)
+    if label is None:
+        label = _open_region(p.nu4, count, tol)
+    return label, EigConfig(code, count, spec)
 
 
 # -- incidence -----------------------------------------------------------------
@@ -401,14 +457,15 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
         raise ValueError("build_incidence: grid_n must be a multiple of 4 and >= 64")
     h = TWO_PI / float(grid_n)
     dims = np.array([STRATA[name].dimension for name in STRATUM_NAMES])
-    edges: set[tuple[str, str]] = set()
+    n = len(STRATUM_NAMES)
+    keys = []  # lo * n + hi per edge, both codes into STRATUM_NAMES
     for mesh in mesh_surfaces([+1, -1], grid_n, nu5, tol):
-        codes = np.array([_CODE[name] for name in mesh.strata])
+        codes = mesh.strata.astype(np.intp)
         ends = codes[mesh.triangles]
         a, b = ends.ravel(), np.roll(ends, 1, axis=1).ravel()
         lo, hi = np.concatenate([a, b]), np.concatenate([b, a])
         up = dims[hi] == dims[lo] + 1
-        edges |= set(zip(_NAME_TABLE[lo[up]], _NAME_TABLE[hi[up]]))
+        keys.append(lo[up] * n + hi[up])
 
         on_sheet = dims[codes] == 2
         q, sheet = mesh.vertices[on_sheet], codes[on_sheet]
@@ -419,9 +476,13 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
             kept = _chord_sign_constant(q + sgn * (h / 64.0) * g, p, np.full(len(q), sgn))
             labels = classify_points(_unit_rows(p[kept]), nu5, tol).stratum
             into = dims[labels] == 3
-            edges |= set(zip(_NAME_TABLE[sheet[kept][into]], _NAME_TABLE[labels[into]]))
+            keys.append(sheet[kept][into] * n + labels[into])
 
-    return IncidenceGraph(tuple(sorted(STRATA)), frozenset(edges))
+    edges = frozenset(
+        (STRATUM_NAMES[k // n], STRATUM_NAMES[k % n])
+        for k in np.unique(np.concatenate(keys)).tolist()
+    )
+    return IncidenceGraph(tuple(sorted(STRATA)), edges)
 
 
 # -- sampling and the stability domain -----------------------------------------
@@ -514,54 +575,19 @@ class PointClasses(NamedTuple):
     kind: np.ndarray  # (n,) int8 codes into KINDS
 
 
-# A row leaves the closed-form path when a quantity that classify_point
-# compares with tol lies within _MARGIN * tol of it, when a real part lies
-# within a factor 2 of its zero threshold, or when the two eigenvalue pairs
-# lie closer than _PAIR_GAP relative to the spectrum's scale.  The quartic
-# path agrees with the closed form to 1e-13 beyond that gap.
-_MARGIN = 100.0
-_PAIR_GAP = 3e-2
 # Open-region code by 2 (stable pairs) + (nu2 > 0): V1 with no stable pair, V3
 # with two, otherwise V4 or V2 by the sign of nu2.
 _OPEN_CODES = np.array([_CODE[name] for name in ("V1", "V1", "V4", "V2", "V3", "V3")], np.int8)
 
 
-def _sample_record(p: SpherePoint, nu5: float, tol: float, zero_re_tol: float):
-    """The scalar path for one point: stratum code, config code, max real
-    part, kind."""
-    label, cfg = _label_and_config(p, nu5, tol)
-    spec = cfg.spectrum
-    thresh = zero_re_tol * (1.0 + max(abs(z) for z in spec.eigenvalues))
-    res = [z.real for z in spec.eigenvalues]
-    if all(r < -thresh for r in res):
-        kind = _STABLE
-    elif all(r > thresh for r in res):
-        kind = _UNSTABLE
-    elif any(abs(r) <= thresh for r in res):
-        kind = _CRITICAL
-    else:
-        kind = _MIXED
-    return _CODE[label.name], _CONFIG_CODE[cfg.code], spec.max_real_part, kind
-
-
-def classify_points(
-    pts,
-    nu5: float,
-    tol: float = 1e-9,
-    zero_re_tol: float = ZERO_RE_TOL_SAMPLED,
-) -> PointClasses:
+def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     """Stratum, configuration, max real part and stability kind of unit rows.
 
-    The evaluation matrix of the canonical family has the closed-form
-    spectrum t0 nu1 + i(nu5 +- t0 D) and conjugates, with
-    D = sqrt(nu3^2 + nu4^2 - nu2^2 + 2 i nu2 nu4).  Rows whose every
-    decision clears its threshold with room to spare are labelled from it
-    as whole arrays.  The others -- near a P point or a self-intersection
-    circle, near the critical surface or nu2 = 0, with nearly coincident
-    pairs, or with a real part near the label (tol) or stability
-    (zero_re_tol) threshold -- take the scalar classify_point path, so
-    every label is the one classify_point gives.  A sample is stable when
-    every real part lies below -zero_re_tol (1 + max |lambda|), critical
+    Each row gets classify_point's label, on whole arrays: critical strata
+    from the P/L/S cascade, and the configuration, max real part and open
+    region from the closed-form spectrum (_family_spectra).  Raises where
+    classify_point would raise on some row.  A sample is stable when every
+    real part lies below -ZERO_RE_TOL_SAMPLED (1 + max |lambda|), critical
     when one lies within that threshold of zero.  Strata and configurations
     come as int8 codes into STRATUM_NAMES and CONFIG_NAMES.  ValueError
     unless 1e-3 <= |nu5| <= 1e3.
@@ -571,42 +597,20 @@ def classify_points(
         raise ValueError("classify_points: tol must be positive")
     v = np.asarray(pts, dtype=float).reshape(-1, 4)
     check_unit_rows(v)
-    n1, n2, n3, n4 = v.T
-    t0 = interior_scale(nu5)
-    d = np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
-    lam = (t0 * n1)[:, None] + 1j * (nu5 + t0 * np.stack([d, -d], axis=1))
-    re, mod = lam.real, np.abs(lam)
-    scale = 1.0 + mod.max(axis=1)
+    lam, config, stable_count, max_re = _family_spectra(v, nu5, tol, CLUSTER_TOL_DEFAULT)
+    codes = _critical_strata(v, tol)
+    off = codes == _OFF_CRITICAL
+    raises = (codes == _AMBIGUOUS) | (off & (stable_count == 2) & (np.abs(v[:, 1]) <= tol))
+    if raises.any():
+        classify_point(SpherePoint(v[np.argmax(raises)]), nu5, tol)  # raises its error
+    stratum = np.where(off, _OPEN_CODES[stable_count + (v[:, 1] > 0.0)], codes).astype(np.int8)
 
-    label_tol = tol * (1.0 + mod)
-    stable_tol = zero_re_tol * scale
-    signs = np.where(np.abs(re) <= label_tol, 0, np.sign(re)).astype(int)
-    stable_count = 2 * np.sum(re < -label_tol, axis=1)
-    config = _SIGN_CODES[3 * (signs.min(axis=1) + 1) + signs.max(axis=1) + 1]
-    stratum = _OPEN_CODES[stable_count + (n2 > 0.0)]
+    re = lam.real
+    stable_tol = ZERO_RE_TOL_SAMPLED * (1.0 + np.abs(lam).max(axis=1))
     kind = np.full(len(v), _MIXED, dtype=np.int8)
     kind[np.any(np.abs(re) <= stable_tol[:, None], axis=1)] = _CRITICAL
     kind[np.all(re > stable_tol[:, None], axis=1)] = _UNSTABLE
     kind[np.all(re < -stable_tol[:, None], axis=1)] = _STABLE
-    max_re = re.max(axis=1)
-
-    near = _MARGIN * tol
-    ratio_label = np.abs(re) / label_tol
-    ratio_stable = np.abs(re) / stable_tol[:, None]
-    scalar = (
-        _near_p_points(v, near).any(axis=1)
-        | ((np.abs(n1) <= near) & ((np.abs(n2) <= near) | (np.abs(n4) <= near)))
-        | (np.abs(F_critical(v)) <= near)
-        | (np.abs(n2) <= near)
-        | (2.0 * t0 * np.abs(d) <= _PAIR_GAP * scale)
-        | (np.abs(lam.imag) <= near * (1.0 + mod)).any(axis=1)
-        | ((ratio_label >= 0.5) & (ratio_label <= 2.0)).any(axis=1)
-        | ((ratio_stable >= 0.5) & (ratio_stable <= 2.0)).any(axis=1)
-    )
-    for i in np.nonzero(scalar)[0]:
-        stratum[i], config[i], max_re[i], kind[i] = _sample_record(
-            SpherePoint(v[i]), nu5, tol, zero_re_tol
-        )
     return PointClasses(stratum, config, max_re, kind)
 
 
@@ -881,12 +885,7 @@ def _surface_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
-def stability_report(
-    samples,
-    nu5: float = 1.0,
-    tol: float = 1e-9,
-    zero_re_tol: float = ZERO_RE_TOL_SAMPLED,
-) -> StabilityReport:
+def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityReport:
     """Classify samples, flood-fill the sign regions, audit stability.
 
     samples is an (n, 4) array of unit vectors or a list of SpherePoint.
@@ -908,7 +907,7 @@ def stability_report(
             [s.nu4 if isinstance(s, SpherePoint) else s for s in samples], dtype=float
         )
     unit = _unit_rows(rows)
-    cls = classify_points(unit, nu5, tol, zero_re_tol)
+    cls = classify_points(unit, nu5, tol)
     kinds = cls.kind
 
     labels, (i, j) = _flood_components(rows, kinds, np.sign(F_critical(rows)))
@@ -942,7 +941,7 @@ class SurfaceMesh:
     vertices: np.ndarray  # (V, 4) sphere coordinates
     params: np.ndarray  # (V, 2) chart (s, t) per vertex
     triangles: np.ndarray  # (T, 3) vertex indices
-    strata: tuple[str, ...]  # per-vertex stratum name
+    strata: np.ndarray  # (V,) int8 codes into STRATUM_NAMES
 
     def euler_characteristic(self) -> int:
         """V - E + T; an edge (a, b) with a < b counts once, by its key a V + b."""
@@ -1025,9 +1024,10 @@ def mesh_surfaces(
     welded grid and its triangles (_chart_topology) are built once; every
     mesh shares one read-only params array and one read-only triangles
     array.  Per disc the chart is evaluated on the whole grid, and vertices
-    are labelled by the P/L/S cascade on the whole array; rows it leaves off
-    the critical set or ambiguous go through classify_point, which raises as
-    it would for that point.  Output is deterministic for a given input.
+    are labelled, as int8 codes into STRATUM_NAMES, by the P/L/S cascade on
+    the whole array; rows it leaves off the critical set or ambiguous go
+    through classify_point, which raises as it would for that point.  Output
+    is deterministic for a given input.
     """
     if resolution < 8:
         raise ValueError("mesh_surfaces: resolution must be >= 8")
@@ -1040,11 +1040,9 @@ def mesh_surfaces(
         vertices = param_phi_array(d, params[:, 0], params[:, 1])
         check_unit_rows(vertices)
         codes = _critical_strata(vertices, tol)
-        # a negative code picks a name from the end; those rows are replaced
-        strata = _NAME_TABLE[codes].tolist()
         for k in np.flatnonzero(codes < 0):
-            strata[k] = classify_point(SpherePoint(vertices[k], d), nu5, tol).name
-        meshes.append(SurfaceMesh(d, vertices, params, tris, tuple(strata)))
+            codes[k] = _CODE[classify_point(SpherePoint(vertices[k], d), nu5, tol).name]
+        meshes.append(SurfaceMesh(d, vertices, params, tris, codes.astype(np.int8)))
     return tuple(meshes)
 
 

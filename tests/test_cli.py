@@ -13,7 +13,12 @@ import resonance_atlas
 from resonance_atlas import algebra, cli, linalg, spectra, stratification
 from resonance_atlas.cli import _build_parser, _json_float, main
 from resonance_atlas.geometry import F_critical, P_POINTS, param_phi
-from resonance_atlas.stratification import mesh_surface, sphere_samples, stability_report
+from resonance_atlas.stratification import (
+    STRATUM_NAMES,
+    mesh_surface,
+    sphere_samples,
+    stability_report,
+)
 
 import oracles
 
@@ -280,7 +285,8 @@ def _reference_csv(meshes) -> str:
         for idx, row in enumerate(mesh.vertices):
             values = list(row) + list(mesh.params[idx])
             writer.writerow(["vertex", mesh.disc, idx, "", ""]
-                            + ["%.17g" % float(x) for x in values] + [mesh.strata[idx]])
+                            + ["%.17g" % float(x) for x in values]
+                            + [STRATUM_NAMES[mesh.strata[idx]]])
         for tri in mesh.triangles:
             writer.writerow(["face", mesh.disc] + [int(v) for v in tri] + [""] * 6)
     return buf.getvalue()
@@ -502,12 +508,16 @@ def _classify_json(capsys, coords):
     ],
 )
 def test_classify_computes_one_spectrum(coords, count_calls, capsys):
-    """Label, config, max real part and eigenvalues all come from one
-    spectrum and one characteristic polynomial."""
+    """Label, config, max real part and eigenvalues all come from the one
+    closed-form spectrum: no general spectrum and no characteristic
+    polynomial.  The two pairs coincide where nu4 = 0 and nu2^2 = nu3^2
+    (the axis, P1), and only there one annihilator-rank test runs."""
     spectra_calls = count_calls(spectra.spectrum)
     poly_calls = count_calls(linalg.char_poly)
+    rank_calls = count_calls(spectra._pair_is_semisimple)
     assert _classify_json(capsys, coords)["eigenvalues"]
-    assert (spectra_calls[0], poly_calls[0]) == (1, 1)
+    coincident = coords[3] == 0.0 and coords[1] ** 2 == coords[2] ** 2
+    assert (spectra_calls[0], poly_calls[0], rank_calls[0]) == (0, 0, int(coincident))
 
 
 def test_classify_coincident_pairs_are_exact(capsys):

@@ -1,10 +1,11 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from resonance_atlas import linalg, spectra, stratification
-from resonance_atlas.errors import AmbiguousStratum
+from resonance_atlas.errors import AmbiguousStratum, ResonanceAtlasError
 from resonance_atlas.geometry import (
     P_POINTS,
     F_critical,
@@ -13,7 +14,13 @@ from resonance_atlas.geometry import (
     param_phi_array,
     unit_point,
 )
-from resonance_atlas.spectra import CONFIG_NAMES, ZERO_RE_TOL_SAMPLED, spectrum
+from resonance_atlas.linalg import CLUSTER_TOL_DEFAULT
+from resonance_atlas.spectra import (
+    CONFIG_NAMES,
+    ZERO_RE_TOL_SAMPLED,
+    classify_configuration,
+    spectrum,
+)
 from resonance_atlas.stratification import (
     KINDS,
     STRATA,
@@ -23,6 +30,7 @@ from resonance_atlas.stratification import (
     _chord_sign_constant,
     _critical_stratum,
     _critical_strata,
+    _label_and_config,
     build_incidence,
     classify_point,
     classify_points,
@@ -39,6 +47,7 @@ from resonance_atlas.stratification import (
 import oracles
 from expected_values import (
     INCIDENCE_EDGES,
+    MAX_REAL_PART_SEED42,
     REGION_SHEETS,
     REPRESENTATIVES,
     STRATUM_CONFIGS,
@@ -153,6 +162,21 @@ def test_classify_ambiguous_on_sheet_with_tiny_nu1():
         classify_point(p, 1.0)
 
 
+def test_classify_points_raises_where_classify_point_does():
+    """A batch holding one ambiguous row raises classify_point's error on it."""
+    theta = math.pi / 4.0 + 1.8e-9
+    for coords in (
+        [0.0, math.cos(theta), math.sin(theta), 0.0],
+        [0.0, 1e-5, math.sqrt(1.0 - 2e-10), 1e-5],
+    ):
+        p = unit_point(coords)
+        with pytest.raises(AmbiguousStratum) as want:
+            classify_point(p, 1.0)
+        with pytest.raises(AmbiguousStratum) as got:
+            classify_points(np.vstack([sphere_samples(100, 0), p.nu4]), 1.0)
+        assert str(got.value) == str(want.value)
+
+
 # -- sampling ------------------------------------------------------------------
 
 
@@ -251,17 +275,97 @@ def test_classify_points_matches_scalar_path(nu5):
     assert np.max(np.abs(got.max_real_part - [w[2] for w in want])) <= 1e-13
 
 
-def test_classify_points_one_spectrum_per_scalar_row(count_calls):
-    """A row that leaves the closed form costs one spectrum and one
-    characteristic polynomial, shared by its stratum, config and kind."""
-    rows = count_calls(stratification._sample_record)
+@pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0])
+def test_classify_points_rows_equal_one_row_calls(nu5):
+    """Every classify_points row is, bit for bit, the one-row
+    _label_and_config call on it: stratum, config and max real part."""
+    reps = np.array([p.nu4 for p, _ in representatives().values()])
+    axis = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    sheets = _near_sheet_points(np.random.default_rng(11), 40)
+    pts = np.vstack([sphere_samples(10_000, 42), reps, axis, sheets])
+    got = classify_points(pts, nu5)
+    want = [_label_and_config(SpherePoint(v), nu5, 1e-9) for v in pts]
+    assert [STRATUM_NAMES[k] for k in got.stratum] == [label.name for label, _ in want]
+    assert [CONFIG_NAMES[k] for k in got.config] == [cfg.code for _, cfg in want]
+    want_max = np.array([cfg.spectrum.max_real_part for _, cfg in want])
+    assert np.array_equal(got.max_real_part.view(np.int64), want_max.view(np.int64))
+
+
+def _stress_points():
+    """20k samples, the representatives, the axis, 3000 Gaussian rows, rows
+    (+-1, e, e, e) next to the axis and rows 1e-10..1e-4 off the P points."""
+    rng = np.random.default_rng(5)
+    near_axis = [[s, e, e, e] for e in 10.0 ** -np.arange(1, 13) for s in (1.0, -1.0)]
+    near_p = [
+        np.array(p) + 10.0**-k * d / np.linalg.norm(d)
+        for p in P_POINTS.values()
+        for k in range(4, 11)
+        for d in rng.standard_normal((3, 4))
+    ]
+    rows = np.vstack(
+        [
+            sphere_samples(20_000, 42),
+            [p.nu4 for p, _ in representatives().values()],
+            [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]],
+            rng.standard_normal((3000, 4)),
+            near_axis,
+            near_p,
+        ]
+    )
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
+def test_closed_form_configuration_matches_general_path(nu5):
+    """The closed-form spectrum gives the configuration and stable count of
+    the general path (char_poly, quartic_roots, clustering) on the
+    evaluation matrix; where the general path raises, the closed form
+    raises the same exception class."""
+    pts = _stress_points()
+    want = []
+    for v in pts:
+        try:
+            cfg = classify_configuration(evaluation_matrix(SpherePoint(v), nu5), 1e-9)
+            want.append((cfg.code, cfg.stable_count))
+        except ResonanceAtlasError as exc:
+            want.append(type(exc))
+
+    def closed_form(rows):
+        _, config, stable, _ = stratification._family_spectra(
+            rows, nu5, 1e-9, CLUSTER_TOL_DEFAULT
+        )
+        return [(CONFIG_NAMES[c], s) for c, s in zip(config.tolist(), stable.tolist())]
+
+    raised = np.array([isinstance(w, type) for w in want])
+    assert 0 < raised.sum() < 10
+    assert closed_form(pts[~raised]) == [w for w in want if not isinstance(w, type)]
+    for v, err in zip(pts[raised], [w for w in want if isinstance(w, type)]):
+        with pytest.raises(err):
+            closed_form(v[None, :])
+
+
+def test_max_real_part_against_fifty_digit_closed_form():
+    """On the rows of sphere_samples(100000, 42) whose max real part once
+    came from the quartic, the closed form is within 2.3e-16 of its value in
+    50-digit arithmetic."""
+    got = classify_points(stratification._unit_rows(sphere_samples(100_000, 42)), 1.0)
+    for row, want in MAX_REAL_PART_SEED42.items():
+        err = abs(Decimal(float(got.max_real_part[row])) - Decimal(want))
+        assert err <= Decimal("2.3e-16"), (row, err)
+
+
+def test_classify_points_rank_test_once_per_coincident_row(count_calls):
+    """Every row is read from the closed-form spectrum: no general spectrum
+    and no characteristic polynomial.  One annihilator-rank test runs per
+    row whose two pairs coincide (P1..P4 and the two axis points), and none
+    on any other row."""
     spectra_calls = count_calls(spectra.spectrum)
     poly_calls = count_calls(linalg.char_poly)
+    rank_calls = count_calls(spectra._pair_is_semisimple)
     reps = np.array([p.nu4 for p, _ in representatives().values()])
     axis = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
     classify_points(np.vstack([sphere_samples(500, 3), reps, axis]), 1.0)
-    assert rows[0] > len(axis)
-    assert spectra_calls[0] == poly_calls[0] == rows[0]
+    assert (spectra_calls[0], poly_calls[0], rank_calls[0]) == (0, 0, 4 + len(axis))
 
 
 def test_classify_points_validation():
@@ -734,8 +838,8 @@ def test_mesh_surface_basic_integrity():
     assert mesh.triangles.min() >= 0 and mesh.triangles.max() < V
     for tri in mesh.triangles:
         assert len(set(int(i) for i in tri)) == 3
-    assert len(mesh.strata) == V
-    assert set(mesh.strata) <= set(STRATA)
+    assert mesh.strata.dtype == np.int8 and len(mesh.strata) == V
+    assert set(mesh.strata.tolist()) <= set(range(len(STRATUM_NAMES)))
     assert len(mesh.params) == V
 
 
@@ -752,12 +856,17 @@ def test_mesh_surface_welds():
     assert np.all(ts[on_mirror] <= math.pi + 1e-15)
 
 
+def _names(strata):
+    """The stratum names of a mesh's int8 codes."""
+    return tuple(STRATUM_NAMES[k] for k in strata.tolist())
+
+
 def test_mesh_surface_contains_distinguished_points():
-    plus = mesh_surface(+1, 16)
-    minus = mesh_surface(-1, 16)
-    assert {"P1", "P2", "P5", "L5", "L6"} <= set(plus.strata)
-    assert {"P3", "P4", "P6", "L5", "L6"} <= set(minus.strata)
-    assert {"S1", "S2", "S3", "S4"} <= set(plus.strata)
+    plus = _names(mesh_surface(+1, 16).strata)
+    minus = _names(mesh_surface(-1, 16).strata)
+    assert {"P1", "P2", "P5", "L5", "L6"} <= set(plus)
+    assert {"P3", "P4", "P6", "L5", "L6"} <= set(minus)
+    assert {"S1", "S2", "S3", "S4"} <= set(plus)
 
 
 @pytest.mark.parametrize("res", [8, 16, 128])
@@ -784,7 +893,7 @@ def test_mesh_matches_reference_mesher(res):
             assert np.array_equal(mesh.vertices.view(np.int64), vertices.view(np.int64))
             assert np.array_equal(mesh.params.view(np.int64), params.view(np.int64))
             assert np.array_equal(mesh.triangles, triangles)
-            assert mesh.strata == strata
+            assert _names(mesh.strata) == strata
 
 
 def test_mesh_surfaces_share_read_only_topology():
@@ -811,7 +920,7 @@ def test_mesh_fallback_rows_match_reference_mesher(res, tol):
             return str(exc)
 
     want = outcome(lambda: oracles.mesh_surface_reference(+1, res, 1.0, tol)[3])
-    got = outcome(lambda: mesh_surface(+1, res, 1.0, tol).strata)
+    got = outcome(lambda: _names(mesh_surface(+1, res, 1.0, tol).strata))
     assert got == want
 
 
