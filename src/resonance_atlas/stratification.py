@@ -194,64 +194,119 @@ _P_ARRAY = np.array([P_POINTS[name] for name in _P_NAMES])
 def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabel:
     """Assign a sphere point to its stratum.
 
-    Cascade: exact P points first; then the two self-intersection loci --
-    the great circle nu1 = nu2 = 0 split by sign nu4 into L5/L6, and the
-    circle nu1 = nu4 = 0 with nu2^2 < nu3^2 split into L1..L4 by the
-    signs of nu2 and nu3 (its nu2^2 > nu3^2 remainder carries the mixed
-    configuration and is grouped with V2/V4); then the sheets via
-    |F| <= tol, labelled by the (nu1, nu2) sign quadrant; otherwise an
-    open region via the count of stable eigenvalues of the closed-form
-    spectrum.  Matches that leave the label undetermined at this tol raise
-    AmbiguousStratum.
+    The first rule of _cascade that holds gives the critical stratum;
+    otherwise _open_rules reads the open region from the count of stable
+    eigenvalues of the closed-form spectrum.  Matches that leave the label
+    undetermined at this tol raise AmbiguousStratum.
     """
     if nu5 == 0.0:
         raise ValueError("classify_point: nu5 must be nonzero")
     if tol <= 0.0:
         raise ValueError("classify_point: tol must be positive")
-    label = _critical_stratum(p.nu4, tol)
-    if label is None:
+    code = _critical_stratum(p.nu4, tol)
+    if code == _OFF_CRITICAL:
         stable_count = _family_spectra(p.nu4[None, :], nu5, tol, CLUSTER_TOL_DEFAULT)[2]
-        label = _open_region(p.nu4, int(stable_count[0]), tol)
-    return label
+        code = _row_code(_open_rules(int(stable_count[0]), p.nu4[1], tol), _OPEN_WHY)
+    return STRATA[STRATUM_NAMES[code]]
 
 
-def _critical_stratum(v: np.ndarray, tol: float) -> StratumLabel | None:
-    """The P/L/S part of classify_point's cascade; None off the critical set."""
-    n1, n2, n3, n4 = (float(c) for c in v)
+_CODE = {name: k for k, name in enumerate(STRATUM_NAMES)}
+_P_CODES = np.array([_CODE[name] for name in _P_NAMES])
+_OFF_CRITICAL = -1  # no rule holds
+_AMBIGUOUS = -2  # the label is undetermined at this tol
+# Sheet code by 2 (nu1 > 0) + (nu2 > 0).
+_SHEET_CODES = np.array([_CODE[name] for name in ("S2", "S3", "S4", "S1")])
 
-    hits = np.nonzero(np.abs(v - _P_ARRAY).max(axis=1) <= tol)[0]
-    if len(hits):
-        return STRATA[_P_NAMES[hits[0]]]
 
-    on_circle_12 = abs(n1) <= tol and abs(n2) <= tol  # nu1 = nu2 = 0
-    on_circle_14 = abs(n1) <= tol and abs(n4) <= tol  # nu1 = nu4 = 0
-    if on_circle_12 and on_circle_14:
-        raise AmbiguousStratum("point sits within tol of both self-intersection loci")
-    if on_circle_12:
-        return STRATA["L5"] if n4 > 0.0 else STRATA["L6"]
-    if on_circle_14:
-        margin = n2 * n2 - n3 * n3
-        if abs(margin) <= 4.0 * tol:
-            raise AmbiguousStratum(
-                "point sits within tol of a pinch point without matching it"
-            )
-        if margin < 0.0:
-            if n3 > 0.0:
-                return STRATA["L1"] if n2 > 0.0 else STRATA["L2"]
-            return STRATA["L3"] if n2 > 0.0 else STRATA["L4"]
-        # past the pinch points the circle carries the mixed configuration
-        return STRATA["V2"] if n2 > 0.0 else STRATA["V4"]
+def _cascade(n1, n2, n3, n4, F, p_code, tol):
+    """The P/L/S rules as eight ordered (test, code) pairs; the first test
+    that holds on a row gives its code, _OFF_CRITICAL if none does.
 
-    F = float(F_critical(v))
-    if abs(F) <= tol and abs(n2) * math.sqrt(2.0) <= 1.0 + tol:
-        if abs(n1) <= tol or abs(n2) <= tol:
-            raise AmbiguousStratum(
-                "on the critical surface but the sign quadrant is not resolved"
-            )
-        if n1 > 0.0:
-            return STRATA["S1"] if n2 > 0.0 else STRATA["S4"]
-        return STRATA["S3"] if n2 > 0.0 else STRATA["S2"]
-    return None
+    Exact P points first (p_code: the code of the first P point within tol
+    in every coordinate, else _OFF_CRITICAL); then the two
+    self-intersection loci -- the great circle nu1 = nu2 = 0 split by sign
+    nu4 into L5/L6, and the circle nu1 = nu4 = 0 with nu2^2 < nu3^2 split
+    into L1..L4 by the signs of nu2 and nu3 (its nu2^2 > nu3^2 remainder
+    carries the mixed configuration and is grouped with V2/V4); then the
+    sheets via |F| <= tol, labelled by the (nu1, nu2) sign quadrant.  A
+    match that leaves the label undetermined at this tol gives _AMBIGUOUS.
+    Tests and codes use only abs, &, |, comparisons, int arithmetic on the
+    order of STRATUM_NAMES and a table lookup, so the arguments may be
+    Python floats of one row or (n,) columns.
+    """
+    near_n1 = abs(n1) <= tol
+    on_circle_12 = near_n1 & (abs(n2) <= tol)  # nu1 = nu2 = 0
+    on_circle_14 = near_n1 & (abs(n4) <= tol)  # nu1 = nu4 = 0
+    margin = n2 * n2 - n3 * n3
+    on_sheet = (abs(F) <= tol) & (abs(n2) * math.sqrt(2.0) <= 1.0 + tol)
+    up = n2 > 0.0
+    return (
+        (p_code >= 0, p_code),
+        (on_circle_12 & on_circle_14, _AMBIGUOUS),
+        (on_circle_12, _CODE["L6"] - (n4 > 0.0)),
+        (on_circle_14 & (abs(margin) <= 4.0 * tol), _AMBIGUOUS),
+        (on_circle_14 & (margin < 0.0), _CODE["L4"] - up - 2 * (n3 > 0.0)),
+        (on_circle_14, _CODE["V4"] - 2 * up),
+        (on_sheet & (near_n1 | (abs(n2) <= tol)), _AMBIGUOUS),
+        (on_sheet, _SHEET_CODES[2 * (n1 > 0.0) + up]),
+    )
+
+
+# Why each _AMBIGUOUS rule, by its position in the table, leaves the label open.
+_CASCADE_WHY = {
+    1: "point sits within tol of both self-intersection loci",
+    3: "point sits within tol of a pinch point without matching it",
+    6: "on the critical surface but the sign quadrant is not resolved",
+}
+
+
+def _open_rules(stable_count, n2, tol):
+    """The open region of a row off the critical set, from its count of
+    stable eigenvalues, as ordered (test, code) pairs like _cascade's: V3
+    with four, V1 with none; a mixed row is V2 or V4 by the sign of nu2,
+    _AMBIGUOUS where |nu2| <= tol.  One row or (n,) columns."""
+    return (
+        (stable_count == 4, _CODE["V3"]),
+        (stable_count == 0, _CODE["V1"]),
+        (abs(n2) <= tol, _AMBIGUOUS),
+        (n2 > 0.0, _CODE["V2"]),
+        (n2 <= 0.0, _CODE["V4"]),
+    )
+
+
+_OPEN_WHY = {2: "mixed configuration with unresolved sign of nu2"}
+
+
+def _row_code(rules, why: dict[int, str]) -> int:
+    """The one-row evaluator of a rule table: the code of the first test
+    that holds, _OFF_CRITICAL if none; a hit on rule k with code
+    _AMBIGUOUS raises AmbiguousStratum(why[k])."""
+    for k, (test, code) in enumerate(rules):
+        if test:
+            if code == _AMBIGUOUS:
+                raise AmbiguousStratum(why[k])
+            return code
+    return _OFF_CRITICAL
+
+
+def _column_codes(rules) -> np.ndarray:
+    """The column evaluator of a rule table: np.select over its pairs,
+    _OFF_CRITICAL where no test holds."""
+    tests, codes = zip(*rules)
+    return np.select(tests, codes, _OFF_CRITICAL)
+
+
+def _critical_stratum(v: np.ndarray, tol: float) -> int:
+    """_cascade on one row (4,), on Python floats: the P test compares
+    them as _near_p_points does, and an ambiguous row raises."""
+    n1, n2, n3, n4 = v.tolist()
+    p_code = _OFF_CRITICAL
+    if abs(n1) <= tol and abs(n4) <= tol:  # every P point has nu1 = nu4 = 0
+        for name, (_, a, b, _) in P_POINTS.items():
+            if abs(n2 - a) <= tol and abs(n3 - b) <= tol:
+                p_code = _CODE[name]
+                break
+    return _row_code(_cascade(n1, n2, n3, n4, F_critical(v), p_code, tol), _CASCADE_WHY)
 
 
 def _near_p_points(v: np.ndarray, tol: float) -> np.ndarray:
@@ -268,67 +323,14 @@ def _near_p_points(v: np.ndarray, tol: float) -> np.ndarray:
     return hits
 
 
-_CODE = {name: k for k, name in enumerate(STRATUM_NAMES)}
-_P_CODES = np.array([_CODE[name] for name in _P_NAMES])
-_OFF_CRITICAL = -1  # _critical_stratum returns None
-_AMBIGUOUS = -2  # _critical_stratum raises AmbiguousStratum
-
-
 def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
-    """_critical_stratum on every row of an (n, 4) array.
-
-    One int code per row: an index into STRATUM_NAMES, _OFF_CRITICAL off
-    the critical set, or _AMBIGUOUS where the scalar cascade raises.  The
-    tests apply in the scalar cascade's order, so each row's code is the
-    first that matches there.
-    """
-    n1, n2, n3, n4 = v.T
-    p_hits = _near_p_points(v, tol)
-    near_n1 = np.abs(n1) <= tol
-    on_circle_12 = near_n1 & (np.abs(n2) <= tol)
-    on_circle_14 = near_n1 & (np.abs(n4) <= tol)
-    margin = n2 * n2 - n3 * n3
-    on_sheet = (np.abs(F_critical(v)) <= tol) & (np.abs(n2) * math.sqrt(2.0) <= 1.0 + tol)
-    up = n2 > 0.0
-
-    def pick(name_up, name_down):
-        return np.where(up, _CODE[name_up], _CODE[name_down])
-
-    return np.select(
-        [
-            p_hits.any(axis=1),
-            on_circle_12 & on_circle_14,
-            on_circle_12,
-            on_circle_14 & (np.abs(margin) <= 4.0 * tol),
-            on_circle_14 & (margin < 0.0),
-            on_circle_14,
-            on_sheet & (near_n1 | (np.abs(n2) <= tol)),
-            on_sheet,
-        ],
-        [
-            _P_CODES[p_hits.argmax(axis=1)],
-            _AMBIGUOUS,
-            np.where(n4 > 0.0, _CODE["L5"], _CODE["L6"]),
-            _AMBIGUOUS,
-            np.where(n3 > 0.0, pick("L1", "L2"), pick("L3", "L4")),
-            pick("V2", "V4"),
-            _AMBIGUOUS,
-            np.where(n1 > 0.0, pick("S1", "S4"), pick("S3", "S2")),
-        ],
-        _OFF_CRITICAL,
-    )
-
-
-def _open_region(v: np.ndarray, stable_count: int, tol: float) -> StratumLabel:
-    """The open region of a point off the critical set, from its count of
-    stable eigenvalues."""
-    if stable_count == 4:
-        return STRATA["V3"]
-    if stable_count == 0:
-        return STRATA["V1"]
-    if abs(v[1]) <= tol:
-        raise AmbiguousStratum("mixed configuration with unresolved sign of nu2")
-    return STRATA["V2"] if v[1] > 0.0 else STRATA["V4"]
+    """_cascade on every row of an (n, 4) array: one int code per row, an
+    index into STRATUM_NAMES, _OFF_CRITICAL or _AMBIGUOUS."""
+    hits = _near_p_points(v, tol)
+    near = np.flatnonzero(hits) // len(_P_NAMES)  # a row once per P point it is near
+    p_code = np.full(len(v), _OFF_CRITICAL)
+    p_code[near] = _P_CODES[hits[near].argmax(axis=1)]
+    return _column_codes(_cascade(*v.T, F_critical(v), p_code, tol))
 
 
 def _family_spectra(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
@@ -377,10 +379,10 @@ def _label_and_config(
 
     The P/L/S cascade runs first and raises as classify_point does; the
     spectrum is the closed form of _family_spectra on one row, its four
-    eigenvalues sorted by (imag, real) as quartic_roots returns them, and an
-    open-region label is read from its stable count.
+    eigenvalues sorted by (imag, real) as quartic_roots returns them, and
+    _open_rules reads an open region from its stable count.
     """
-    label = _critical_stratum(p.nu4, tol)
+    stratum = _critical_stratum(p.nu4, tol)
     lam, config, stable_count, max_re = _family_spectra(p.nu4[None, :], nu5, tol, cluster_tol)
     w, w2 = lam[0].tolist()
     roots = sorted([w, w2, w.conjugate(), w2.conjugate()], key=lambda z: (z.imag, z.real))
@@ -389,9 +391,9 @@ def _label_and_config(
     pair = (-2.0 * w.real, abs(w) ** 2) if w == w2 else None
     clusters = _cluster_indices(roots, cluster_tol)
     spec = Spectrum(tuple(roots), clusters, float(max_re[0]), flag, pair)
-    if label is None:
-        label = _open_region(p.nu4, count, tol)
-    return label, EigConfig(code, count, spec)
+    if stratum == _OFF_CRITICAL:
+        stratum = _row_code(_open_rules(count, p.nu4[1], tol), _OPEN_WHY)
+    return STRATA[STRATUM_NAMES[stratum]], EigConfig(code, count, spec)
 
 
 # -- incidence -----------------------------------------------------------------
@@ -425,19 +427,17 @@ def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
     """The stratum names classify_point gives the rows of points, each
     divided by its norm, without the ambiguous ones, on whole arrays.
 
-    The P/L/S cascade labels the critical rows and marks the ambiguous ones,
-    which are dropped; only rows off the critical set take classify_point.
+    The P/L/S cascade labels the critical rows; the rows off the critical
+    set take the closed-form spectrum and the open rule.  Rows either rule
+    leaves _AMBIGUOUS are dropped.
     """
     unit = _unit_rows(points)
     check_unit_rows(unit)
     codes = _critical_strata(unit, tol)
-    found = {STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist()}
-    for k in np.flatnonzero(codes == _OFF_CRITICAL):
-        try:
-            found.add(classify_point(SpherePoint(unit[k]), nu5, tol).name)
-        except AmbiguousStratum:
-            pass
-    return frozenset(found)
+    off = unit[codes == _OFF_CRITICAL]
+    stable_count = _family_spectra(off, nu5, tol, CLUSTER_TOL_DEFAULT)[2]
+    codes = np.concatenate([codes, _column_codes(_open_rules(stable_count, off[:, 1], tol))])
+    return frozenset(STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist())
 
 
 def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> IncidenceGraph:
@@ -575,11 +575,6 @@ class PointClasses(NamedTuple):
     kind: np.ndarray  # (n,) int8 codes into KINDS
 
 
-# Open-region code by 2 (stable pairs) + (nu2 > 0): V1 with no stable pair, V3
-# with two, otherwise V4 or V2 by the sign of nu2.
-_OPEN_CODES = np.array([_CODE[name] for name in ("V1", "V1", "V4", "V2", "V3", "V3")], np.int8)
-
-
 def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     """Stratum, configuration, max real part and stability kind of unit rows.
 
@@ -598,12 +593,12 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     v = np.asarray(pts, dtype=float).reshape(-1, 4)
     check_unit_rows(v)
     lam, config, stable_count, max_re = _family_spectra(v, nu5, tol, CLUSTER_TOL_DEFAULT)
-    codes = _critical_strata(v, tol)
-    off = codes == _OFF_CRITICAL
-    raises = (codes == _AMBIGUOUS) | (off & (stable_count == 2) & (np.abs(v[:, 1]) <= tol))
+    stratum = _critical_strata(v, tol)
+    open_ = _column_codes(_open_rules(stable_count, v[:, 1], tol))
+    stratum = np.where(stratum == _OFF_CRITICAL, open_, stratum)
+    raises = stratum == _AMBIGUOUS
     if raises.any():
         classify_point(SpherePoint(v[np.argmax(raises)]), nu5, tol)  # raises its error
-    stratum = np.where(off, _OPEN_CODES[stable_count + (v[:, 1] > 0.0)], codes).astype(np.int8)
 
     re = lam.real
     stable_tol = ZERO_RE_TOL_SAMPLED * (1.0 + np.abs(lam).max(axis=1))
@@ -611,7 +606,7 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     kind[np.any(np.abs(re) <= stable_tol[:, None], axis=1)] = _CRITICAL
     kind[np.all(re > stable_tol[:, None], axis=1)] = _UNSTABLE
     kind[np.all(re < -stable_tol[:, None], axis=1)] = _STABLE
-    return PointClasses(stratum, config, max_re, kind)
+    return PointClasses(stratum.astype(np.int8), config, max_re, kind)
 
 
 _CHORD_NODES = np.linspace(0.0, 1.0, 5)
@@ -896,8 +891,8 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
     (never one that meets F = 0).  Boundary strata of the stable region are
     read at the first crossing of F = 0 on each stable-to-mixed pair that
     the flood fill queried.  The report keeps one row per sample in arrays,
-    strata and configurations as int8 codes; non-finite rows, and nu5
-    outside 1e-3 <= |nu5| <= 1e3, raise ValueError.
+    strata and configurations as int8 codes; no samples, non-finite rows,
+    and nu5 outside 1e-3 <= |nu5| <= 1e3 raise ValueError.
     """
     _check_nu5(nu5, "stability_report")
     if isinstance(samples, np.ndarray):
@@ -906,6 +901,8 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
         rows = np.array(
             [s.nu4 if isinstance(s, SpherePoint) else s for s in samples], dtype=float
         )
+    if not len(rows):
+        raise ValueError("stability_report: samples must not be empty")
     unit = _unit_rows(rows)
     cls = classify_points(unit, nu5, tol)
     kinds = cls.kind

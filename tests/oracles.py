@@ -223,6 +223,53 @@ def near_p_points_reference(v, p_points, tol: float) -> np.ndarray:
     return hits
 
 
+def critical_stratum_reference(v, tol: float):
+    """The P/L/S cascade on one row as a hand-written if chain: the stratum
+    name, None off the critical set, or AmbiguousStratum where the label
+    is undetermined at this tol."""
+    import math
+
+    from resonance_atlas.errors import AmbiguousStratum
+    from resonance_atlas.geometry import P_POINTS, F_critical
+
+    n1, n2, n3, n4 = (float(c) for c in v)
+
+    p_array = np.array(list(P_POINTS.values()))
+    hits = np.nonzero(np.abs(v - p_array).max(axis=1) <= tol)[0]
+    if len(hits):
+        return list(P_POINTS)[hits[0]]
+
+    on_circle_12 = abs(n1) <= tol and abs(n2) <= tol  # nu1 = nu2 = 0
+    on_circle_14 = abs(n1) <= tol and abs(n4) <= tol  # nu1 = nu4 = 0
+    if on_circle_12 and on_circle_14:
+        raise AmbiguousStratum("point sits within tol of both self-intersection loci")
+    if on_circle_12:
+        return "L5" if n4 > 0.0 else "L6"
+    if on_circle_14:
+        margin = n2 * n2 - n3 * n3
+        if abs(margin) <= 4.0 * tol:
+            raise AmbiguousStratum(
+                "point sits within tol of a pinch point without matching it"
+            )
+        if margin < 0.0:
+            if n3 > 0.0:
+                return "L1" if n2 > 0.0 else "L2"
+            return "L3" if n2 > 0.0 else "L4"
+        # past the pinch points the circle carries the mixed configuration
+        return "V2" if n2 > 0.0 else "V4"
+
+    F = float(F_critical(v))
+    if abs(F) <= tol and abs(n2) * math.sqrt(2.0) <= 1.0 + tol:
+        if abs(n1) <= tol or abs(n2) <= tol:
+            raise AmbiguousStratum(
+                "on the critical surface but the sign quadrant is not resolved"
+            )
+        if n1 > 0.0:
+            return "S1" if n2 > 0.0 else "S4"
+        return "S3" if n2 > 0.0 else "S2"
+    return None
+
+
 def chord_points_reference(a, b, t) -> np.ndarray:
     """(1 - t) a + t b for rows a, b of shape (m, 4) and t of shape (m, k),
     as an (m, k, 4) array."""

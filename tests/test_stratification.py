@@ -201,6 +201,12 @@ def test_sphere_samples_rejects_bad_n():
         sphere_samples(0, 1)
 
 
+@pytest.mark.parametrize("samples", [np.zeros((0, 4)), []])
+def test_stability_report_rejects_empty_samples(samples):
+    with pytest.raises(ValueError, match="stability_report: samples must not be empty"):
+        stability_report(samples)
+
+
 def test_stability_report_small_run():
     """600 samples resolve the component structure already."""
     pts = sphere_samples(600, 42)
@@ -766,8 +772,8 @@ def test_boundary_probes_match_scalar_probes(seed):
 
 
 def test_boundary_probes_drop_ambiguous_rows(count_calls):
-    """Ambiguous rows are dropped as oracles.probe_classify drops them;
-    only the row off the critical set goes through classify_point.  (At
+    """Ambiguous rows are dropped as oracles.probe_classify drops them,
+    and no row goes through classify_point.  (At
     this tol a unit row within tol of both self-intersection circles is
     within tol of P5 or P6, so the ambiguous rows here are a pinch margin
     and an unresolved sheet quadrant.)"""
@@ -781,7 +787,7 @@ def test_boundary_probes_drop_ambiguous_rows(count_calls):
     ]
     calls = count_calls(stratification.classify_point)
     got = stratification._probe_strata(rows, 1.0, 1e-9)
-    assert calls[0] == 1
+    assert calls[0] == 0
     assert got == {"V3", "S2"}
     assert got == {oracles.probe_classify(q, 1.0, 1e-9) for q in rows} - {None}
 
@@ -934,18 +940,23 @@ def test_mesh_labels_without_scalar_calls(count_calls):
     assert (classify_calls[0], chart_calls[0]) == (0, 0)
 
 
-def _scalar_codes(rows, tol):
-    codes = []
+def _outcomes(label, rows, tol):
+    """(code, message) per row of label(row, tol), which returns a code into
+    STRATUM_NAMES, a stratum name or None: the code, or _OFF_CRITICAL for
+    None, with no message; or _AMBIGUOUS and the AmbiguousStratum message."""
+    out = []
     for row in rows:
         try:
-            label = _critical_stratum(row, tol)
-        except AmbiguousStratum:
-            codes.append(stratification._AMBIGUOUS)
+            got = label(row, tol)
+        except AmbiguousStratum as exc:
+            out.append((stratification._AMBIGUOUS, str(exc)))
             continue
-        codes.append(
-            stratification._OFF_CRITICAL if label is None else list(STRATA).index(label.name)
-        )
-    return np.array(codes)
+        if got is None:
+            got = stratification._OFF_CRITICAL
+        elif isinstance(got, str):
+            got = STRATUM_NAMES.index(got)
+        out.append((int(got), None))
+    return out
 
 
 def _cascade_probe_rows(rng, tol):
@@ -987,17 +998,46 @@ def _cascade_probe_rows(rng, tol):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_critical_strata_matches_scalar_cascade(rng, tol):
-    """Row by row the array cascade gives the scalar cascade's stratum, its
-    None, and 'ambiguous' exactly where the scalar cascade raises."""
+    """Row by row both evaluators of the rule table give the hand-written
+    cascade's stratum and its None, and 'ambiguous' exactly where it
+    raises; the one-row evaluator raises with the same message."""
     rows = _cascade_probe_rows(rng, tol)
-    want = _scalar_codes(rows, tol)
-    got = _critical_strata(rows, tol)
-    assert np.array_equal(got, want)
-    # every branch of the cascade is exercised
-    names = {list(STRATA)[k][0] for k in want[want >= 0]}
+    want = _outcomes(oracles.critical_stratum_reference, rows, tol)
+    assert _outcomes(_critical_stratum, rows, tol) == want
+    codes = np.array([code for code, _ in want])
+    assert np.array_equal(_critical_strata(rows, tol), codes)
+    # every branch of the cascade is exercised, every ambiguous rule included
+    names = {STRATUM_NAMES[k][0] for k in codes[codes >= 0]}
     assert names == {"P", "L", "S", "V"}
-    assert (want == stratification._AMBIGUOUS).sum() > 50
-    assert (want == stratification._OFF_CRITICAL).sum() > 1000
+    assert len({why for _, why in want} - {None}) == 3
+    assert (codes == stratification._AMBIGUOUS).sum() > 50
+    assert (codes == stratification._OFF_CRITICAL).sum() > 1000
+
+
+def test_open_rules_row_and_column_evaluators_agree():
+    """V3 with four stable eigenvalues, V1 with none; a mixed row is V2 or V4
+    by the sign of nu2 and ambiguous within tol of nu2 = 0, where the
+    one-row evaluator raises."""
+    tol = 1e-9
+    counts, n2 = np.meshgrid([0, 2, 4], [-1.0, -tol, -0.0, 0.5 * tol, tol, 2.0 * tol, 0.3])
+    counts, n2 = counts.ravel(), n2.ravel()
+    want = []
+    for c, x in zip(counts.tolist(), n2.tolist()):
+        if c != 2:
+            want.append((STRATUM_NAMES.index("V3" if c == 4 else "V1"), None))
+        elif abs(x) <= tol:
+            why = "mixed configuration with unresolved sign of nu2"
+            want.append((stratification._AMBIGUOUS, why))
+        else:
+            want.append((STRATUM_NAMES.index("V2" if x > 0.0 else "V4"), None))
+
+    def one_row(row, tol):
+        rules = stratification._open_rules(int(row[0]), row[1], tol)
+        return stratification._row_code(rules, stratification._OPEN_WHY)
+
+    assert _outcomes(one_row, np.column_stack([counts, n2]), tol) == want
+    got = stratification._column_codes(stratification._open_rules(counts, n2, tol))
+    assert got.tolist() == [code for code, _ in want]
 
 
 def test_mesh_euler_characteristic_is_resolution_invariant():
