@@ -75,14 +75,14 @@ CONFIG_NAMES = (
 
 # Index into CONFIG_NAMES of the configuration of a pair of real-part signs
 # (-1, 0 or +1 each, 0 when the real part reads as zero), indexed by
-# 3 (s_low + 1) + (s_high + 1) with s_low <= s_high; -1 where s_low > s_high.
+# 3 s_a + s_b + 4 with the two signs in either order.
 _SIGN_CODES = np.array(
     [
-        CONFIG_NAMES.index(code) if code else -1
+        CONFIG_NAMES.index(code)
         for code in (
             CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
-            None, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
-            None, None, CONFIG_UNSTABLE_PAIRS,
+            CONFIG_BETA_STABLE, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
+            CONFIG_MIXED, CONFIG_BETA_UNSTABLE, CONFIG_UNSTABLE_PAIRS,
         )
     ],
     dtype=np.int8,
@@ -97,6 +97,42 @@ _COINCIDENT_CODES = {
     (1, True): CONFIG_COINCIDENT_UNSTABLE,
     (1, False): CONFIG_COINCIDENT_UNSTABLE_NILPOTENT,
 }
+
+
+def _upper_pair(n1, n2, n3, n4, t0, nu5, cluster_tol):
+    """The two eigenvalues above the real axis of the canonical-family
+    matrix at t0 times the unit point (n1, n2, n3, n4) with weight nu5.
+
+    They are hi, lo = t0 n1 + i(nu5 +- t0 D), D = sqrt(n3^2 + n4^2 - n2^2 +
+    2 i n2 n4), returned with whether they coincide: a gap within
+    cluster_tol (1 + max |lambda|).  Built from arithmetic, abs, comparisons,
+    np.sqrt and np.maximum only, so the arguments may be Python floats of one
+    row or (n,) columns.
+    """
+    d = np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
+    hi = t0 * n1 + 1j * (nu5 + t0 * d)
+    lo = t0 * n1 + 1j * (nu5 + t0 * -d)
+    return hi, lo, abs(hi - lo) <= cluster_tol * (1.0 + np.maximum(abs(hi), abs(lo)))
+
+
+def _pair_labels(hi, lo, tol):
+    """What the eigenvalue pair hi, lo (and conjugates) reads as, a real or
+    imaginary part counting as zero within tol (1 + |lambda|).
+
+    Returns whether an imaginary part reads as zero (no configuration
+    applies), the sign of hi's real part (-1, 0 or +1), the config code of
+    two distinct pairs (an index into CONFIG_NAMES), the count of stable
+    eigenvalues and the max real part.  One row or (n,) columns, as
+    _upper_pair.
+    """
+    tol_hi, tol_lo = tol * (1.0 + abs(hi)), tol * (1.0 + abs(lo))
+    unresolved = (abs(hi.imag) <= tol_hi) | (abs(lo.imag) <= tol_lo)
+    s_hi = (hi.real > tol_hi) * 1 - (hi.real < -tol_hi) * 1
+    s_lo = (lo.real > tol_lo) * 1 - (lo.real < -tol_lo) * 1
+    stable_count = (s_hi < 0) * 2 + (s_lo < 0) * 2
+    max_re = np.maximum(hi.real, lo.real)
+    return unresolved, s_hi, _SIGN_CODES[3 * s_hi + s_lo + 4], stable_count, max_re
+
 
 # Relative real-part zero threshold of a sampled point's stability kind.
 ZERO_RE_TOL_SAMPLED = 1e-6
@@ -245,5 +281,4 @@ def classify_configuration(
         )
         return EigConfig(_COINCIDENT_CODES[signs[0], semisimple], stable_count, sp)
 
-    low, high = sorted(signs)
-    return EigConfig(CONFIG_NAMES[_SIGN_CODES[3 * (low + 1) + high + 1]], stable_count, sp)
+    return EigConfig(CONFIG_NAMES[_SIGN_CODES[3 * signs[0] + signs[1] + 4]], stable_count, sp)

@@ -49,11 +49,12 @@ from .spectra import (
     CONFIG_UNSTABLE_PAIRS,
     ZERO_RE_TOL_SAMPLED,
     _COINCIDENT_CODES,
-    _SIGN_CODES,
     EigConfig,
     Spectrum,
     _cluster_indices,
     _pair_is_semisimple,
+    _pair_labels,
+    _upper_pair,
     classify_configuration,
 )
 
@@ -196,17 +197,17 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
 
     The first rule of _cascade that holds gives the critical stratum;
     otherwise _open_rules reads the open region from the count of stable
-    eigenvalues of the closed-form spectrum.  Matches that leave the label
-    undetermined at this tol raise AmbiguousStratum.
+    eigenvalues of the closed-form spectrum (_row_spectrum).  Matches that
+    leave the label undetermined at this tol raise AmbiguousStratum;
+    ValueError unless 1e-3 <= |nu5| <= 1e3.
     """
-    if nu5 == 0.0:
-        raise ValueError("classify_point: nu5 must be nonzero")
+    _check_nu5(nu5, "classify_point")
     if tol <= 0.0:
         raise ValueError("classify_point: tol must be positive")
     code = _critical_stratum(p.nu4, tol)
     if code == _OFF_CRITICAL:
-        stable_count = _family_spectra(p.nu4[None, :], nu5, tol, CLUSTER_TOL_DEFAULT)[2]
-        code = _row_code(_open_rules(int(stable_count[0]), p.nu4[1], tol), _OPEN_WHY)
+        stable_count = _row_spectrum(p.nu4, nu5, tol, CLUSTER_TOL_DEFAULT)[3]
+        code = _row_code(_open_rules(stable_count, p.nu4[1], tol), _OPEN_WHY)
     return STRATA[STRATUM_NAMES[code]]
 
 
@@ -333,43 +334,58 @@ def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
     return _column_codes(_cascade(*v.T, F_critical(v), p_code, tol))
 
 
+_UNRESOLVED = "real or zero eigenvalue in row %d; no pair configuration applies"
+
+
+def _coincident_config(v: np.ndarray, nu5: float, w: complex, s_hi, tol: float) -> int:
+    """Config code of row v, whose two pairs coincide at w with real-part
+    sign s_hi: one annihilator-rank test splits semisimple from nilpotent."""
+    w = complex(w)
+    semisimple = _pair_is_semisimple(
+        evaluation_matrix(SpherePoint(v), nu5), -2.0 * w.real, abs(w) ** 2, tol
+    )
+    return CONFIG_NAMES.index(_COINCIDENT_CODES[int(s_hi), semisimple])
+
+
 def _family_spectra(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
     """The closed-form spectrum of the evaluation matrix on unit rows v (n, 4).
 
-    Its eigenvalues are t0 nu1 + i(nu5 +- t0 D) and their conjugates, with
-    D = sqrt(nu3^2 + nu4^2 - nu2^2 + 2 i nu2 nu4).  Returns those two (n, 2),
-    the config codes into CONFIG_NAMES, the stable counts and the max real
-    parts; a real part reads as zero within tol (1 + |lambda|).  Two
-    eigenvalues within cluster_tol (1 + max |lambda|) are the double root
+    The column evaluator of the pair kernel (spectra._upper_pair and
+    _pair_labels): returns the two eigenvalues above the real axis, hi and
+    lo (n,), the config codes into CONFIG_NAMES, the stable counts and the
+    max real parts.  A coincident row takes the exact double root
     w = t0 nu1 + i nu5 (on the axis and the curves nu4 = 0, nu2^2 = nu3^2
-    through P1..P4), split semisimple from nilpotent by one rank test.
-    Raises UnresolvedConfiguration where an imaginary part reads as zero,
-    as classify_configuration does.
+    through P1..P4) and one rank test.  Raises UnresolvedConfiguration
+    where an imaginary part reads as zero, as classify_configuration does.
     """
-    n1, n2, n3, n4 = v.T
     t0 = interior_scale(nu5)
-    d = np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
-    lam = (t0 * n1)[:, None] + 1j * (nu5 + t0 * np.column_stack([d, -d]))
-    gap = np.abs(lam[:, 0] - lam[:, 1])
-    coincident = np.flatnonzero(gap <= cluster_tol * (1.0 + np.abs(lam).max(axis=1)))
-    if len(coincident):
-        lam[coincident] = (t0 * n1[coincident] + 1j * nu5)[:, None]
-    re, label_tol = lam.real, tol * (1.0 + np.abs(lam))
-    unresolved = np.abs(lam.imag) <= label_tol
+    hi, lo, coincident = _upper_pair(*v.T, t0, nu5, cluster_tol)
+    coincident = np.flatnonzero(coincident)
+    hi[coincident] = lo[coincident] = t0 * v[coincident, 0] + 1j * nu5
+    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
     if unresolved.any():
-        raise UnresolvedConfiguration(
-            f"real or zero eigenvalue in row {unresolved.any(axis=1).argmax()}; "
-            "no pair configuration applies"
-        )
-    signs = np.where(np.abs(re) <= label_tol, 0, np.sign(re)).astype(int)
-    config = _SIGN_CODES[3 * (signs.min(axis=1) + 1) + signs.max(axis=1) + 1]
+        raise UnresolvedConfiguration(_UNRESOLVED % unresolved.argmax())
     for k in coincident.tolist():
-        w = complex(lam[k, 0])
-        semisimple = _pair_is_semisimple(
-            evaluation_matrix(SpherePoint(v[k]), nu5), -2.0 * w.real, abs(w) ** 2, tol
-        )
-        config[k] = CONFIG_NAMES.index(_COINCIDENT_CODES[int(signs[k, 0]), semisimple])
-    return lam, config, 2 * (re < -label_tol).sum(axis=1), re.max(axis=1)
+        config[k] = _coincident_config(v[k], nu5, hi[k], s_hi[k], tol)
+    return hi, lo, config, stable_count, max_re
+
+
+def _row_spectrum(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
+    """_family_spectra on one row v (4,), on Python floats: hi and lo as
+    complex, the config code, the stable count and the max real part."""
+    n1, n2, n3, n4 = v.tolist()
+    t0 = interior_scale(nu5)
+    hi, lo, coincident = _upper_pair(n1, n2, n3, n4, t0, nu5, cluster_tol)
+    if coincident:
+        hi = lo = t0 * n1 + 1j * nu5
+    else:  # Python complex from here on: no numpy scalar arithmetic
+        hi, lo = complex(hi), complex(lo)
+    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
+    if unresolved:
+        raise UnresolvedConfiguration(_UNRESOLVED % 0)
+    if coincident:
+        config = _coincident_config(v, nu5, hi, s_hi, tol)
+    return hi, lo, int(config), stable_count, float(max_re)
 
 
 def _label_and_config(
@@ -378,19 +394,19 @@ def _label_and_config(
     """classify_point's label and the configuration at p, from one spectrum.
 
     The P/L/S cascade runs first and raises as classify_point does; the
-    spectrum is the closed form of _family_spectra on one row, its four
-    eigenvalues sorted by (imag, real) as quartic_roots returns them, and
-    _open_rules reads an open region from its stable count.
+    spectrum is _row_spectrum's, its four eigenvalues sorted by (imag, real)
+    as quartic_roots returns them, and _open_rules reads an open region from
+    its stable count.  ValueError unless 1e-3 <= |nu5| <= 1e3.
     """
+    _check_nu5(nu5, "_label_and_config")
     stratum = _critical_stratum(p.nu4, tol)
-    lam, config, stable_count, max_re = _family_spectra(p.nu4[None, :], nu5, tol, cluster_tol)
-    w, w2 = lam[0].tolist()
+    w, w2, config, count, max_re = _row_spectrum(p.nu4, nu5, tol, cluster_tol)
     roots = sorted([w, w2, w.conjugate(), w2.conjugate()], key=lambda z: (z.imag, z.real))
-    code, count = CONFIG_NAMES[config[0]], int(stable_count[0])
+    code = CONFIG_NAMES[config]
     flag = {CONFIG_DOUBLE_SEMISIMPLE: True, CONFIG_DOUBLE_NILPOTENT: False}.get(code)
     pair = (-2.0 * w.real, abs(w) ** 2) if w == w2 else None
     clusters = _cluster_indices(roots, cluster_tol)
-    spec = Spectrum(tuple(roots), clusters, float(max_re[0]), flag, pair)
+    spec = Spectrum(tuple(roots), clusters, max_re, flag, pair)
     if stratum == _OFF_CRITICAL:
         stratum = _row_code(_open_rules(count, p.nu4[1], tol), _OPEN_WHY)
     return STRATA[STRATUM_NAMES[stratum]], EigConfig(code, count, spec)
@@ -435,7 +451,7 @@ def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
     check_unit_rows(unit)
     codes = _critical_strata(unit, tol)
     off = unit[codes == _OFF_CRITICAL]
-    stable_count = _family_spectra(off, nu5, tol, CLUSTER_TOL_DEFAULT)[2]
+    stable_count = _family_spectra(off, nu5, tol, CLUSTER_TOL_DEFAULT)[3]
     codes = np.concatenate([codes, _column_codes(_open_rules(stable_count, off[:, 1], tol))])
     return frozenset(STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist())
 
@@ -592,7 +608,7 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
         raise ValueError("classify_points: tol must be positive")
     v = np.asarray(pts, dtype=float).reshape(-1, 4)
     check_unit_rows(v)
-    lam, config, stable_count, max_re = _family_spectra(v, nu5, tol, CLUSTER_TOL_DEFAULT)
+    hi, lo, config, stable_count, max_re = _family_spectra(v, nu5, tol, CLUSTER_TOL_DEFAULT)
     stratum = _critical_strata(v, tol)
     open_ = _column_codes(_open_rules(stable_count, v[:, 1], tol))
     stratum = np.where(stratum == _OFF_CRITICAL, open_, stratum)
@@ -600,12 +616,11 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     if raises.any():
         classify_point(SpherePoint(v[np.argmax(raises)]), nu5, tol)  # raises its error
 
-    re = lam.real
-    stable_tol = ZERO_RE_TOL_SAMPLED * (1.0 + np.abs(lam).max(axis=1))
+    stable_tol = ZERO_RE_TOL_SAMPLED * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))
     kind = np.full(len(v), _MIXED, dtype=np.int8)
-    kind[np.any(np.abs(re) <= stable_tol[:, None], axis=1)] = _CRITICAL
-    kind[np.all(re > stable_tol[:, None], axis=1)] = _UNSTABLE
-    kind[np.all(re < -stable_tol[:, None], axis=1)] = _STABLE
+    kind[np.minimum(np.abs(hi.real), np.abs(lo.real)) <= stable_tol] = _CRITICAL
+    kind[np.minimum(hi.real, lo.real) > stable_tol] = _UNSTABLE
+    kind[max_re < -stable_tol] = _STABLE
     return PointClasses(stratum.astype(np.int8), config, max_re, kind)
 
 
@@ -793,9 +808,10 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
     labels = _join_arcs(points, signs, rows, i, j)
 
     sizes = np.bincount(labels, minlength=n)
-    wide = np.flatnonzero(
-        (sizes[labels] < n // _WIDE_SHARE) | np.any(labels[near] != labels[:, None], axis=1)
-    )
+    wide = sizes[labels] < n // _WIDE_SHARE
+    for col in near.T:  # one column at a time; np.any(axis=1) is slow on a short axis
+        wide |= labels[col] != labels
+    wide = np.flatnonzero(wide)
     table = neighbours(points[wide], tree_k + 1)
     i, j, rank = _candidate_arcs(kinds, signs, wide, table)
     last = table.shape[1] - 1
@@ -1024,8 +1040,10 @@ def mesh_surfaces(
     are labelled, as int8 codes into STRATUM_NAMES, by the P/L/S cascade on
     the whole array; rows it leaves off the critical set or ambiguous go
     through classify_point, which raises as it would for that point.  Output
-    is deterministic for a given input.
+    is deterministic for a given input.  ValueError unless
+    1e-3 <= |nu5| <= 1e3.
     """
+    _check_nu5(nu5, "mesh_surfaces")
     if resolution < 8:
         raise ValueError("mesh_surfaces: resolution must be >= 8")
     discs = [_normalize_disc(disc) for disc in discs]

@@ -520,6 +520,15 @@ def test_classify_computes_one_spectrum(coords, count_calls, capsys):
     assert (spectra_calls[0], poly_calls[0], rank_calls[0]) == (0, 0, int(coincident))
 
 
+def test_classify_runs_the_row_evaluator_once(count_calls, capsys):
+    """A one-point classify reads its spectrum from the one-row evaluator of
+    the pair kernel, never from a one-row batch of the column evaluator."""
+    column_calls = count_calls(stratification._family_spectra)
+    row_calls = count_calls(stratification._row_spectrum)
+    assert _classify_json(capsys, (0.3, 0.2, 0.5, 0.1))["stratum"] == "V1"
+    assert (column_calls[0], row_calls[0]) == (0, 1)
+
+
 def test_classify_coincident_pairs_are_exact(capsys):
     """Two double roots come from the square root of the characteristic
     polynomial, not from the quartic's sqrt(eps)-accurate roots."""

@@ -337,7 +337,7 @@ def test_closed_form_configuration_matches_general_path(nu5):
             want.append(type(exc))
 
     def closed_form(rows):
-        _, config, stable, _ = stratification._family_spectra(
+        _, _, config, stable, _ = stratification._family_spectra(
             rows, nu5, 1e-9, CLUSTER_TOL_DEFAULT
         )
         return [(CONFIG_NAMES[c], s) for c, s in zip(config.tolist(), stable.tolist())]
@@ -348,6 +348,34 @@ def test_closed_form_configuration_matches_general_path(nu5):
     for v, err in zip(pts[raised], [w for w in want if isinstance(w, type)]):
         with pytest.raises(err):
             closed_form(v[None, :])
+
+
+@pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
+def test_row_spectrum_equals_column_spectrum(nu5):
+    """The one-row evaluator of the pair kernel equals the column evaluator
+    bit for bit: both eigenvalues above the real axis, config, stable count
+    and max real part.  Where one raises, the other raises the same
+    exception class."""
+    pts = _stress_points()
+
+    def row(v):
+        try:
+            return stratification._row_spectrum(v, nu5, 1e-9, CLUSTER_TOL_DEFAULT)
+        except ResonanceAtlasError as exc:
+            return type(exc)
+
+    def as_bits(hi, lo, config, stable, max_re):
+        floats = np.array([hi.real, hi.imag, lo.real, lo.imag, max_re], dtype=float)
+        return floats.view(np.int64).tolist(), int(config), int(stable)
+
+    want = [row(v) for v in pts]
+    raised = np.array([isinstance(w, type) for w in want])
+    assert 0 < raised.sum() < 10
+    cols = stratification._family_spectra(pts[~raised], nu5, 1e-9, CLUSTER_TOL_DEFAULT)
+    assert [as_bits(*r) for r in zip(*cols)] == [as_bits(*w) for w in want if not isinstance(w, type)]
+    for v, err in zip(pts[raised], [w for w in want if isinstance(w, type)]):
+        with pytest.raises(err):
+            stratification._family_spectra(v[None, :], nu5, 1e-9, CLUSTER_TOL_DEFAULT)
 
 
 def test_max_real_part_against_fifty_digit_closed_form():
@@ -383,15 +411,23 @@ def test_classify_points_validation():
         classify_points(2.0 * np.eye(4), 1.0)
 
 
-@pytest.mark.parametrize("nu5", [1e-7, -1e-7, 1e4, -1e4, np.nan])
+@pytest.mark.parametrize("nu5", [1e-7, -1e-7, 1e-6, 1e4, -1e4, 1e6, np.nan, np.inf, 0.0])
 def test_sampled_entry_points_reject_nu5_outside_its_range(nu5):
     """Outside 1e-3 <= |nu5| <= 1e3 the fixed tolerances give wrong labels,
-    so classify_points and stability_report refuse such a nu5."""
+    so classify_points, stability_report, the one-point classify_point and
+    _label_and_config and mesh_surfaces refuse such a nu5."""
     pts = sphere_samples(200, 0)
-    with pytest.raises(ValueError, match=r"nu5 must satisfy 0.001 <= \|nu5\| <= 1000"):
-        classify_points(pts, nu5)
-    with pytest.raises(ValueError, match=r"nu5 must satisfy 0.001 <= \|nu5\| <= 1000"):
-        stability_report(pts, nu5)
+    p = SpherePoint(pts[0])
+    calls = [
+        lambda: classify_points(pts, nu5),
+        lambda: stability_report(pts, nu5),
+        lambda: classify_point(p, nu5),
+        lambda: _label_and_config(p, nu5, 1e-9),
+        lambda: mesh_surfaces([+1, -1], 16, nu5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"nu5 must satisfy 0.001 <= \|nu5\| <= 1000"):
+            call()
 
 
 @pytest.mark.parametrize("nu5", [1e-3, -1e-3, 1e3, -1e3])
