@@ -49,9 +49,8 @@ from .spectra import CONFIG_NAMES
 from .stratification import (
     STRATA,
     STRATUM_NAMES,
-    _NU5_MAX,
-    _NU5_MIN,
-    _label_and_config,
+    _check_nu5,
+    _row_label,
     classify_point,
     configuration_at,
     mesh_surfaces,
@@ -87,10 +86,7 @@ class RunConfig:
             raise ValueError("tol must be positive")
         if not (self.cluster_tol > 0.0):
             raise ValueError("cluster_tol must be positive")
-        if not (_NU5_MIN <= abs(self.nu5) <= _NU5_MAX):
-            raise ValueError(
-                f"nu5 must satisfy {_NU5_MIN:g} <= |nu5| <= {_NU5_MAX:g}, got {self.nu5!r}"
-            )
+        _check_nu5(self.nu5, "config")
         if self.grid < 8:
             raise ValueError("grid must be >= 8")
         if self.seed < 0:
@@ -306,24 +302,28 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("classify: the first four coordinates must not all be zero", file=sys.stderr)
         return 2
     point = SpherePoint(raw / norm)
-    label, config = _label_and_config(point, cfg.nu5, cfg.tol, cfg.cluster_tol)
-    spec = config.spectrum
+    code, hi, lo, config, stable_count, max_re = _row_label(
+        point.nu4, cfg.nu5, cfg.tol, cfg.cluster_tol
+    )
+    label = STRATA[STRATUM_NAMES[code]]
+    config = CONFIG_NAMES[config]
     F = float(F_critical(point.nu4))
     if args.json:
+        roots = sorted([hi, lo, hi.conjugate(), lo.conjugate()], key=lambda z: (z.imag, z.real))
         print(_CLASSIFY_JSON % (
-            _json_float(F), json.dumps(config.code), label.dimension, point.disc,
-            *[_json_float(w) for z in spec.eigenvalues for w in (z.imag, z.real)],
-            _json_float(spec.max_real_part), _json_float(cfg.nu5),
+            _json_float(F), json.dumps(config), label.dimension, point.disc,
+            *[_json_float(w) for z in roots for w in (z.imag, z.real)],
+            _json_float(max_re), _json_float(cfg.nu5),
             *map(_json_float, point.nu4.tolist()),
-            SCHEMA_VERSION, config.stable_count, json.dumps(label.name),
+            SCHEMA_VERSION, stable_count, json.dumps(label.name),
         ))
     else:
         coords = " ".join(_fmt(c) for c in point.nu4)
         print(f"point    {coords}")
         print(f"stratum  {label.name} (dimension {label.dimension})")
-        print(f"config   {config.code}")
+        print(f"config   {config}")
         print(f"F        {_fmt(F)}")
-        print(f"max Re   {_fmt(spec.max_real_part)}")
+        print(f"max Re   {_fmt(max_re)}")
     return 0
 
 

@@ -41,7 +41,6 @@ from .spectra import (
     CONFIG_BETA_STABLE,
     CONFIG_BETA_UNSTABLE,
     CONFIG_DOUBLE_NILPOTENT,
-    CONFIG_DOUBLE_SEMISIMPLE,
     CONFIG_MIXED,
     CONFIG_NAMES,
     CONFIG_STABLE_PAIRS,
@@ -50,8 +49,6 @@ from .spectra import (
     ZERO_RE_TOL_SAMPLED,
     _COINCIDENT_CODES,
     EigConfig,
-    Spectrum,
-    _cluster_indices,
     _pair_is_semisimple,
     _pair_labels,
     _upper_pair,
@@ -193,7 +190,7 @@ _P_ARRAY = np.array([P_POINTS[name] for name in _P_NAMES])
 
 
 def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabel:
-    """Assign a sphere point to its stratum.
+    """Assign a sphere point to its stratum: _row_label on its row.
 
     The first rule of _cascade that holds gives the critical stratum;
     otherwise _open_rules reads the open region from the count of stable
@@ -201,13 +198,9 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
     leave the label undetermined at this tol raise AmbiguousStratum;
     ValueError unless 1e-3 <= |nu5| <= 1e3.
     """
-    _check_nu5(nu5, "classify_point")
     if tol <= 0.0:
         raise ValueError("classify_point: tol must be positive")
-    code = _critical_stratum(p.nu4, tol)
-    if code == _OFF_CRITICAL:
-        stable_count = _row_spectrum(p.nu4, nu5, tol, CLUSTER_TOL_DEFAULT)[3]
-        code = _row_code(_open_rules(stable_count, p.nu4[1], tol), _OPEN_WHY)
+    code = _row_label(p.nu4, nu5, tol, CLUSTER_TOL_DEFAULT)[0]
     return STRATA[STRATUM_NAMES[code]]
 
 
@@ -388,28 +381,21 @@ def _row_spectrum(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
     return hi, lo, int(config), stable_count, float(max_re)
 
 
-def _label_and_config(
-    p: SpherePoint, nu5: float, tol: float, cluster_tol: float = CLUSTER_TOL_DEFAULT
-) -> tuple[StratumLabel, EigConfig]:
-    """classify_point's label and the configuration at p, from one spectrum.
+def _row_label(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
+    """The one-row labeller, the row path of classify_point and classify.
 
-    The P/L/S cascade runs first and raises as classify_point does; the
-    spectrum is _row_spectrum's, its four eigenvalues sorted by (imag, real)
-    as quartic_roots returns them, and _open_rules reads an open region from
-    its stable count.  ValueError unless 1e-3 <= |nu5| <= 1e3.
+    On a unit row v (4,): the stratum code into STRATUM_NAMES and
+    _row_spectrum's hi, lo, config code, stable count and max real part.
+    The P/L/S cascade runs first and raises on an ambiguous row; a row off
+    the critical set takes its open region from the stable count.
+    ValueError unless 1e-3 <= |nu5| <= 1e3.
     """
-    _check_nu5(nu5, "_label_and_config")
-    stratum = _critical_stratum(p.nu4, tol)
-    w, w2, config, count, max_re = _row_spectrum(p.nu4, nu5, tol, cluster_tol)
-    roots = sorted([w, w2, w.conjugate(), w2.conjugate()], key=lambda z: (z.imag, z.real))
-    code = CONFIG_NAMES[config]
-    flag = {CONFIG_DOUBLE_SEMISIMPLE: True, CONFIG_DOUBLE_NILPOTENT: False}.get(code)
-    pair = (-2.0 * w.real, abs(w) ** 2) if w == w2 else None
-    clusters = _cluster_indices(roots, cluster_tol)
-    spec = Spectrum(tuple(roots), clusters, max_re, flag, pair)
-    if stratum == _OFF_CRITICAL:
-        stratum = _row_code(_open_rules(count, p.nu4[1], tol), _OPEN_WHY)
-    return STRATA[STRATUM_NAMES[stratum]], EigConfig(code, count, spec)
+    _check_nu5(nu5, "_row_label")
+    code = _critical_stratum(v, tol)
+    hi, lo, config, stable_count, max_re = _row_spectrum(v, nu5, tol, cluster_tol)
+    if code == _OFF_CRITICAL:
+        code = _row_code(_open_rules(stable_count, v[1], tol), _OPEN_WHY)
+    return code, hi, lo, config, stable_count, max_re
 
 
 # -- incidence -----------------------------------------------------------------
@@ -614,7 +600,7 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     stratum = np.where(stratum == _OFF_CRITICAL, open_, stratum)
     raises = stratum == _AMBIGUOUS
     if raises.any():
-        classify_point(SpherePoint(v[np.argmax(raises)]), nu5, tol)  # raises its error
+        _row_label(v[np.argmax(raises)], nu5, tol, CLUSTER_TOL_DEFAULT)  # raises its error
 
     stable_tol = ZERO_RE_TOL_SAMPLED * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))
     kind = np.full(len(v), _MIXED, dtype=np.int8)
@@ -635,13 +621,11 @@ _BERNSTEIN_MARGIN = 1e-12
 _SUBDIVISION_DEPTH = 20  # halvings before a piece still undecided is given up
 # Chords per block of the arc test; bounds the temporaries to a few MB.
 _EDGE_BLOCK = 4096
-# Neighbour ranks at which the rounds of the flood fill end, before the
-# last round, which ends at tree_k.  Most arcs of a round join points that
-# an earlier round already connected, and those are never tested.  Every
-# row queries the ranks of the first round; only the wide rows query more.
-_FLOOD_ROUND_ENDS = (2, 5)
+# Neighbours the flood fill queries: every row its _NEAR_K nearest, the
+# wide rows their _TREE_K nearest, the strays their _RESCUE_K nearest.
+_NEAR_K, _TREE_K, _RESCUE_K = 2, 12, 48
 # After the first round a row is wide when its component holds fewer than
-# n // _WIDE_SHARE rows or one of its first-round neighbours is in another.
+# n // _WIDE_SHARE rows or one of its _NEAR_K neighbours is in another.
 _WIDE_SHARE = 20
 
 
@@ -696,34 +680,28 @@ def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.n
     return ok
 
 
-def _candidate_arcs(kinds, signs, src, table):
-    """The pairs (src[r], table[r, c]) for c >= 1, deduplicated, that the
-    flood may join -- same kind, not critical, the same nonzero sign of F
-    -- each with the smallest rank c at which it appears in either
-    direction.  Column 0 of table is the point itself."""
-    n, width = len(kinds), table.shape[1]
-    i, j = src[:, None], table[:, 1:]
-    # one sortable key per pair and rank: (min * n + max) * width + rank
-    key = np.minimum(i, j)
+def _candidate_arcs(kinds, signs, src, nbrs):
+    """The pairs (src[r], nbrs[r, c]) that the flood may join -- same kind,
+    not critical, the same nonzero sign of F -- once each, as (min, max).
+    nbrs holds neighbour columns without the point's own column."""
+    n = len(kinds)
+    i, j = src[:, None], nbrs
+    key = np.minimum(i, j)  # one key per pair: min * n + max
     key *= n
     key += np.maximum(i, j)
-    key *= width
-    key += np.arange(1, width)
     key = key[i != j]
-    key.sort()
-    pair = key // width
+    key.sort()  # in place: np.unique made this function about 3x slower
     first = np.empty(len(key), dtype=bool)
     first[:1] = True
-    np.not_equal(pair[1:], pair[:-1], out=first[1:])
-    pair, rank = np.divmod(key[first], width)
-    i, j = np.divmod(pair, n)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    i, j = np.divmod(key[first], n)
     keep = (
         (kinds[i] != _CRITICAL)
         & (kinds[i] == kinds[j])
         & (signs[i] != 0.0)
         & (signs[i] == signs[j])
     )
-    return i[keep], j[keep], rank[keep]
+    return i[keep], j[keep]
 
 
 def _join_arcs(points, signs, labels, i, j):
@@ -764,32 +742,35 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
             root, nxt = nxt, nxt[nxt]
 
 
-def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
+def _flood_components(points, kinds, signs):
     """Join same-kind neighbors whose connecting arc stays on one side of
     the critical surface; return each point's component label (its
     smallest member) and the directed neighbour pairs (i, j) it queried.
 
-    The candidate arcs go in rounds of neighbour rank (_FLOOD_ROUND_ENDS,
-    then up to tree_k), and a round tests only the arcs whose ends are
-    still in different components.  An arc between two points already
-    connected cannot change the components, so skipping it changes no label.
+    The candidate arcs go in rounds, one slice of neighbour columns each
+    (ranks 1 to _NEAR_K, 3 to 5, 6 to _TREE_K), and a round tests only the
+    arcs whose ends are still in different components.  An arc between two
+    points already connected cannot change the components, so skipping it
+    changes no label.
 
-    The neighbours come in two tiers.  Every row queries the ranks of the
-    first round.  After it, a row is wide when its component holds fewer
-    than n // _WIDE_SHARE rows or one of those neighbours lies in another
-    component, which covers every row next to another class; only the wide
-    rows query ranks up to tree_k, for the later rounds.  A settled row's
-    later arcs are tested only when their other end is wide and queries
-    them, so the candidate graph is part of the all-rows kNN graph.  The
-    pairs returned are the first-round ranks of every row and the later
-    ranks of the wide rows, each once unless two neighbours tie in distance.
+    The neighbours come in two tiers.  Every row queries its _NEAR_K
+    nearest, for the first round.  After it, a row is wide when its
+    component holds fewer than n // _WIDE_SHARE rows or one of those
+    neighbours lies in another component, which covers every row next to
+    another class; only the wide rows query ranks up to _TREE_K, for the
+    later rounds.  A settled row's later arcs are tested only when their
+    other end is wide and queries them, so the candidate graph is part of
+    the all-rows kNN graph.  The pairs returned are the first-round ranks of
+    every row and the later ranks of the wide rows, each once unless two
+    neighbours tie in distance.
 
-    A second pass widens the neighbor search for members of very small
-    components: near the self-intersection circles the mixed regions
-    narrow into wedges a few degrees across, and a sample caught there
-    may see no valid arc among its first dozen neighbors even though the
-    wedge widens a step further out.  The arc test is sound (an undecided
-    arc is rejected), so extra candidates can only join what is connected.
+    A last pass widens the neighbor search to _RESCUE_K for members of
+    very small components: near the self-intersection circles the mixed
+    regions narrow into wedges a few degrees across, and a sample caught
+    there may see no valid arc among its first dozen neighbors even though
+    the wedge widens a step further out.  The arc test is sound (an
+    undecided arc is rejected), so extra candidates can only join what is
+    connected.
     """
     from scipy.spatial import cKDTree
 
@@ -802,32 +783,29 @@ def _flood_components(points, kinds, signs, tree_k=12, rescue_k=48):
         k = min(k, n)
         return tree.query(x, k=k)[1].reshape(len(x), k)
 
-    first = _FLOOD_ROUND_ENDS[0]
-    near = neighbours(points, first + 1)
-    i, j, _ = _candidate_arcs(kinds, signs, rows, near)
-    labels = _join_arcs(points, signs, rows, i, j)
+    def join(labels, src, nbrs):
+        return _join_arcs(points, signs, labels, *_candidate_arcs(kinds, signs, src, nbrs))
+
+    near = neighbours(points, _NEAR_K + 1)
+    labels = join(rows, rows, near[:, 1:])
 
     sizes = np.bincount(labels, minlength=n)
     wide = sizes[labels] < n // _WIDE_SHARE
     for col in near.T:  # one column at a time; np.any(axis=1) is slow on a short axis
         wide |= labels[col] != labels
     wide = np.flatnonzero(wide)
-    table = neighbours(points[wide], tree_k + 1)
-    i, j, rank = _candidate_arcs(kinds, signs, wide, table)
-    last = table.shape[1] - 1
-    start = first
-    for end in [e for e in _FLOOD_ROUND_ENDS[1:] if e < last] + [last]:
-        block = (rank > start) & (rank <= end)
-        labels = _join_arcs(points, signs, labels, i[block], j[block])
-        start = end
+    table = neighbours(points[wide], _TREE_K + 1)
+    # ranks 3 to 5, then 6 to _TREE_K: one round over both tests about a
+    # quarter more chords, since fewer arcs are skipped as already joined
+    labels = join(labels, wide, table[:, _NEAR_K + 1 : 6])
+    labels = join(labels, wide, table[:, 6:])
 
     sizes = np.bincount(labels, minlength=n)
     strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
     if len(strays):
-        ri, rj, _ = _candidate_arcs(kinds, signs, strays, neighbours(points[strays], rescue_k + 1))
-        labels = _join_arcs(points, signs, labels, ri, rj)
+        labels = join(labels, strays, neighbours(points[strays], _RESCUE_K + 1)[:, 1:])
 
-    later = table[:, first + 1 :]
+    later = table[:, _NEAR_K + 1 :]
     src = np.concatenate([np.repeat(rows, near.shape[1] - 1), np.repeat(wide, later.shape[1])])
     dst = np.concatenate([near[:, 1:].ravel(), later.ravel()])
     return labels, (src, dst)
@@ -1039,11 +1017,13 @@ def mesh_surfaces(
     array.  Per disc the chart is evaluated on the whole grid, and vertices
     are labelled, as int8 codes into STRATUM_NAMES, by the P/L/S cascade on
     the whole array; rows it leaves off the critical set or ambiguous go
-    through classify_point, which raises as it would for that point.  Output
-    is deterministic for a given input.  ValueError unless
-    1e-3 <= |nu5| <= 1e3.
+    through the one-row labeller _row_label, which raises as classify_point
+    would for that point.  Output is deterministic for a given input.
+    ValueError unless 1e-3 <= |nu5| <= 1e3 and tol > 0.
     """
     _check_nu5(nu5, "mesh_surfaces")
+    if tol <= 0.0:
+        raise ValueError("mesh_surfaces: tol must be positive")
     if resolution < 8:
         raise ValueError("mesh_surfaces: resolution must be >= 8")
     discs = [_normalize_disc(disc) for disc in discs]
@@ -1056,7 +1036,7 @@ def mesh_surfaces(
         check_unit_rows(vertices)
         codes = _critical_strata(vertices, tol)
         for k in np.flatnonzero(codes < 0):
-            codes[k] = _CODE[classify_point(SpherePoint(vertices[k], d), nu5, tol).name]
+            codes[k] = _row_label(vertices[k], nu5, tol, CLUSTER_TOL_DEFAULT)[0]
         meshes.append(SurfaceMesh(d, vertices, params, tris, codes.astype(np.int8)))
     return tuple(meshes)
 

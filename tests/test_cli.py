@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ import pytest
 import resonance_atlas
 from resonance_atlas import algebra, cli, linalg, spectra, stratification
 from resonance_atlas.cli import _build_parser, _json_float, main
-from resonance_atlas.geometry import F_critical, P_POINTS, param_phi
+from resonance_atlas.geometry import F_critical, P_POINTS, SpherePoint, param_phi
+from resonance_atlas.spectra import CONFIG_NAMES
 from resonance_atlas.stratification import (
+    STRATA,
     STRATUM_NAMES,
     mesh_surface,
     sphere_samples,
@@ -116,20 +119,26 @@ def test_classify_json_matches_json_dumps(monkeypatch, capsys):
     positional and the --nu5 flag in turn."""
     seen = []
 
-    def recording(p, nu5, tol, cluster_tol):
-        out = label_and_config(p, nu5, tol, cluster_tol)
-        seen.append((p, nu5) + out)
+    def recording(v, nu5, tol, cluster_tol):
+        out = row_label(v, nu5, tol, cluster_tol)
+        seen.append((v, nu5) + out)
         return out
 
-    label_and_config = cli._label_and_config
-    monkeypatch.setattr(cli, "_label_and_config", recording)
+    row_label = cli._row_label
+    monkeypatch.setattr(cli, "_row_label", recording)
     for k, (coords, nu5) in enumerate(_classify_json_cases()):
         if k % 2:
             argv = [f"--nu5={nu5!r}", "classify", "--json", "--", *coords]
         else:
             argv = ["classify", "--json", "--", *coords, repr(nu5)]
         assert main(argv) == 0, argv
-        point, used_nu5, label, config = seen.pop()
+        v, used_nu5, code, hi, lo, config, stable_count, max_re = seen.pop()
+        point, label = SpherePoint(v), STRATA[STRATUM_NAMES[code]]
+        roots = sorted([hi, lo, hi.conjugate(), lo.conjugate()], key=lambda z: (z.imag, z.real))
+        spec = SimpleNamespace(eigenvalues=roots, max_real_part=max_re)
+        config = SimpleNamespace(
+            code=CONFIG_NAMES[config], stable_count=stable_count, spectrum=spec
+        )
         assert used_nu5 == nu5
         want = oracles.classify_json_reference(
             point, used_nu5, label, config, F_critical(point.nu4)

@@ -30,7 +30,7 @@ from resonance_atlas.stratification import (
     _chord_sign_constant,
     _critical_stratum,
     _critical_strata,
-    _label_and_config,
+    _row_label,
     build_incidence,
     classify_point,
     classify_points,
@@ -283,18 +283,21 @@ def test_classify_points_matches_scalar_path(nu5):
 
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0])
 def test_classify_points_rows_equal_one_row_calls(nu5):
-    """Every classify_points row is, bit for bit, the one-row
-    _label_and_config call on it: stratum, config and max real part."""
+    """Every classify_points row is, bit for bit, the one-row _row_label
+    call on it: stratum, config and max real part; classify_point gives
+    the same stratum."""
     reps = np.array([p.nu4 for p, _ in representatives().values()])
     axis = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
     sheets = _near_sheet_points(np.random.default_rng(11), 40)
     pts = np.vstack([sphere_samples(10_000, 42), reps, axis, sheets])
     got = classify_points(pts, nu5)
-    want = [_label_and_config(SpherePoint(v), nu5, 1e-9) for v in pts]
-    assert [STRATUM_NAMES[k] for k in got.stratum] == [label.name for label, _ in want]
-    assert [CONFIG_NAMES[k] for k in got.config] == [cfg.code for _, cfg in want]
-    want_max = np.array([cfg.spectrum.max_real_part for _, cfg in want])
+    want = [_row_label(v, nu5, 1e-9, CLUSTER_TOL_DEFAULT) for v in pts]
+    names = [STRATUM_NAMES[k] for k in got.stratum]
+    assert names == [STRATUM_NAMES[w[0]] for w in want]
+    assert got.config.tolist() == [w[3] for w in want]
+    want_max = np.array([w[5] for w in want])
     assert np.array_equal(got.max_real_part.view(np.int64), want_max.view(np.int64))
+    assert [classify_point(SpherePoint(v), nu5).name for v in pts] == names
 
 
 def _stress_points():
@@ -378,6 +381,23 @@ def test_row_spectrum_equals_column_spectrum(nu5):
             stratification._family_spectra(v[None, :], nu5, 1e-9, CLUSTER_TOL_DEFAULT)
 
 
+@pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
+def test_classify_point_equals_one_row_batch(nu5):
+    """On every stress row classify_point and classify_points on that one
+    row give the same stratum, or raise the same exception class."""
+
+    def outcome(call):
+        try:
+            return call()
+        except ResonanceAtlasError as exc:
+            return type(exc)
+
+    for v in _stress_points():
+        got = outcome(lambda: classify_point(SpherePoint(v), nu5).name)
+        want = outcome(lambda: STRATUM_NAMES[classify_points(v[None], nu5).stratum[0]])
+        assert got == want, v
+
+
 def test_max_real_part_against_fifty_digit_closed_form():
     """On the rows of sphere_samples(100000, 42) whose max real part once
     came from the quartic, the closed form is within 2.3e-16 of its value in
@@ -415,14 +435,14 @@ def test_classify_points_validation():
 def test_sampled_entry_points_reject_nu5_outside_its_range(nu5):
     """Outside 1e-3 <= |nu5| <= 1e3 the fixed tolerances give wrong labels,
     so classify_points, stability_report, the one-point classify_point and
-    _label_and_config and mesh_surfaces refuse such a nu5."""
+    _row_label and mesh_surfaces refuse such a nu5."""
     pts = sphere_samples(200, 0)
     p = SpherePoint(pts[0])
     calls = [
         lambda: classify_points(pts, nu5),
         lambda: stability_report(pts, nu5),
         lambda: classify_point(p, nu5),
-        lambda: _label_and_config(p, nu5, 1e-9),
+        lambda: _row_label(p.nu4, nu5, 1e-9, CLUSTER_TOL_DEFAULT),
         lambda: mesh_surfaces([+1, -1], 16, nu5),
     ]
     for call in calls:
@@ -655,8 +675,8 @@ def test_lazy_flood_reaches_the_last_rank_round():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_candidate_arcs_match_pair_dict(seed):
-    """Each unordered kNN pair appears once, with the smallest rank at which
-    it appears in either direction, when the flood may join it."""
+    """Each unordered kNN pair appears once, as (min, max), when the flood
+    may join it; the table exercises every rank."""
     from scipy.spatial import cKDTree
 
     pts = sphere_samples(1500, seed)
@@ -675,16 +695,16 @@ def test_candidate_arcs_match_pair_dict(seed):
         for (a, b), c in want.items()
         if kinds[a] != critical and kinds[a] == kinds[b] and signs[a] != 0 and signs[a] == signs[b]
     }
-    i, j, rank = stratification._candidate_arcs(kinds, signs, np.arange(len(pts)), table)
-    got = {(a, b): c for a, b, c in zip(i.tolist(), j.tolist(), rank.tolist())}
+    i, j = stratification._candidate_arcs(kinds, signs, np.arange(len(pts)), table[:, 1:])
+    got = set(zip(i.tolist(), j.tolist()))
     assert len(got) == len(i)
-    assert got == want
+    assert got == set(want)
     assert set(want.values()) == set(range(1, 13))
 
 
 def test_flood_tests_few_chords(monkeypatch):
-    """The lazy flood sends at most 20,000 chords through the arc test at
-    n = 10k; testing every candidate arc sends 56,929."""
+    """The lazy flood sends at most 13,000 chords through the arc test at
+    n = 10k (12,456 today); testing every candidate arc sends 56,929."""
     rows = [0]
     chord_test = stratification._chord_sign_constant
 
@@ -695,7 +715,7 @@ def test_flood_tests_few_chords(monkeypatch):
     monkeypatch.setattr(stratification, "_chord_sign_constant", counted)
     rep = stability_report(sphere_samples(10_000, 42), nu5=1.0)
     assert rep.mixed_component_count == 2
-    assert 0 < rows[0] <= 20_000
+    assert 0 < rows[0] <= 13_000
 
 
 def _stable_to_mixed_arcs(seed):
@@ -869,6 +889,8 @@ def test_mixed_regions_not_split_near_p6():
 def test_mesh_surface_validation():
     with pytest.raises(ValueError):
         mesh_surface(+1, 4)
+    with pytest.raises(ValueError):
+        mesh_surface(+1, 16, tol=0.0)
 
 
 def test_mesh_surface_basic_integrity():
