@@ -621,12 +621,6 @@ _BERNSTEIN_MARGIN = 1e-12
 _SUBDIVISION_DEPTH = 20  # halvings before a piece still undecided is given up
 # Chords per block of the arc test; bounds the temporaries to a few MB.
 _EDGE_BLOCK = 4096
-# Neighbours the flood fill queries: every row its _NEAR_K nearest, the
-# wide rows their _TREE_K nearest, the strays their _RESCUE_K nearest.
-_NEAR_K, _TREE_K, _RESCUE_K = 2, 12, 48
-# After the first round a row is wide when its component holds fewer than
-# n // _WIDE_SHARE rows or one of its _NEAR_K neighbours is in another.
-_WIDE_SHARE = 20
 
 
 def _arc_values(at: np.ndarray, bt: np.ndarray, t) -> np.ndarray:
@@ -680,135 +674,73 @@ def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.n
     return ok
 
 
-def _candidate_arcs(kinds, signs, src, nbrs):
-    """The pairs (src[r], nbrs[r, c]) that the flood may join -- same kind,
-    not critical, the same nonzero sign of F -- once each, as (min, max).
-    nbrs holds neighbour columns without the point's own column."""
-    n = len(kinds)
-    i, j = src[:, None], nbrs
-    key = np.minimum(i, j)  # one key per pair: min * n + max
-    key *= n
-    key += np.maximum(i, j)
-    key = key[i != j]
-    key.sort()  # in place: np.unique made this function about 3x slower
-    first = np.empty(len(key), dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    i, j = np.divmod(key[first], n)
-    keep = (
-        (kinds[i] != _CRITICAL)
-        & (kinds[i] == kinds[j])
-        & (signs[i] != 0.0)
-        & (signs[i] == signs[j])
+def _certified(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """_chord_sign_constant on rows a, b and sign, in blocks of _EDGE_BLOCK."""
+    ok = np.zeros(len(a), dtype=bool)
+    for start in range(0, len(a), _EDGE_BLOCK):
+        block = slice(start, start + _EDGE_BLOCK)
+        ok[block] = _chord_sign_constant(a[block], b[block], sign[block])
+    return ok
+
+
+# The six anchors the regions are reached through: the pole -e1 of the stable
+# region V3, the pole +e1 of the unstable region V1, and the mixed anchors
+# A(s, sigma) = (0, s, 0, sigma) / sqrt(2) at index _mixed_anchor(s, sigma).
+_ANCHORS = np.array(
+    [[-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    + [[0.0, s * SQRT_HALF, 0.0, sigma * SQRT_HALF] for s in (1, -1) for sigma in (1, -1)]
+)
+_ANCHOR_KINDS = np.array([_STABLE, _UNSTABLE] + [_MIXED] * 4)
+# The bridge point (0.1 s, s, 0, 0) between A(s, +) and A(s, -), per s = +-1.
+_BRIDGES = np.array([[0.1, 1.0, 0.0, 0.0], [-0.1, -1.0, 0.0, 0.0]])
+
+
+def _mixed_anchor(n2, n4):
+    """Index into _ANCHORS of A(sign nu2, sign nu4), a zero sign counting as +1."""
+    return 2 + 2 * (n2 < 0.0) + (n4 < 0.0)
+
+
+def _anchor_classes() -> np.ndarray:
+    """The class of each anchor, an index into _ANCHORS: A(s, -) joins A(s, +)
+    when the arcs from both to the bridge point of s keep F < 0."""
+    ends = _ANCHORS[2:]  # A(+, +), A(+, -), A(-, +), A(-, -)
+    bridged = _chord_sign_constant(ends, np.repeat(_BRIDGES, 2, axis=0), np.full(4, -1.0))
+    classes = np.arange(len(_ANCHORS))
+    classes[[3, 5]] = np.where(bridged.reshape(2, 2).all(axis=1), [2, 4], [3, 5])
+    return classes
+
+
+def _anchor_components(points: np.ndarray, kinds: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Component count per kind (len(KINDS),), the critical entry 0.
+
+    F = (nu1^2 - Im D^2)(nu1^2 + Re D^2), so V3 = {nu1 < -|Im D|} is
+    star-shaped toward -e1 and V1 toward +e1, and no mixed point has
+    nu2 = 0.  A stable sample is joined to -e1 and an unstable one to +e1
+    by one arc; a mixed one to A(sign nu2, sigma) through the waypoint
+    (0, nu2, nu3, sigma max(|nu4|, |nu2| / 4)), normalised, sigma the sign
+    of nu4 (+1 at 0).  An arc counts when _chord_sign_constant certifies
+    the sample's sign of F along it.  A kind's count is the number of anchor
+    classes (_anchor_classes) its certified samples reach, plus one per
+    sample with a failed arc: a wrong kind raises a count and never hides.
+    """
+    anchor = np.select(
+        [kinds == _STABLE, kinds == _UNSTABLE], [0, 1], _mixed_anchor(points[:, 1], points[:, 3])
     )
-    return i[keep], j[keep]
+    mixed = np.flatnonzero(kinds == _MIXED)
+    n2, n3, n4 = points[mixed, 1:].T
+    sigma = np.where(n4 < 0.0, -1.0, 1.0)
+    waypoint = _unit_rows(
+        np.column_stack([np.zeros(len(mixed)), n2, n3, sigma * np.maximum(abs(n4), abs(n2) / 4.0)])
+    )
+    ends = _ANCHORS[anchor]
+    ends[mixed] = waypoint
+    ok = _certified(points, ends, signs)
+    ok[mixed] &= _certified(waypoint, _ANCHORS[anchor[mixed]], signs[mixed])
 
-
-def _join_arcs(points, signs, labels, i, j):
-    """labels after joining every candidate pair (i[k], j[k]) whose arc keeps
-    the sign of F.  Only pairs whose labels differ are tested, in blocks of
-    _EDGE_BLOCK; an arc inside one component cannot change the components."""
-    split = labels[i] != labels[j]
-    i, j = i[split], j[split]
-    ok = np.zeros(len(i), dtype=bool)
-    for start in range(0, len(i), _EDGE_BLOCK):
-        bi, bj = i[start : start + _EDGE_BLOCK], j[start : start + _EDGE_BLOCK]
-        ok[start : start + _EDGE_BLOCK] = _chord_sign_constant(
-            points[bi], points[bj], signs[bi]
-        )
-    # the roots of labels are the smallest members of their components, so
-    # joining roots and relabelling through them is exact
-    return _components(len(labels), labels[i[ok]], labels[j[ok]])[labels]
-
-
-def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Label each of n nodes by the smallest node of its component under
-    the edges (i[k], j[k]).
-
-    Every root hooks onto the smallest root it shares an edge with, then
-    pointer jumping (root <- root[root]) runs until each node points at
-    its root; pointers only ever decrease, so the forest stays acyclic.
-    Repeats until no edge joins two roots.
-    """
-    root = np.arange(n)
-    while True:
-        ri, rj = root[i], root[j]
-        split = ri != rj
-        if not split.any():
-            return root
-        np.minimum.at(root, np.maximum(ri, rj)[split], np.minimum(ri, rj)[split])
-        nxt = root[root]
-        while not np.array_equal(nxt, root):
-            root, nxt = nxt, nxt[nxt]
-
-
-def _flood_components(points, kinds, signs):
-    """Join same-kind neighbors whose connecting arc stays on one side of
-    the critical surface; return each point's component label (its
-    smallest member) and the directed neighbour pairs (i, j) it queried.
-
-    The candidate arcs go in rounds, one slice of neighbour columns each
-    (ranks 1 to _NEAR_K, 3 to 5, 6 to _TREE_K), and a round tests only the
-    arcs whose ends are still in different components.  An arc between two
-    points already connected cannot change the components, so skipping it
-    changes no label.
-
-    The neighbours come in two tiers.  Every row queries its _NEAR_K
-    nearest, for the first round.  After it, a row is wide when its
-    component holds fewer than n // _WIDE_SHARE rows or one of those
-    neighbours lies in another component, which covers every row next to
-    another class; only the wide rows query ranks up to _TREE_K, for the
-    later rounds.  A settled row's later arcs are tested only when their
-    other end is wide and queries them, so the candidate graph is part of
-    the all-rows kNN graph.  The pairs returned are the first-round ranks of
-    every row and the later ranks of the wide rows, each once unless two
-    neighbours tie in distance.
-
-    A last pass widens the neighbor search to _RESCUE_K for members of
-    very small components: near the self-intersection circles the mixed
-    regions narrow into wedges a few degrees across, and a sample caught
-    there may see no valid arc among its first dozen neighbors even though
-    the wedge widens a step further out.  The arc test is sound (an
-    undecided arc is rejected), so extra candidates can only join what is
-    connected.
-    """
-    from scipy.spatial import cKDTree
-
-    n = len(points)
-    rows = np.arange(n)
-    tree = cKDTree(points)
-
-    def neighbours(x, k):
-        """The min(k, n) samples nearest each row of x, nearest first."""
-        k = min(k, n)
-        return tree.query(x, k=k)[1].reshape(len(x), k)
-
-    def join(labels, src, nbrs):
-        return _join_arcs(points, signs, labels, *_candidate_arcs(kinds, signs, src, nbrs))
-
-    near = neighbours(points, _NEAR_K + 1)
-    labels = join(rows, rows, near[:, 1:])
-
-    sizes = np.bincount(labels, minlength=n)
-    wide = sizes[labels] < n // _WIDE_SHARE
-    for col in near.T:  # one column at a time; np.any(axis=1) is slow on a short axis
-        wide |= labels[col] != labels
-    wide = np.flatnonzero(wide)
-    table = neighbours(points[wide], _TREE_K + 1)
-    # ranks 3 to 5, then 6 to _TREE_K: one round over both tests about a
-    # quarter more chords, since fewer arcs are skipped as already joined
-    labels = join(labels, wide, table[:, _NEAR_K + 1 : 6])
-    labels = join(labels, wide, table[:, 6:])
-
-    sizes = np.bincount(labels, minlength=n)
-    strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
-    if len(strays):
-        labels = join(labels, strays, neighbours(points[strays], _RESCUE_K + 1)[:, 1:])
-
-    later = table[:, _NEAR_K + 1 :]
-    src = np.concatenate([np.repeat(rows, near.shape[1] - 1), np.repeat(wide, later.shape[1])])
-    dst = np.concatenate([near[:, 1:].ravel(), later.ravel()])
-    return labels, (src, dst)
+    live = kinds != _CRITICAL
+    failed = np.bincount(kinds[live & ~ok], minlength=len(KINDS))
+    reached = np.unique(_anchor_classes()[anchor[live & ok]])
+    return failed + np.bincount(_ANCHOR_KINDS[reached], minlength=len(KINDS))
 
 
 def _first_root_brackets(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -875,16 +807,17 @@ def _surface_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityReport:
-    """Classify samples, flood-fill the sign regions, audit stability.
+    """Classify samples, connect each region to its anchors, audit stability.
 
     samples is an (n, 4) array of unit vectors or a list of SpherePoint.
     A sample is stable when every eigenvalue real part sits below the
     relative threshold at the ray-interior evaluation; samples straddling
     the threshold are tagged critical and excluded from the component
-    counts, which join samples only by arcs the sound arc test accepts
-    (never one that meets F = 0).  Boundary strata of the stable region are
-    read at the first crossing of F = 0 on each stable-to-mixed pair that
-    the flood fill queried.  The report keeps one row per sample in arrays,
+    counts.  The other samples reach their region's anchors by arcs the
+    sound arc test accepts, never one that meets F = 0 (_anchor_components).
+    Boundary strata of the stable region are read at the first crossing of
+    F = 0 on each stable sample's arc to its mixed anchor
+    A(sign nu2, sign nu4).  The report keeps one row per sample in arrays,
     strata and configurations as int8 codes; no samples, non-finite rows,
     and nu5 outside 1e-3 <= |nu5| <= 1e3 raise ValueError.
     """
@@ -901,12 +834,9 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
     cls = classify_points(unit, nu5, tol)
     kinds = cls.kind
 
-    labels, (i, j) = _flood_components(rows, kinds, np.sign(F_critical(rows)))
-    roots = labels == np.arange(len(rows))
-    counts = np.bincount(kinds[roots], minlength=len(KINDS))
-
-    sel = (kinds[i] == _STABLE) & (kinds[j] == _MIXED)
-    crossings = _surface_crossings(rows[i[sel]], rows[j[sel]])
+    counts = _anchor_components(unit, kinds, np.sign(F_critical(unit)))
+    stable = unit[kinds == _STABLE]
+    crossings = _surface_crossings(stable, _ANCHORS[_mixed_anchor(stable[:, 1], stable[:, 3])])
 
     return StabilityReport(
         points=unit,

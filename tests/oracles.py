@@ -290,7 +290,7 @@ def flood_components_all_edges(points, kinds, signs, tree_k=12, rescue_k=48):
     """
     from scipy.spatial import cKDTree
 
-    from resonance_atlas.stratification import KINDS, _chord_sign_constant, _components
+    from resonance_atlas.stratification import KINDS, _chord_sign_constant
 
     critical = KINDS.index("critical")
 
@@ -313,14 +313,132 @@ def flood_components_all_edges(points, kinds, signs, tree_k=12, rescue_k=48):
     tree = cKDTree(points)
     nbrs = tree.query(points, k=min(tree_k + 1, n))[1].reshape(n, -1)
     i, j = linked_arcs(np.repeat(np.arange(n), nbrs.shape[1] - 1), nbrs[:, 1:].ravel())
-    labels = _components(n, i, j)
+    labels = components(n, i, j)
     sizes = np.bincount(labels, minlength=n)
     strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
     if len(strays):
         wide = tree.query(points[strays], k=min(rescue_k + 1, n))[1].reshape(len(strays), -1)
         ri, rj = linked_arcs(np.repeat(strays, wide.shape[1] - 1), wide[:, 1:].ravel())
-        labels = _components(n, np.concatenate([i, ri]), np.concatenate([j, rj]))
+        labels = components(n, np.concatenate([i, ri]), np.concatenate([j, rj]))
     return labels, nbrs
+
+
+def components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Label each of n nodes by the smallest node of its component under
+    the edges (i[k], j[k]).
+
+    Every root hooks onto the smallest root it shares an edge with, then
+    pointer jumping (root <- root[root]) runs until each node points at
+    its root; pointers only ever decrease, so the forest stays acyclic.
+    Repeats until no edge joins two roots.
+    """
+    root = np.arange(n)
+    while True:
+        ri, rj = root[i], root[j]
+        split = ri != rj
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(ri, rj)[split], np.minimum(ri, rj)[split])
+        nxt = root[root]
+        while not np.array_equal(nxt, root):
+            root, nxt = nxt, nxt[nxt]
+
+
+# Neighbours the lazy kNN flood queries: every row its NEAR_K nearest, the
+# wide rows their TREE_K nearest, the strays their RESCUE_K nearest.
+NEAR_K, TREE_K, RESCUE_K = 2, 12, 48
+# After the first round a row is wide when its component holds fewer than
+# n // WIDE_SHARE rows or one of its NEAR_K neighbours is in another.
+WIDE_SHARE = 20
+
+
+def candidate_arcs(kinds, signs, src, nbrs):
+    """The pairs (src[r], nbrs[r, c]) that the flood may join -- same kind,
+    not critical, the same nonzero sign of F -- once each, as (min, max).
+    nbrs holds neighbour columns without the point's own column."""
+    from resonance_atlas.stratification import KINDS
+
+    critical = KINDS.index("critical")
+    n = len(kinds)
+    i, j = src[:, None], nbrs
+    key = np.minimum(i, j) * n + np.maximum(i, j)
+    key = np.unique(key[i != j])
+    i, j = np.divmod(key, n)
+    keep = (
+        (kinds[i] != critical)
+        & (kinds[i] == kinds[j])
+        & (signs[i] != 0.0)
+        & (signs[i] == signs[j])
+    )
+    return i[keep], j[keep]
+
+
+def join_arcs(points, signs, labels, i, j):
+    """labels after joining every candidate pair (i[k], j[k]) whose arc keeps
+    the sign of F (the package's arc test, in its blocks).  Only pairs whose
+    labels differ are tested; an arc inside one component cannot change the
+    components."""
+    from resonance_atlas import stratification
+
+    split = labels[i] != labels[j]
+    i, j = i[split], j[split]
+    ok = stratification._certified(points[i], points[j], signs[i])
+    # the roots of labels are the smallest members of their components, so
+    # joining roots and relabelling through them is exact
+    return components(len(labels), labels[i[ok]], labels[j[ok]])[labels]
+
+
+def flood_components(points, kinds, signs):
+    """The lazy kNN flood fill the package counted regions with before the
+    anchor arcs: each point's component label (its smallest member) and
+    the directed neighbour pairs (i, j) it queried.
+
+    The candidate arcs go in rounds, one slice of neighbour columns each
+    (ranks 1 to NEAR_K, 3 to 5, 6 to TREE_K), and a round tests only the
+    arcs whose ends are still in different components.  Every row queries
+    its NEAR_K nearest for the first round; after it, a row is wide when
+    its component holds fewer than n // WIDE_SHARE rows or one of those
+    neighbours lies in another component, and only the wide rows query
+    ranks up to TREE_K.  A last pass widens the search to RESCUE_K for
+    members of very small components.  It labels as
+    flood_components_all_edges does, but it can split a thin mixed wedge
+    that no kNN arc crosses (8 of 36 seeds at n = 100k).
+    """
+    from scipy.spatial import cKDTree
+
+    n = len(points)
+    rows = np.arange(n)
+    tree = cKDTree(points)
+
+    def neighbours(x, k):
+        """The min(k, n) samples nearest each row of x, nearest first."""
+        k = min(k, n)
+        return tree.query(x, k=k)[1].reshape(len(x), k)
+
+    def join(labels, src, nbrs):
+        return join_arcs(points, signs, labels, *candidate_arcs(kinds, signs, src, nbrs))
+
+    near = neighbours(points, NEAR_K + 1)
+    labels = join(rows, rows, near[:, 1:])
+
+    sizes = np.bincount(labels, minlength=n)
+    wide = sizes[labels] < n // WIDE_SHARE
+    for col in near.T:
+        wide |= labels[col] != labels
+    wide = np.flatnonzero(wide)
+    table = neighbours(points[wide], TREE_K + 1)
+    labels = join(labels, wide, table[:, NEAR_K + 1 : 6])
+    labels = join(labels, wide, table[:, 6:])
+
+    sizes = np.bincount(labels, minlength=n)
+    strays = np.nonzero(sizes[labels] < max(3, n // 200))[0]
+    if len(strays):
+        labels = join(labels, strays, neighbours(points[strays], RESCUE_K + 1)[:, 1:])
+
+    later = table[:, NEAR_K + 1 :]
+    src = np.concatenate([np.repeat(rows, near.shape[1] - 1), np.repeat(wide, later.shape[1])])
+    dst = np.concatenate([near[:, 1:].ravel(), later.ravel()])
+    return labels, (src, dst)
 
 
 def chord_stationary_reference(vals: np.ndarray) -> np.ndarray:

@@ -41,6 +41,16 @@ def test_verify_strata_suite(capsys):
     assert "PASS strata.representatives" in out
 
 
+def test_verify_surface_suite_states_the_anchor_facts(capsys):
+    """The surface suite checks the factorisation of F and its sign on
+    nu2 = 0, which the anchor arcs of stability_report rest on."""
+    assert main(["verify", "--suite", "surface"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "OK 5 checks"
+    assert any(line.startswith("PASS surface.factorisation ") for line in lines)
+    assert any(line.startswith("PASS surface.nu2_zero_nonnegative ") for line in lines)
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
@@ -489,17 +499,23 @@ def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """classify, mesh and verify never use scipy, so importing the CLI
-    must not pay for it; sample loads it on demand."""
-    code = "import sys, resonance_atlas.cli; print('scipy' in sys.modules)"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """No command uses scipy: importing the CLI does not load it, and
+    neither does a sample run."""
     src = os.path.dirname(os.path.dirname(resonance_atlas.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    out = str(tmp_path / "s.csv")
+    for code in (
+        "import sys, resonance_atlas.cli",
+        "import sys; from resonance_atlas.cli import main; "
+        f"main(['--seed', '42', 'sample', '--n', '2000', '--out', {out!r}])",
+    ):
+        run = subprocess.run(
+            [sys.executable, "-c", code + "; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip().splitlines()[-1] == "False"
 
 
 def _classify_json(capsys, coords):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal
 
@@ -623,7 +624,7 @@ def test_lazy_flood_matches_all_edges_flood(n, seed, nu5):
     pairs returned are pairs of that table, once each: ranks 1 to 2 of
     every row, and all 12 ranks of a wide row."""
     pts, kinds, signs = _flood_inputs(n, seed, nu5)
-    labels, (i, j) = stratification._flood_components(pts, kinds, signs)
+    labels, (i, j) = oracles.flood_components(pts, kinds, signs)
     want_labels, table = oracles.flood_components_all_edges(pts, kinds, signs)
     assert np.array_equal(labels, want_labels)
     rows = np.arange(n)
@@ -653,7 +654,7 @@ def test_few_rows_take_the_wide_query(monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     pts, kinds, signs = _flood_inputs(10_000, 42, 1.0)
-    stratification._flood_components(pts, kinds, signs)
+    oracles.flood_components(pts, kinds, signs)
     assert queried[3] == 10_000
     assert 0 < queried[13] < 2_500
 
@@ -667,7 +668,7 @@ def test_lazy_flood_reaches_the_last_rank_round():
     pts = stratification._unit_rows(centers + 1e-4 * rng.standard_normal(centers.shape))
     kinds = classify_points(pts, 1.0).kind
     signs = np.sign(F_critical(pts))
-    labels, _ = stratification._flood_components(pts, kinds, signs)
+    labels, _ = oracles.flood_components(pts, kinds, signs)
     want, _ = oracles.flood_components_all_edges(pts, kinds, signs)
     assert np.array_equal(labels, want)
     assert len(np.unique(want)) < 100
@@ -695,16 +696,15 @@ def test_candidate_arcs_match_pair_dict(seed):
         for (a, b), c in want.items()
         if kinds[a] != critical and kinds[a] == kinds[b] and signs[a] != 0 and signs[a] == signs[b]
     }
-    i, j = stratification._candidate_arcs(kinds, signs, np.arange(len(pts)), table[:, 1:])
+    i, j = oracles.candidate_arcs(kinds, signs, np.arange(len(pts)), table[:, 1:])
     got = set(zip(i.tolist(), j.tolist()))
     assert len(got) == len(i)
     assert got == set(want)
     assert set(want.values()) == set(range(1, 13))
 
 
-def test_flood_tests_few_chords(monkeypatch):
-    """The lazy flood sends at most 13,000 chords through the arc test at
-    n = 10k (12,456 today); testing every candidate arc sends 56,929."""
+def _count_chords(monkeypatch):
+    """A one-element list that counts the chords sent through the arc test."""
     rows = [0]
     chord_test = stratification._chord_sign_constant
 
@@ -713,8 +713,17 @@ def test_flood_tests_few_chords(monkeypatch):
         return chord_test(a, b, sign)
 
     monkeypatch.setattr(stratification, "_chord_sign_constant", counted)
-    rep = stability_report(sphere_samples(10_000, 42), nu5=1.0)
-    assert rep.mixed_component_count == 2
+    return rows
+
+
+def test_flood_tests_few_chords(monkeypatch):
+    """The lazy kNN flood of the oracle sends at most 13,000 chords through
+    the arc test at n = 10k (12,456 today); testing every candidate arc
+    sends 56,929."""
+    rows = _count_chords(monkeypatch)
+    pts, kinds, signs = _flood_inputs(10_000, 42, 1.0)
+    labels, _ = oracles.flood_components(pts, kinds, signs)
+    assert len(np.unique(labels[kinds == KINDS.index("mixed")])) == 2
     assert 0 < rows[0] <= 13_000
 
 
@@ -873,14 +882,71 @@ def test_stability_invariants_across_samplings(seed, n, nu5):
     assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="an isolated V4 sample near P6 finds no valid arc and stays a third "
-    "mixed component",
-)
 def test_mixed_regions_not_split_near_p6():
+    """A V4 sample in a thin wedge near P6, which no kNN arc joins to its
+    region, reaches its anchor."""
     rep = stability_report(sphere_samples(10_000, 1559737105), nu5=1.0)
     assert rep.mixed_component_count == 2
+
+
+@pytest.mark.parametrize("seed", [4, 9, 12, 16, 18, 25, 42, 12345])
+def test_stability_invariants_where_the_knn_flood_splits(seed):
+    """At n = 100k the kNN flood splits a mixed region on these seeds; the
+    anchor arcs give the paper's counts and boundary."""
+    rep = stability_report(sphere_samples(100_000, seed), nu5=1.0)
+    assert (
+        rep.stable_component_count,
+        rep.unstable_component_count,
+        rep.mixed_component_count,
+    ) == (1, 1, 2)
+    assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
+
+
+def test_anchors_lie_in_their_regions():
+    """F > 0 at the poles -e1 (stable) and +e1 (unstable) and F < 0 at the
+    four mixed anchors A(+-1, +-1); each anchor is classified as its kind."""
+    anchors = stratification._ANCHORS
+    assert np.allclose(np.linalg.norm(anchors, axis=1), 1.0)
+    assert np.allclose(F_critical(anchors), [1.0, 1.0] + [-0.25] * 4, rtol=1e-15, atol=0.0)
+    kinds = stratification._ANCHOR_KINDS
+    assert [KINDS[k] for k in kinds] == ["stable", "unstable"] + ["mixed"] * 4
+    assert np.array_equal(classify_points(anchors, 1.0).kind, kinds)
+    for s, sigma in itertools.product((1.0, -1.0), repeat=2):
+        k = stratification._mixed_anchor(s, sigma)
+        assert np.allclose(anchors[k] * math.sqrt(2.0), [0.0, s, 0.0, sigma])
+
+
+def test_bridges_are_certified():
+    """Both arcs A(s, +) -> (0.1 s, s, 0, 0) -> A(s, -) keep F < 0 for
+    s = +-1, so the four mixed anchors fall into two classes."""
+    anchors = stratification._ANCHORS
+    for s, plus, minus in ((1.0, 2, 3), (-1.0, 4, 5)):
+        via = np.array([[0.1 * s, s, 0.0, 0.0]] * 2)
+        assert _chord_sign_constant(anchors[[plus, minus]], via, -np.ones(2)).all()
+    assert stratification._anchor_classes().tolist() == [0, 1, 2, 2, 4, 4]
+
+
+def test_wrong_kinds_raise_the_counts():
+    """Five stable samples relabelled unstable and five mixed ones relabelled
+    stable fail their arcs, so each counts as a component of its own."""
+    pts, kinds, signs = _flood_inputs(10_000, 42, 1.0)
+    stable, unstable, mixed = (KINDS.index(k) for k in ("stable", "unstable", "mixed"))
+    counts = stratification._anchor_components(pts, kinds, signs)
+    assert counts.tolist() == [1, 1, 2, 0]
+    wrong = kinds.copy()
+    wrong[np.flatnonzero(kinds == stable)[:5]] = unstable
+    wrong[np.flatnonzero(kinds == mixed)[:5]] = stable
+    assert stratification._anchor_components(pts, wrong, signs).tolist() == [6, 6, 2, 0]
+
+
+def test_anchor_arcs_per_sample(monkeypatch):
+    """The anchor arcs are a fixed set: one chord per stable or unstable
+    sample, two per mixed one and four for the bridges, with no neighbour
+    search."""
+    rows = _count_chords(monkeypatch)
+    pts, kinds, signs = _flood_inputs(10_000, 42, 1.0)
+    stratification._anchor_components(pts, kinds, signs)
+    assert rows[0] == len(pts) + np.count_nonzero(kinds == KINDS.index("mixed")) + 4
 
 
 # -- surface meshes -------------------------------------------------------------
