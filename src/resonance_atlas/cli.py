@@ -45,12 +45,13 @@ from .geometry import (
     normal_form_residual,
 )
 from .linalg import char_poly, commutator, frobenius_inner
-from .spectra import CONFIG_NAMES
+from .spectra import CONFIG_NAMES, _pair_split
 from .stratification import (
     STRATA,
     STRATUM_NAMES,
     _check_nu5,
     _row_label,
+    _stable_boundary,
     classify_point,
     configuration_at,
     mesh_surfaces,
@@ -183,15 +184,21 @@ def _check_surface(rng, tol):
         b = param_phi(+1, 0.0, float(TWO_PI - t))
         worst = max(worst, float(np.max(np.abs(a.nu4 - b.nu4))))
     yield "surface.two_to_one", worst
-    # the facts the anchor arcs of stability_report rest on, on random unit
-    # points: F = (nu1^2 - Im D^2)(nu1^2 + Re D^2), D^2 = nu3^2 + nu4^2 - nu2^2
-    # + 2 i nu2 nu4, and F >= 0 where nu2 = 0
+    # the facts the anchor arcs and the stable boundary of stability_report
+    # rest on, on random unit points: F = (nu1^2 - Im D^2)(nu1^2 + Re D^2),
+    # D^2 = nu3^2 + nu4^2 - nu2^2 + 2 i nu2 nu4; F = 0 on the chart
+    # b(w) = (-|Im D(w)|, w) / norm and F > 0 just past it toward -e1; and
+    # F >= 0 where nu2 = 0
     v = rng.standard_normal((200, 4))
     v /= np.linalg.norm(v, axis=1)[:, None]
     n1, n2, n3, n4 = v.T
-    d = np.sqrt(n3 * n3 + n4 * n4 - n2 * n2 + 2j * n2 * n4)
+    d = _pair_split(n2, n3, n4)
     factored = (n1 * n1 - d.imag**2) * (n1 * n1 + d.real**2)
     yield "surface.factorisation", float(np.max(np.abs(F_critical(v) - factored)))
+    b = _stable_boundary(v)
+    past = F_critical(b - [1e-3, 0.0, 0.0, 0.0])  # F is homogeneous: no renormalising
+    worst = max(float(np.max(np.abs(F_critical(b)))), float(np.sum(past <= 0.0)))
+    yield "surface.stable_boundary_chart", worst
     v[:, 1] = 0.0
     v /= np.linalg.norm(v, axis=1)[:, None]
     yield "surface.nu2_zero_nonnegative", max(0.0, -float(F_critical(v).min()))

@@ -99,17 +99,25 @@ _COINCIDENT_CODES = {
 }
 
 
+def _pair_split(n2, n3, n4):
+    """D = sqrt(n3^2 + n4^2 - n2^2 + 2 i n2 n4) on the principal branch, the
+    half-gap of the family's eigenvalue pair over t0 (_upper_pair), and the
+    factor of F = (n1^2 - Im D^2)(n1^2 + Re D^2).  Python floats of one row
+    or (n,) columns."""
+    return np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
+
+
 def _upper_pair(n1, n2, n3, n4, t0, nu5, cluster_tol):
     """The two eigenvalues above the real axis of the canonical-family
     matrix at t0 times the unit point (n1, n2, n3, n4) with weight nu5.
 
-    They are hi, lo = t0 n1 + i(nu5 +- t0 D), D = sqrt(n3^2 + n4^2 - n2^2 +
-    2 i n2 n4), returned with whether they coincide: a gap within
-    cluster_tol (1 + max |lambda|).  Built from arithmetic, abs, comparisons,
-    np.sqrt and np.maximum only, so the arguments may be Python floats of one
-    row or (n,) columns.
+    They are hi, lo = t0 n1 + i(nu5 +- t0 D), D = _pair_split(n2, n3, n4),
+    returned with whether they coincide: a gap within cluster_tol
+    (1 + max |lambda|).  Built from arithmetic, abs, comparisons, np.sqrt
+    and np.maximum only, so the arguments may be Python floats of one row
+    or (n,) columns.
     """
-    d = np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
+    d = _pair_split(n2, n3, n4)
     hi = t0 * n1 + 1j * (nu5 + t0 * d)
     lo = t0 * n1 + 1j * (nu5 + t0 * -d)
     return hi, lo, abs(hi - lo) <= cluster_tol * (1.0 + np.maximum(abs(hi), abs(lo)))

@@ -51,6 +51,7 @@ from .spectra import (
     EigConfig,
     _pair_is_semisimple,
     _pair_labels,
+    _pair_split,
     _upper_pair,
     classify_configuration,
 )
@@ -623,20 +624,15 @@ _SUBDIVISION_DEPTH = 20  # halvings before a piece still undecided is given up
 _EDGE_BLOCK = 4096
 
 
-def _arc_values(at: np.ndarray, bt: np.ndarray, t) -> np.ndarray:
-    """F at (1 - t) a + t b, (m,), for a, b given as (4, m) coordinate rows
-    and t a scalar or an (m,) array; each coordinate is one contiguous row."""
-    return F_critical(((1.0 - t) * at + t * bt).T)
-
-
 def _chord_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """F at the five chord nodes (m, 5).
 
     F is a quartic form, so on the chord from a to b it is a quartic in
-    the line parameter, pinned exactly by these five values.
+    the line parameter, pinned exactly by these five values.  Each
+    coordinate of a and b is one contiguous row.
     """
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    return np.column_stack([_arc_values(at, bt, t) for t in _CHORD_NODES])
+    return np.column_stack([F_critical(((1.0 - t) * at + t * bt).T) for t in _CHORD_NODES])
 
 
 def _halves(bern: np.ndarray) -> np.ndarray:
@@ -743,67 +739,13 @@ def _anchor_components(points: np.ndarray, kinds: np.ndarray, signs: np.ndarray)
     return failed + np.bincount(_ANCHOR_KINDS[reached], minlength=len(KINDS))
 
 
-def _first_root_brackets(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets lo, hi (m,) of the first root in [0, 1] of each quartic with
-    Bernstein coefficients bern (m, 5) and ends of opposite sign.  By Descartes'
-    rule a piece whose control polygon changes sign once holds one root, one
-    without a change none; the latter are dropped and the rest halved until a
-    row's leftmost piece changes once, or for _SUBDIVISION_DEPTH halvings.  An
-    inner coefficient within the margin counts as a change (the ends keep their
-    exact sign), so rounding never hides a root."""
-    lo, hi = np.zeros(len(bern)), np.ones(len(bern))
-    floor = _BERNSTEIN_MARGIN * np.abs(bern).max(axis=1, keepdims=True) * [0, 1, 1, 1, 0]
-    rows, start, pieces = np.arange(len(bern)), lo.copy(), bern
-    for depth in range(_SUBDIVISION_DEPTH + 1):
-        signs = np.sign(pieces) * (np.abs(pieces) > floor[rows])
-        changes = np.count_nonzero(np.diff(signs, axis=1), axis=1)
-        live = np.flatnonzero(changes)
-        first = live[np.unique(rows[live], return_index=True)[1]]
-        done = first[(changes[first] == 1) | (depth == _SUBDIVISION_DEPTH)]
-        lo[rows[done]], hi[rows[done]] = start[done], start[done] + 0.5**depth
-        live = live[~np.isin(rows[live], rows[done])]
-        if not len(live):
-            break
-        rows, start = np.repeat(rows[live], 2), np.repeat(start[live], 2)
-        start[1::2] += 0.5 ** (depth + 1)
-        pieces = _halves(pieces[live])
-    return lo, hi
-
-
-def _surface_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The first point where each arc from a[k] to b[k] crosses F = 0.
-
-    Arcs with F(a) = 0 or with the same sign of F at both ends are
-    dropped.  The piece that _first_root_brackets isolates is bisected to
-    machine precision: until a step changes no row, since every later step
-    would repeat it (about 60 steps), and at most 80.
-    """
-    vals = _chord_values(a, b)
-    keep = (vals[:, 0] != 0.0) & ~(vals[:, 0] * vals[:, 4] > 0.0)
-    a, b = a[keep], b[keep]
-    lo, hi = _first_root_brackets(vals[keep] @ _CHORD_BERNSTEIN.T)
-    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    flo = _arc_values(at, bt, lo)
-    live = np.ones(len(a), dtype=bool)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = _arc_values(at, bt, mid)
-        left = flo * fm < 0.0
-        step_hi = np.where(live & left, mid, hi)
-        right = live & ~left & (fm != 0.0)
-        step_lo, step_flo = np.where(right, mid, lo), np.where(right, fm, flo)
-        step_live = live & (fm != 0.0)
-        if (
-            np.array_equal(step_hi, hi)
-            and np.array_equal(step_lo, lo)
-            and np.array_equal(step_flo, flo)
-            and np.array_equal(step_live, live)
-        ):
-            break
-        lo, hi, flo, live = step_lo, step_hi, step_flo, step_live
-    t = 0.5 * (lo + hi)[:, None]
-    q = (1.0 - t) * a + t * b
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
+def _stable_boundary(stable: np.ndarray) -> np.ndarray:
+    """Where the meridian from -e1 through each stable row (nu1, w) leaves
+    V3 = {nu1 < -|Im D|}: b(w) = (-|Im D(w)|, w) / norm, on F = 0.  |Im D|
+    is homogeneous of degree 1 in w, so that is the meridian's one exit.
+    The pole -e1 itself (w = 0) lies on every meridian and gives no row."""
+    n2, n3, n4 = stable[(stable[:, 1:] != 0.0).any(axis=1), 1:].T
+    return _unit_rows(np.column_stack([-abs(_pair_split(n2, n3, n4).imag), n2, n3, n4]))
 
 
 def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityReport:
@@ -815,9 +757,9 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
     the threshold are tagged critical and excluded from the component
     counts.  The other samples reach their region's anchors by arcs the
     sound arc test accepts, never one that meets F = 0 (_anchor_components).
-    Boundary strata of the stable region are read at the first crossing of
-    F = 0 on each stable sample's arc to its mixed anchor
-    A(sign nu2, sign nu4).  The report keeps one row per sample in arrays,
+    Boundary strata of the stable region are read where each stable
+    sample's meridian from -e1 leaves V3, in closed form
+    (_stable_boundary).  The report keeps one row per sample in arrays,
     strata and configurations as int8 codes; no samples, non-finite rows,
     and nu5 outside 1e-3 <= |nu5| <= 1e3 raise ValueError.
     """
@@ -835,8 +777,7 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
     kinds = cls.kind
 
     counts = _anchor_components(unit, kinds, np.sign(F_critical(unit)))
-    stable = unit[kinds == _STABLE]
-    crossings = _surface_crossings(stable, _ANCHORS[_mixed_anchor(stable[:, 1], stable[:, 3])])
+    boundary = _stable_boundary(unit[kinds == _STABLE])
 
     return StabilityReport(
         points=unit,
@@ -847,7 +788,7 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
         stable_component_count=int(counts[_STABLE]),
         unstable_component_count=int(counts[_UNSTABLE]),
         mixed_component_count=int(counts[_MIXED]),
-        stable_boundary_strata=_probe_strata(crossings, nu5, tol),
+        stable_boundary_strata=_probe_strata(boundary, nu5, tol),
     )
 
 

@@ -499,24 +499,6 @@ def surface_crossings_stationary_reference(a, b) -> np.ndarray:
     return _bisect_first_crossing(a, b, lo, hi, flo)
 
 
-def surface_crossings_reference(a, b) -> np.ndarray:
-    """The first crossing of F = 0 on each arc a[k] -> b[k], bisected for a
-    fixed 80 steps on (m, k, 4) chord points, for comparison with the
-    package's _surface_crossings.  Arcs with F(a) = 0 or the same sign of F
-    at both ends are dropped; the brackets come from the package's
-    _first_root_brackets on the Bernstein coefficients of the chord."""
-    from resonance_atlas.stratification import _CHORD_BERNSTEIN, _first_root_brackets
-
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    nodes = np.broadcast_to(_CHORD_NODES, (len(a), 5))
-    vals = F_quartic(chord_points_reference(a, b, nodes))
-    keep = (vals[:, 0] != 0.0) & ~(vals[:, 0] * vals[:, 4] > 0.0)
-    a, b = a[keep], b[keep]
-    lo, hi = _first_root_brackets(vals[keep] @ _CHORD_BERNSTEIN.T)
-    flo = F_quartic(chord_points_reference(a, b, lo[:, None]))[:, 0]
-    return _bisect_first_crossing(a, b, lo, hi, flo)
-
-
 def probe_classify(point, nu5: float, tol: float):
     """classify_point's stratum name at point / |point|, one point at a
     time, or None where the label is ambiguous at this tol."""

@@ -42,12 +42,14 @@ def test_verify_strata_suite(capsys):
 
 
 def test_verify_surface_suite_states_the_anchor_facts(capsys):
-    """The surface suite checks the factorisation of F and its sign on
-    nu2 = 0, which the anchor arcs of stability_report rest on."""
+    """The surface suite checks the factorisation of F, the closed-form
+    chart of the stable boundary and the sign of F on nu2 = 0, which the
+    anchor arcs and the boundary strata of stability_report rest on."""
     assert main(["verify", "--suite", "surface"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[-1] == "OK 5 checks"
+    assert lines[-1] == "OK 6 checks"
     assert any(line.startswith("PASS surface.factorisation ") for line in lines)
+    assert any(line.startswith("PASS surface.stable_boundary_chart ") for line in lines)
     assert any(line.startswith("PASS surface.nu2_zero_nonnegative ") for line in lines)
 
 

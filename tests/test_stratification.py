@@ -727,72 +727,56 @@ def test_flood_tests_few_chords(monkeypatch):
     assert 0 < rows[0] <= 13_000
 
 
-def _stable_to_mixed_arcs(seed):
-    from scipy.spatial import cKDTree
-
-    pts, kinds, _ = _flood_inputs(10_000, seed, 1.0)
-    nbrs = cKDTree(pts).query(pts, k=13)[1]
-    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
-    sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
-    return pts[i[sel]], pts[j[sel]]
-
-
 @pytest.mark.parametrize("seed", [42, 3658652565, 815100843])
-def test_surface_crossings_match_fixed_step_bisection(seed, count_calls):
-    """The chord values on contiguous columns and the bisection stopped at
-    its fixed point equal, bit for bit, the (m, k, 4) chord points bisected
-    for all 80 steps; the bisection stops well before the cap."""
-    a, b = _stable_to_mixed_arcs(seed)
+def test_chord_values_match_chord_points(seed):
+    """The chord values on contiguous columns equal, bit for bit, F at the
+    (m, 5, 4) chord points of the reference, on each sample's arc to its
+    mixed anchor."""
+    a = sphere_samples(10_000, seed)
+    b = stratification._ANCHORS[stratification._mixed_anchor(a[:, 1], a[:, 3])]
     nodes = np.broadcast_to(np.linspace(0.0, 1.0, 5), (len(a), 5))
-    want_vals = F_critical(oracles.chord_points_reference(a, b, nodes))
-    assert np.array_equal(stratification._chord_values(a, b), want_vals)
-    arc_values = count_calls(stratification._arc_values)
-    got = stratification._surface_crossings(a, b)
-    want = oracles.surface_crossings_reference(a, b)
-    assert len(got) > 1000
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # five chord nodes and one call for F at the bracket ends, then one call
-    # per bisection step
-    assert arc_values[0] - 6 < 70
+    want = F_critical(oracles.chord_points_reference(a, b, nodes))
+    assert np.array_equal(stratification._chord_values(a, b), want)
 
 
-@pytest.mark.parametrize("seed", [42, 3658652565, 815100843, 2503583820])
-def test_first_root_isolation_matches_stationary_points(seed):
-    """On the stable-to-mixed arcs whose Bernstein control polygon changes
-    sign more than once, so that the brackets come from halving, the first
-    crossing is the one found between the stationary points of the chord
-    quartic."""
-    a, b = _stable_to_mixed_arcs(seed)
-    bern = stratification._chord_values(a, b) @ stratification._CHORD_BERNSTEIN.T
-    multi = np.count_nonzero(np.diff(np.sign(bern), axis=1), axis=1) > 1
-    assert multi.any()
-    lo, hi = stratification._first_root_brackets(bern[multi])
-    assert np.all(hi - lo < 1.0)
-    got = stratification._surface_crossings(a[multi], b[multi])
-    want = oracles.surface_crossings_stationary_reference(a[multi], b[multi])
-    assert got.shape == want.shape == (multi.sum(), 4)
-    assert np.abs(got - want).max() <= 4e-15
+@pytest.mark.parametrize("seed", [42, 3658652565, 815100843, 2503583820, 7])
+def test_stable_boundary_matches_stationary_crossings(seed):
+    """The closed-form boundary point of each stable sample v = (nu1, w) at
+    n = 100k is the crossing of F = 0 that the stationary-point reference
+    finds on the arc v -> (0, w) / |w|.  That arc runs along the meridian
+    from -e1, and by F = (nu1^2 - Im D^2)(nu1^2 + Re D^2) it crosses F = 0
+    once.  The crossing is ill-conditioned as |Im D| -> 0, so the points
+    must agree where |Im D| >= 1e-3 (about 99 % of the rows), and F must
+    vanish to 1e-15 on every row."""
+    pts = sphere_samples(100_000, seed)
+    stable = pts[classify_points(pts, 1.0).kind == KINDS.index("stable")]
+    got = stratification._stable_boundary(stable)
+    ends = stable * [0.0, 1.0, 1.0, 1.0]
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    want = oracles.surface_crossings_stationary_reference(stable, ends)
+    assert got.shape == want.shape == stable.shape
+    n2, n3, n4 = stable[:, 1:].T
+    im_d = np.abs(np.sqrt(n3 * n3 + n4 * n4 - n2 * n2 + 2j * n2 * n4).imag)
+    conditioned = im_d >= 1e-3
+    assert conditioned.mean() > 0.95
+    assert np.abs(got - want)[conditioned].max() <= 1e-14
+    assert np.abs(F_critical(got)).max() <= 1e-15
 
 
-def test_first_root_isolation_with_three_crossings():
-    """F has three simple roots on this chord, near t = 0.17, 0.44 and 0.66;
-    the crossing is the first one."""
-    a, b = np.array([[-0.4, -0.7, -0.7, 0.0]]), np.array([[0.6, 0.8, 0.8, 0.8]])
-    t = np.array([0.0, 0.3, 0.5, 1.0])
-    assert np.sign(F_critical((1.0 - t)[:, None] * a + t[:, None] * b)).tolist() == [
-        1.0, -1.0, 1.0, -1.0
-    ]
-    got = stratification._surface_crossings(a, b)
-    want = oracles.surface_crossings_stationary_reference(a, b)
-    assert got.shape == want.shape == (1, 4)
-    assert np.abs(got - want).max() <= 4e-15
-    first = (1.0 - 0.17) * a + 0.17 * b
-    assert np.abs(got - first / np.linalg.norm(first)).max() < 1e-2
+def test_stable_boundary_skips_the_pole():
+    """The pole -e1 lies on every meridian and gives no boundary point; a
+    report with it among the samples still reads S2 and S3."""
+    pole = np.array([[-1.0, 0.0, 0.0, 0.0]])
+    assert stratification._stable_boundary(pole).shape == (0, 4)
+    rep = stability_report(np.vstack([pole, sphere_samples(2000, 0)]), nu5=1.0)
+    assert rep.stable[0]
+    assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
 
 
 def test_stability_report_without_eigensolver_roots(monkeypatch):
-    """The arc test and the crossing search run on Bernstein coefficients
-    alone: no companion-matrix eigenvalues and no np.roots."""
+    """The arc test runs on Bernstein coefficients alone and the stable
+    boundary comes in closed form: no companion-matrix eigenvalues and no
+    np.roots."""
     calls = {"eigvals": 0, "roots": 0}
 
     def counting(module, name):
@@ -813,8 +797,10 @@ def test_stability_report_without_eigensolver_roots(monkeypatch):
 
 @pytest.mark.parametrize("seed", [3658652565, 815100843, 2503583820])
 def test_stable_boundary_takes_first_crossing(seed):
-    """On these sample sets a stable-to-mixed arc crosses the surface
-    three times; only its first crossing bounds the stable region."""
+    """On these sample sets some arc from a stable sample to a mixed one
+    crosses the surface three times.  The boundary is read where each
+    stable sample's meridian from -e1 leaves V3, its one crossing of F = 0
+    that bounds the stable region, and it is S2 and S3."""
     rep = stability_report(sphere_samples(10_000, seed), nu5=1.0)
     assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
 
@@ -822,17 +808,14 @@ def test_stable_boundary_takes_first_crossing(seed):
 @pytest.mark.parametrize("seed", [3658652565, 815100843, 2503583820])
 def test_boundary_probes_match_scalar_probes(seed):
     """The array probes give the strata that oracles.probe_classify gives
-    one crossing at a time, and those are the report's boundary strata."""
-    from scipy.spatial import cKDTree
-
+    the closed-form boundary points one at a time, and those are the
+    report's boundary strata."""
     pts = sphere_samples(10_000, seed)
     kinds = classify_points(stratification._unit_rows(pts), 1.0).kind
-    nbrs = cKDTree(pts).query(pts, k=13)[1]
-    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
-    sel = (kinds[i] == KINDS.index("stable")) & (kinds[j] == KINDS.index("mixed"))
-    crossings = stratification._surface_crossings(pts[i[sel]], pts[j[sel]])
-    want = {oracles.probe_classify(q, 1.0, 1e-9) for q in crossings} - {None}
-    assert stratification._probe_strata(crossings, 1.0, 1e-9) == want
+    boundary = stratification._stable_boundary(pts[kinds == KINDS.index("stable")])
+    want = {oracles.probe_classify(q, 1.0, 1e-9) for q in boundary} - {None}
+    assert want == {"S2", "S3"}
+    assert stratification._probe_strata(boundary, 1.0, 1e-9) == want
     assert stability_report(pts, nu5=1.0).stable_boundary_strata == want
 
 
@@ -889,11 +872,20 @@ def test_mixed_regions_not_split_near_p6():
     assert rep.mixed_component_count == 2
 
 
-@pytest.mark.parametrize("seed", [4, 9, 12, 16, 18, 25, 42, 12345])
-def test_stability_invariants_where_the_knn_flood_splits(seed):
-    """At n = 100k the kNN flood splits a mixed region on these seeds; the
-    anchor arcs give the paper's counts and boundary."""
-    rep = stability_report(sphere_samples(100_000, seed), nu5=1.0)
+# The seeds of the sweep in ROADMAP.md: 0-29 and six more.
+_SWEEP_SEEDS = [*range(30), 42, 12345, 1559737105, 3658652565, 815100843, 2503583820]
+
+
+@pytest.mark.parametrize(
+    "n, seed",
+    [pytest.param(100_000, s, id=str(s)) for s in (4, 9, 12, 16, 18, 25, 42, 12345)]
+    + [pytest.param(10_000, s, id=f"10k-{s}") for s in _SWEEP_SEEDS],
+)
+def test_stability_invariants_where_the_knn_flood_splits(n, seed):
+    """At n = 100k the kNN flood splits a mixed region on the first eight
+    seeds; the anchor arcs give the paper's counts and boundary there, and
+    on every seed of the sweep at n = 10k."""
+    rep = stability_report(sphere_samples(n, seed), nu5=1.0)
     assert (
         rep.stable_component_count,
         rep.unstable_component_count,
