@@ -39,8 +39,9 @@ from .geometry import (
     P_POINTS,
     SpherePoint,
     TWO_PI,
+    check_unit_rows,
     f_surface,
-    param_phi,
+    param_phi_array,
     phi_coeffs,
     normal_form_residual,
 )
@@ -74,27 +75,21 @@ class RunConfig:
     """Run-wide defaults shared by the subcommands."""
 
     tol: float = 1e-9
-    cluster_tol: float = 1e-6
     nu5: float = 1.0
     seed: int = 42
-    grid: int = 128
 
     def validate(self) -> None:
-        for key in ("tol", "cluster_tol", "nu5"):
+        for key in ("tol", "nu5"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if not (self.cluster_tol > 0.0):
-            raise ValueError("cluster_tol must be positive")
         _check_nu5(self.nu5, "config")
-        if self.grid < 8:
-            raise ValueError("grid must be >= 8")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
-_CONFIG_KEYS = {"tol": float, "cluster_tol": float, "nu5": float, "seed": int, "grid": int}
+_CONFIG_KEYS = {"tol": float, "nu5": float, "seed": int}
 
 
 def _read_config_file(path: str) -> dict:
@@ -167,23 +162,18 @@ def _check_surface(rng, tol):
         scale = 1.0 + float(np.linalg.norm(v)) ** 6
         worst = max(worst, abs(lhs - rhs) / scale)
     yield "surface.determinant_identity", worst
-    worst = 0.0
-    for disc in (+1, -1):
-        for s in np.linspace(-1.0, 1.0, 25):
-            for t in np.linspace(0.0, TWO_PI, 25):
-                q = param_phi(disc, float(s), float(t))
-                worst = max(worst, abs(float(G_sphere(q.nu4))))
-    yield "surface.on_sphere_zero", worst
-    worst = 0.0
-    for s in np.linspace(-1.0, 1.0, 17):
-        a = param_phi(+1, float(s), math.pi / 2.0)
-        b = param_phi(+1, float(-s), 3.0 * math.pi / 2.0)
-        worst = max(worst, float(np.max(np.abs(a.nu4 - b.nu4))))
-    for t in np.linspace(0.0, TWO_PI, 17):
-        a = param_phi(+1, 0.0, float(t))
-        b = param_phi(+1, 0.0, float(TWO_PI - t))
-        worst = max(worst, float(np.max(np.abs(a.nu4 - b.nu4))))
-    yield "surface.two_to_one", worst
+    s, t = np.meshgrid(np.linspace(-1.0, 1.0, 25), np.linspace(0.0, TWO_PI, 25), indexing="ij")
+    q = np.stack([param_phi_array(disc, s, t) for disc in (+1, -1)]).reshape(-1, 4)
+    check_unit_rows(q)
+    yield "surface.on_sphere_zero", float(np.max(np.abs(G_sphere(q))))
+    s = np.linspace(-1.0, 1.0, 17)
+    t = np.linspace(0.0, TWO_PI, 17)
+    # phi(s, pi/2) = phi(-s, 3 pi/2) and phi(0, t) = phi(0, 2 pi - t)
+    a = np.vstack([param_phi_array(+1, s, math.pi / 2.0), param_phi_array(+1, 0.0, t)])
+    b = np.vstack([param_phi_array(+1, -s, 3.0 * math.pi / 2.0),
+                   param_phi_array(+1, 0.0, TWO_PI - t)])
+    check_unit_rows(np.vstack([a, b]))
+    yield "surface.two_to_one", float(np.max(np.abs(a - b)))
     # the facts the anchor arcs and the stable boundary of stability_report
     # rest on, on random unit points: F = (nu1^2 - Im D^2)(nu1^2 + Re D^2),
     # D^2 = nu3^2 + nu4^2 - nu2^2 + 2 i nu2 nu4; F = 0 on the chart
@@ -321,9 +311,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("classify: the first four coordinates must not all be zero", file=sys.stderr)
         return 2
     point = SpherePoint(raw / norm)
-    code, hi, lo, config, stable_count, max_re = _row_label(
-        point.nu4, cfg.nu5, cfg.tol, cfg.cluster_tol
-    )
+    code, hi, lo, config, stable_count, max_re = _row_label(point.nu4, cfg.nu5, cfg.tol)
     label = STRATA[STRATUM_NAMES[code]]
     config = CONFIG_NAMES[config]
     F = float(F_critical(point.nu4))
@@ -572,9 +560,6 @@ _CONFIG_BYTES = np.array(CONFIG_NAMES, dtype="S")
 
 def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
     n = args.n
-    if n <= 0:
-        print("sample: --n must be positive", file=sys.stderr)
-        return 2
     pts = sphere_samples(n, cfg.seed)
     report = stability_report(pts, cfg.nu5, cfg.tol)
 
@@ -635,12 +620,8 @@ def _write_mesh_csv(fh, meshes) -> None:
 
 
 def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
-    resolution = cfg.grid if args.resolution is None else args.resolution
-    if resolution < 8:
-        print("mesh: resolution must be >= 8", file=sys.stderr)
-        return 2
     discs = {"plus": [+1], "minus": [-1], "both": [+1, -1]}[args.disc]
-    meshes = mesh_surfaces(discs, resolution, cfg.nu5, cfg.tol)
+    meshes = mesh_surfaces(discs, args.resolution, cfg.nu5, cfg.tol)
 
     with open(args.out, "wb") as fh:
         if args.format == "obj":
@@ -650,7 +631,7 @@ def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "resolution": resolution,
+        "resolution": args.resolution,
         "nu5": cfg.nu5,
         "meshes": [
             {
@@ -688,12 +669,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stability atlas for 4x4 linear systems near a 1:1 resonance.",
     )
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--tol", type=float, help="residual tolerance (default 1e-9)")
-    parser.add_argument("--cluster-tol", dest="cluster_tol", type=float,
-                        help="eigenvalue clustering tolerance (default 1e-6)")
+    parser.add_argument("--tol", type=float,
+                        help="label tolerance of classify, sample and mesh and the pass "
+                        "threshold of verify (default 1e-9); eigenvalue coincidence is "
+                        "fixed at 1e-6 relative")
     parser.add_argument("--nu5", type=float, help="resonant frequency weight (default 1)")
     parser.add_argument("--seed", type=int, help="RNG seed (default 42)")
-    parser.add_argument("--grid", type=int, help="default grid resolution (default 128)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run self-audit suites")
@@ -717,7 +698,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="triangulate the critical surface")
     p.add_argument("--disc", choices=["plus", "minus", "both"], default="both")
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--resolution", type=int, default=128)
     p.add_argument("--format", choices=["obj", "csv"], default="obj")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mesh)

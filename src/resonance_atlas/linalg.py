@@ -32,8 +32,11 @@ __all__ = [
     "quartic_roots",
 ]
 
-# Relative threshold shared across the package: roots closer than
-# CLUSTER_TOL_DEFAULT * (1 + max |root|) count as one cluster.
+# Relative coincidence threshold shared across the package, a constant and
+# not a run setting: roots closer than CLUSTER_TOL_DEFAULT * (1 + max |root|)
+# count as one cluster.  Configurations are read at the ray-interior scale,
+# where every imaginary part lies in [|nu5|/2, 3 |nu5|/2], so one relative
+# threshold fits every point and weight.
 CLUSTER_TOL_DEFAULT = 1e-6
 
 

@@ -107,12 +107,12 @@ def _pair_split(n2, n3, n4):
     return np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
 
 
-def _upper_pair(n1, n2, n3, n4, t0, nu5, cluster_tol):
+def _upper_pair(n1, n2, n3, n4, t0, nu5):
     """The two eigenvalues above the real axis of the canonical-family
     matrix at t0 times the unit point (n1, n2, n3, n4) with weight nu5.
 
     They are hi, lo = t0 n1 + i(nu5 +- t0 D), D = _pair_split(n2, n3, n4),
-    returned with whether they coincide: a gap within cluster_tol
+    returned with whether they coincide: a gap within CLUSTER_TOL_DEFAULT
     (1 + max |lambda|).  Built from arithmetic, abs, comparisons, np.sqrt
     and np.maximum only, so the arguments may be Python floats of one row
     or (n,) columns.
@@ -120,7 +120,7 @@ def _upper_pair(n1, n2, n3, n4, t0, nu5, cluster_tol):
     d = _pair_split(n2, n3, n4)
     hi = t0 * n1 + 1j * (nu5 + t0 * d)
     lo = t0 * n1 + 1j * (nu5 + t0 * -d)
-    return hi, lo, abs(hi - lo) <= cluster_tol * (1.0 + np.maximum(abs(hi), abs(lo)))
+    return hi, lo, abs(hi - lo) <= CLUSTER_TOL_DEFAULT * (1.0 + np.maximum(abs(hi), abs(lo)))
 
 
 def _pair_labels(hi, lo, tol):
@@ -174,8 +174,9 @@ class EigConfig:
     spectrum: Spectrum
 
 
-def _cluster_indices(roots, cluster_tol):
-    """Union-find clustering under the relative coincidence threshold."""
+def _cluster_indices(roots):
+    """Union-find clustering under the relative coincidence threshold
+    CLUSTER_TOL_DEFAULT."""
     n = len(roots)
     parent = list(range(n))
 
@@ -188,7 +189,7 @@ def _cluster_indices(roots, cluster_tol):
     for i in range(n):
         for j in range(i + 1, n):
             gap = abs(roots[i] - roots[j])
-            if gap <= cluster_tol * (1.0 + max(abs(roots[i]), abs(roots[j]))):
+            if gap <= CLUSTER_TOL_DEFAULT * (1.0 + max(abs(roots[i]), abs(roots[j]))):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -232,8 +233,9 @@ def is_semisimple_double_pair(A: Mat4, beta: float, tol: float) -> bool:
     return _pair_is_semisimple(A, 0.0, float(beta) ** 2, tol)
 
 
-def spectrum(A: Mat4, tol: float, cluster_tol: float = CLUSTER_TOL_DEFAULT) -> Spectrum:
-    """Eigenvalues of A via the quartic of char_poly, plus clustering.
+def spectrum(A: Mat4, tol: float) -> Spectrum:
+    """Eigenvalues of A via the quartic of char_poly, plus clustering: roots
+    within CLUSTER_TOL_DEFAULT (1 + max |root|) share a cluster.
 
     When the two eigenvalues above the real axis fall into one cluster,
     the pair is taken from the square root x^2 + u x + v of the
@@ -244,7 +246,7 @@ def spectrum(A: Mat4, tol: float, cluster_tol: float = CLUSTER_TOL_DEFAULT) -> S
     """
     poly = char_poly(A)
     roots = quartic_roots(poly, tol).roots
-    clusters = _cluster_indices(roots, cluster_tol)
+    clusters = _cluster_indices(roots)
     upper = {i for i, z in enumerate(roots) if z.imag > 0.0}
     pair = flag = None
     if len(upper) == 2 and any(upper <= set(c) for c in clusters):
@@ -258,17 +260,16 @@ def spectrum(A: Mat4, tol: float, cluster_tol: float = CLUSTER_TOL_DEFAULT) -> S
     return Spectrum(tuple(roots), clusters, max(z.real for z in roots), flag, pair)
 
 
-def classify_configuration(
-    A: Mat4, tol: float, cluster_tol: float = CLUSTER_TOL_DEFAULT
-) -> EigConfig:
+def classify_configuration(A: Mat4, tol: float) -> EigConfig:
     """Name the two-pair eigenvalue configuration of A.
 
     Cascade: reject real/zero eigenvalues (UnresolvedConfiguration), read
     the sign of each pair's real part against the relative threshold
-    tol*(1+|lambda|), and for a coincident pair split semisimple from
-    nilpotent by annihilator rank.  Everything is read from one spectrum.
+    tol*(1+|lambda|), and for a pair coincident within CLUSTER_TOL_DEFAULT
+    (spectrum) split semisimple from nilpotent by annihilator rank.
+    Everything is read from one spectrum.
     """
-    sp = spectrum(A, tol, cluster_tol)
+    sp = spectrum(A, tol)
     roots = sp.eigenvalues
     if any(_im_is_zero(z, tol) for z in roots):
         raise UnresolvedConfiguration(

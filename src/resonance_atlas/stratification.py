@@ -36,7 +36,7 @@ from .geometry import (
     grad_F,
     param_phi_array,
 )
-from .linalg import CLUSTER_TOL_DEFAULT, Mat4
+from .linalg import Mat4
 from .spectra import (
     CONFIG_BETA_STABLE,
     CONFIG_BETA_UNSTABLE,
@@ -141,14 +141,14 @@ def evaluation_matrix(p: SpherePoint, nu5: float) -> Mat4:
     return homogeneous_reduced(ReducedCoords(np.append(t0 * p.nu4, float(nu5))))
 
 
-def configuration_at(
-    p: SpherePoint,
-    nu5: float,
-    tol: float,
-    cluster_tol: float = CLUSTER_TOL_DEFAULT,
-) -> EigConfig:
-    """Eigenvalue configuration at a sphere point, read inside the ray."""
-    return classify_configuration(evaluation_matrix(p, nu5), tol, cluster_tol)
+def configuration_at(p: SpherePoint, nu5: float, tol: float) -> EigConfig:
+    """Eigenvalue configuration at a sphere point, read inside the ray.
+
+    Pairs coincide within the fixed linalg.CLUSTER_TOL_DEFAULT
+    (1 + |lambda|): at t0 every imaginary part lies in
+    [|nu5|/2, 3 |nu5|/2], so one relative threshold serves every point and
+    weight."""
+    return classify_configuration(evaluation_matrix(p, nu5), tol)
 
 
 _SQ3_HALF = math.sqrt(3.0) / 2.0
@@ -201,7 +201,7 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
     """
     if tol <= 0.0:
         raise ValueError("classify_point: tol must be positive")
-    code = _row_label(p.nu4, nu5, tol, CLUSTER_TOL_DEFAULT)[0]
+    code = _row_label(p.nu4, nu5, tol)[0]
     return STRATA[STRATUM_NAMES[code]]
 
 
@@ -341,7 +341,7 @@ def _coincident_config(v: np.ndarray, nu5: float, w: complex, s_hi, tol: float) 
     return CONFIG_NAMES.index(_COINCIDENT_CODES[int(s_hi), semisimple])
 
 
-def _family_spectra(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
+def _family_spectra(v: np.ndarray, nu5: float, tol: float):
     """The closed-form spectrum of the evaluation matrix on unit rows v (n, 4).
 
     The column evaluator of the pair kernel (spectra._upper_pair and
@@ -353,7 +353,7 @@ def _family_spectra(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
     where an imaginary part reads as zero, as classify_configuration does.
     """
     t0 = interior_scale(nu5)
-    hi, lo, coincident = _upper_pair(*v.T, t0, nu5, cluster_tol)
+    hi, lo, coincident = _upper_pair(*v.T, t0, nu5)
     coincident = np.flatnonzero(coincident)
     hi[coincident] = lo[coincident] = t0 * v[coincident, 0] + 1j * nu5
     unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
@@ -364,12 +364,12 @@ def _family_spectra(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
     return hi, lo, config, stable_count, max_re
 
 
-def _row_spectrum(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
+def _row_spectrum(v: np.ndarray, nu5: float, tol: float):
     """_family_spectra on one row v (4,), on Python floats: hi and lo as
     complex, the config code, the stable count and the max real part."""
     n1, n2, n3, n4 = v.tolist()
     t0 = interior_scale(nu5)
-    hi, lo, coincident = _upper_pair(n1, n2, n3, n4, t0, nu5, cluster_tol)
+    hi, lo, coincident = _upper_pair(n1, n2, n3, n4, t0, nu5)
     if coincident:
         hi = lo = t0 * n1 + 1j * nu5
     else:  # Python complex from here on: no numpy scalar arithmetic
@@ -382,7 +382,7 @@ def _row_spectrum(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
     return hi, lo, int(config), stable_count, float(max_re)
 
 
-def _row_label(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
+def _row_label(v: np.ndarray, nu5: float, tol: float):
     """The one-row labeller, the row path of classify_point and classify.
 
     On a unit row v (4,): the stratum code into STRATUM_NAMES and
@@ -393,7 +393,7 @@ def _row_label(v: np.ndarray, nu5: float, tol: float, cluster_tol: float):
     """
     _check_nu5(nu5, "_row_label")
     code = _critical_stratum(v, tol)
-    hi, lo, config, stable_count, max_re = _row_spectrum(v, nu5, tol, cluster_tol)
+    hi, lo, config, stable_count, max_re = _row_spectrum(v, nu5, tol)
     if code == _OFF_CRITICAL:
         code = _row_code(_open_rules(stable_count, v[1], tol), _OPEN_WHY)
     return code, hi, lo, config, stable_count, max_re
@@ -438,7 +438,7 @@ def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
     check_unit_rows(unit)
     codes = _critical_strata(unit, tol)
     off = unit[codes == _OFF_CRITICAL]
-    stable_count = _family_spectra(off, nu5, tol, CLUSTER_TOL_DEFAULT)[3]
+    stable_count = _family_spectra(off, nu5, tol)[3]
     codes = np.concatenate([codes, _column_codes(_open_rules(stable_count, off[:, 1], tol))])
     return frozenset(STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist())
 
@@ -595,13 +595,13 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
         raise ValueError("classify_points: tol must be positive")
     v = np.asarray(pts, dtype=float).reshape(-1, 4)
     check_unit_rows(v)
-    hi, lo, config, stable_count, max_re = _family_spectra(v, nu5, tol, CLUSTER_TOL_DEFAULT)
+    hi, lo, config, stable_count, max_re = _family_spectra(v, nu5, tol)
     stratum = _critical_strata(v, tol)
     open_ = _column_codes(_open_rules(stable_count, v[:, 1], tol))
     stratum = np.where(stratum == _OFF_CRITICAL, open_, stratum)
     raises = stratum == _AMBIGUOUS
     if raises.any():
-        _row_label(v[np.argmax(raises)], nu5, tol, CLUSTER_TOL_DEFAULT)  # raises its error
+        _row_label(v[np.argmax(raises)], nu5, tol)  # raises its error
 
     stable_tol = ZERO_RE_TOL_SAMPLED * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))
     kind = np.full(len(v), _MIXED, dtype=np.int8)
@@ -751,7 +751,7 @@ def _stable_boundary(stable: np.ndarray) -> np.ndarray:
 def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityReport:
     """Classify samples, connect each region to its anchors, audit stability.
 
-    samples is an (n, 4) array of unit vectors or a list of SpherePoint.
+    samples is an (n, 4) array, or a list of 4-sequences, of unit vectors.
     A sample is stable when every eigenvalue real part sits below the
     relative threshold at the ray-interior evaluation; samples straddling
     the threshold are tagged critical and excluded from the component
@@ -764,12 +764,7 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
     and nu5 outside 1e-3 <= |nu5| <= 1e3 raise ValueError.
     """
     _check_nu5(nu5, "stability_report")
-    if isinstance(samples, np.ndarray):
-        rows = np.asarray(samples, dtype=float)
-    else:
-        rows = np.array(
-            [s.nu4 if isinstance(s, SpherePoint) else s for s in samples], dtype=float
-        )
+    rows = np.asarray(samples, dtype=float).reshape(-1, 4)
     if not len(rows):
         raise ValueError("stability_report: samples must not be empty")
     unit = _unit_rows(rows)
@@ -907,7 +902,7 @@ def mesh_surfaces(
         check_unit_rows(vertices)
         codes = _critical_strata(vertices, tol)
         for k in np.flatnonzero(codes < 0):
-            codes[k] = _row_label(vertices[k], nu5, tol, CLUSTER_TOL_DEFAULT)[0]
+            codes[k] = _row_label(vertices[k], nu5, tol)[0]
         meshes.append(SurfaceMesh(d, vertices, params, tris, codes.astype(np.int8)))
     return tuple(meshes)
 

@@ -131,8 +131,8 @@ def test_classify_json_matches_json_dumps(monkeypatch, capsys):
     positional and the --nu5 flag in turn."""
     seen = []
 
-    def recording(v, nu5, tol, cluster_tol):
-        out = row_label(v, nu5, tol, cluster_tol)
+    def recording(v, nu5, tol):
+        out = row_label(v, nu5, tol)
         seen.append((v, nu5) + out)
         return out
 
@@ -230,8 +230,12 @@ def test_sample_writer_matches_csv_writer_reference(tmp_path, n, seed):
     assert {key: summary[key] for key in want} == want
 
 
-def test_sample_rejects_bad_n(tmp_path):
+def test_sample_rejects_bad_n(tmp_path, capsys):
+    """sample --n 0 exits 2 from sphere_samples' check, before any file is
+    opened."""
     assert main(["sample", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "n must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_unwritable_path_is_io_error(tmp_path):
@@ -353,8 +357,36 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert out.read_text().startswith("g plus\n")
 
 
-def test_mesh_rejects_small_resolution(tmp_path):
+def test_mesh_rejects_small_resolution(tmp_path, capsys):
+    """mesh --resolution 4 exits 2 from mesh_surfaces' check, before any
+    file is opened."""
     assert main(["mesh", "--resolution", "4", "--out", str(tmp_path / "m.obj")]) == 2
+    assert "resolution must be >= 8" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_option_surface(tmp_path, capsys):
+    """The coincidence threshold and a second mesh resolution are not
+    settings: their flags are unknown options (argparse exits 2), their
+    config keys are unknown keys (exit 2 naming the key), and nothing is
+    written.  mesh reads resolution 128 when given none."""
+    out = tmp_path / "m.obj"
+    cfg = tmp_path / "atlas.cfg"
+    for key, value, command in [
+        ("cluster_tol", "1e-3", ["classify", "0", "0", "1", "0"]),
+        ("grid", "64", ["mesh", "--disc", "plus", "--out", str(out)]),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["--" + key.replace("_", "-"), value, *command])
+        assert exc.value.code == 2
+        assert "resonance-atlas: error:" in capsys.readouterr().err
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["--config", str(cfg), *command]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["mesh", "--disc", "plus", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "m.obj.summary.json").read_text())
+    assert summary["resolution"] == 128
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -400,14 +432,13 @@ def test_config_value_validation(tmp_path):
         ("nu5", ["classify", "0.3", "0.2", "0.5", "0.1", "nan"], None),
         ("tol", ["--tol", "inf", "classify", "0.3", "0.2", "0.5", "0.1"], None),
         ("tol", ["--tol", "nan", "verify", "--suite", "basis"], None),
-        ("cluster_tol", ["--cluster-tol", "inf", "classify", "0.3", "0.2", "0.5", "0.1"], None),
+        ("tol", ["--tol=-inf", "mesh", "--out", "{out}"], None),
         ("nu5", ["sample", "--n", "200", "--out", "{out}"], "nu5 = nan"),
         ("tol", ["mesh", "--out", "{out}"], "tol = inf"),
-        ("cluster_tol", ["classify", "0.3", "0.2", "0.5", "0.1"], "cluster_tol = -inf"),
     ],
 )
 def test_non_finite_settings_are_usage_errors(tmp_path, capsys, key, argv, config):
-    """A NaN or infinite nu5, tol or cluster_tol, from a flag, the config
+    """A NaN or infinite nu5 or tol, from a flag, the config
     file or classify's positional nu5, exits 2 naming the key, and writes
     nothing."""
     out = tmp_path / "out"

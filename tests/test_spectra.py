@@ -152,8 +152,8 @@ def test_classify_rejects_zero_eigenvalue():
 
 
 def test_classify_gray_zone_raises():
-    """Pairs clustered by cluster_tol but split beyond the rank tolerance
-    are genuinely unresolvable at the requested precision."""
+    """Pairs clustered by CLUSTER_TOL_DEFAULT but split beyond the rank
+    tolerance are genuinely unresolvable at the requested precision."""
     A = _two_pairs(0.0, 1.0, 0.0, 1.0 + 1e-8)
     with pytest.raises(RankAnomalous):
         classify_configuration(A, 1e-9)

@@ -15,7 +15,6 @@ from resonance_atlas.geometry import (
     param_phi_array,
     unit_point,
 )
-from resonance_atlas.linalg import CLUSTER_TOL_DEFAULT
 from resonance_atlas.spectra import (
     CONFIG_NAMES,
     ZERO_RE_TOL_SAMPLED,
@@ -292,7 +291,7 @@ def test_classify_points_rows_equal_one_row_calls(nu5):
     sheets = _near_sheet_points(np.random.default_rng(11), 40)
     pts = np.vstack([sphere_samples(10_000, 42), reps, axis, sheets])
     got = classify_points(pts, nu5)
-    want = [_row_label(v, nu5, 1e-9, CLUSTER_TOL_DEFAULT) for v in pts]
+    want = [_row_label(v, nu5, 1e-9) for v in pts]
     names = [STRATUM_NAMES[k] for k in got.stratum]
     assert names == [STRATUM_NAMES[w[0]] for w in want]
     assert got.config.tolist() == [w[3] for w in want]
@@ -341,9 +340,7 @@ def test_closed_form_configuration_matches_general_path(nu5):
             want.append(type(exc))
 
     def closed_form(rows):
-        _, _, config, stable, _ = stratification._family_spectra(
-            rows, nu5, 1e-9, CLUSTER_TOL_DEFAULT
-        )
+        _, _, config, stable, _ = stratification._family_spectra(rows, nu5, 1e-9)
         return [(CONFIG_NAMES[c], s) for c, s in zip(config.tolist(), stable.tolist())]
 
     raised = np.array([isinstance(w, type) for w in want])
@@ -364,7 +361,7 @@ def test_row_spectrum_equals_column_spectrum(nu5):
 
     def row(v):
         try:
-            return stratification._row_spectrum(v, nu5, 1e-9, CLUSTER_TOL_DEFAULT)
+            return stratification._row_spectrum(v, nu5, 1e-9)
         except ResonanceAtlasError as exc:
             return type(exc)
 
@@ -375,11 +372,11 @@ def test_row_spectrum_equals_column_spectrum(nu5):
     want = [row(v) for v in pts]
     raised = np.array([isinstance(w, type) for w in want])
     assert 0 < raised.sum() < 10
-    cols = stratification._family_spectra(pts[~raised], nu5, 1e-9, CLUSTER_TOL_DEFAULT)
+    cols = stratification._family_spectra(pts[~raised], nu5, 1e-9)
     assert [as_bits(*r) for r in zip(*cols)] == [as_bits(*w) for w in want if not isinstance(w, type)]
     for v, err in zip(pts[raised], [w for w in want if isinstance(w, type)]):
         with pytest.raises(err):
-            stratification._family_spectra(v[None, :], nu5, 1e-9, CLUSTER_TOL_DEFAULT)
+            stratification._family_spectra(v[None, :], nu5, 1e-9)
 
 
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
@@ -443,7 +440,7 @@ def test_sampled_entry_points_reject_nu5_outside_its_range(nu5):
         lambda: classify_points(pts, nu5),
         lambda: stability_report(pts, nu5),
         lambda: classify_point(p, nu5),
-        lambda: _row_label(p.nu4, nu5, 1e-9, CLUSTER_TOL_DEFAULT),
+        lambda: _row_label(p.nu4, nu5, 1e-9),
         lambda: mesh_surfaces([+1, -1], 16, nu5),
     ]
     for call in calls:
