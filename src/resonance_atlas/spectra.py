@@ -34,7 +34,6 @@ __all__ = [
     "CONFIG_UNSTABLE_PAIRS",
     "EigConfig",
     "Spectrum",
-    "ZERO_RE_TOL_SAMPLED",
     "classify_configuration",
     "is_semisimple_double_pair",
     "spectrum",
@@ -142,10 +141,6 @@ def _pair_labels(hi, lo, tol):
     return unresolved, s_hi, _SIGN_CODES[3 * s_hi + s_lo + 4], stable_count, max_re
 
 
-# Relative real-part zero threshold of a sampled point's stability kind.
-ZERO_RE_TOL_SAMPLED = 1e-6
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Four eigenvalues, their coincidence clusters, and summary fields.
@@ -205,22 +200,25 @@ def _im_is_zero(z: complex, tol: float) -> bool:
     return abs(z.imag) <= tol * (1.0 + abs(z))
 
 
-def _pair_is_semisimple(A: Mat4, u: float, v: float, tol: float) -> bool:
-    """True iff A, whose spectrum is the roots of x^2 + u x + v, each
-    double, has no nilpotent part.
+def _annihilator_rank(A: Mat4, u: float, v: float, tol: float) -> int:
+    """rank(A^2 + u A + v id), the one annihilator-rank test.
 
-    rank(A^2 + u A + v id) is 0 exactly for the semisimple case and 2 when
-    a rank-two nilpotent rides on top; anything else means the premise
-    did not hold, raised as RankAnomalous.  Singular values are measured
-    against (1 + ||A||)^2, the natural size of a quadratic polynomial in A:
-    a threshold relative to the annihilator itself would report full rank
-    for the numerically zero matrix, whose largest singular value is
-    roundoff.
+    Singular values are measured against (1 + ||A||)^2, the natural size
+    of a quadratic polynomial in A: a threshold relative to the annihilator
+    itself would report full rank for the numerically zero matrix, whose
+    largest singular value is roundoff.
     """
     E = A.entries
     svals = np.linalg.svd(E @ E + u * E + v * np.eye(4), compute_uv=False)
     scale = (1.0 + float(np.linalg.norm(E, 2))) ** 2
-    r = int(np.sum(svals > max(tol, 1e-12) * scale))
+    return int(np.sum(svals > max(tol, 1e-12) * scale))
+
+
+def _semisimple_at_rank(r: int) -> bool:
+    """Whether a double pair, the roots of x^2 + u x + v, whose annihilator
+    A^2 + u A + v id has rank r is semisimple: rank 0 exactly for the
+    semisimple case and 2 when a rank-two nilpotent rides on top; anything
+    else means the premise did not hold, raised as RankAnomalous."""
     if r == 0:
         return True
     if r == 2:
@@ -230,7 +228,7 @@ def _pair_is_semisimple(A: Mat4, u: float, v: float, tol: float) -> bool:
 
 def is_semisimple_double_pair(A: Mat4, beta: float, tol: float) -> bool:
     """True iff A with spectrum {+-i beta (double)} has no nilpotent part."""
-    return _pair_is_semisimple(A, 0.0, float(beta) ** 2, tol)
+    return _semisimple_at_rank(_annihilator_rank(A, 0.0, float(beta) ** 2, tol))
 
 
 def spectrum(A: Mat4, tol: float) -> Spectrum:
@@ -256,7 +254,7 @@ def spectrum(A: Mat4, tol: float) -> Spectrum:
         roots = (w.conjugate(), w.conjugate(), w, w)
         pair = (u, v)
         if _re_is_zero(w, tol) and not _im_is_zero(w, tol):
-            flag = _pair_is_semisimple(A, u, v, tol)
+            flag = _semisimple_at_rank(_annihilator_rank(A, u, v, tol))
     return Spectrum(tuple(roots), clusters, max(z.real for z in roots), flag, pair)
 
 
@@ -286,7 +284,7 @@ def classify_configuration(A: Mat4, tol: float) -> EigConfig:
         semisimple = (
             sp.semisimple_double_pair
             if signs[0] == 0
-            else _pair_is_semisimple(A, *sp.double_pair, tol)
+            else _semisimple_at_rank(_annihilator_rank(A, *sp.double_pair, tol))
         )
         return EigConfig(_COINCIDENT_CODES[signs[0], semisimple], stable_count, sp)
 

@@ -46,12 +46,12 @@ from .spectra import (
     CONFIG_STABLE_PAIRS,
     CONFIG_TWO_IMAGINARY,
     CONFIG_UNSTABLE_PAIRS,
-    ZERO_RE_TOL_SAMPLED,
     _COINCIDENT_CODES,
     EigConfig,
-    _pair_is_semisimple,
+    _annihilator_rank,
     _pair_labels,
     _pair_split,
+    _semisimple_at_rank,
     _upper_pair,
     classify_configuration,
 )
@@ -193,11 +193,11 @@ _P_ARRAY = np.array([P_POINTS[name] for name in _P_NAMES])
 def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabel:
     """Assign a sphere point to its stratum: _row_label on its row.
 
-    The first rule of _cascade that holds gives the critical stratum;
-    otherwise _open_rules reads the open region from the count of stable
-    eigenvalues of the closed-form spectrum (_row_spectrum).  Matches that
-    leave the label undetermined at this tol raise AmbiguousStratum;
-    ValueError unless 1e-3 <= |nu5| <= 1e3.
+    The first rule of _cascade that holds gives the stratum: the P/L/S
+    strata, then the open region from the sign of F (and of nu1 or nu2).
+    Matches that leave the label undetermined at this tol raise
+    AmbiguousStratum, and a row whose spectrum reads no configuration
+    raises as _row_spectrum does; ValueError unless 1e-3 <= |nu5| <= 1e3.
     """
     if tol <= 0.0:
         raise ValueError("classify_point: tol must be positive")
@@ -207,27 +207,31 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
 
 _CODE = {name: k for k, name in enumerate(STRATUM_NAMES)}
 _P_CODES = np.array([_CODE[name] for name in _P_NAMES])
-_OFF_CRITICAL = -1  # no rule holds
+_NO_RULE = -1  # no rule holds (no P point is near; a non-finite row)
 _AMBIGUOUS = -2  # the label is undetermined at this tol
 # Sheet code by 2 (nu1 > 0) + (nu2 > 0).
 _SHEET_CODES = np.array([_CODE[name] for name in ("S2", "S3", "S4", "S1")])
 
 
 def _cascade(n1, n2, n3, n4, F, p_code, tol):
-    """The P/L/S rules as eight ordered (test, code) pairs; the first test
-    that holds on a row gives its code, _OFF_CRITICAL if none does.
+    """The rules of all twenty strata as ordered (test, code) pairs; the
+    first test that holds on a row gives its code.
 
     Exact P points first (p_code: the code of the first P point within tol
-    in every coordinate, else _OFF_CRITICAL); then the two
-    self-intersection loci -- the great circle nu1 = nu2 = 0 split by sign
-    nu4 into L5/L6, and the circle nu1 = nu4 = 0 with nu2^2 < nu3^2 split
-    into L1..L4 by the signs of nu2 and nu3 (its nu2^2 > nu3^2 remainder
-    carries the mixed configuration and is grouped with V2/V4); then the
-    sheets via |F| <= tol, labelled by the (nu1, nu2) sign quadrant.  A
-    match that leaves the label undetermined at this tol gives _AMBIGUOUS.
-    Tests and codes use only abs, &, |, comparisons, int arithmetic on the
-    order of STRATUM_NAMES and a table lookup, so the arguments may be
-    Python floats of one row or (n,) columns.
+    in every coordinate, else _NO_RULE); then the two self-intersection
+    loci -- the great circle nu1 = nu2 = 0 split by sign nu4 into L5/L6,
+    and the circle nu1 = nu4 = 0 with nu2^2 < nu3^2 split into L1..L4 by
+    the signs of nu2 and nu3 (its nu2^2 > nu3^2 remainder carries the
+    mixed configuration and is grouped with V2/V4); then the sheets via
+    |F| <= tol, labelled by the (nu1, nu2) sign quadrant; last the open
+    regions by the sign of F = (nu1^2 - Im D^2)(nu1^2 + Re D^2): V3 where
+    F > 0 and nu1 < 0, V1 where F > 0, else V2 or V4 by the sign of nu2.
+    No row reaches that last rule with nu2 near 0: where |nu2| <= tol,
+    F >= -nu2^2 (nu1^2 + nu4^2) >= -tol^2, so a sheet rule (|F| <= tol) or
+    F > 0 takes it.  A match that leaves the label undetermined at this
+    tol gives _AMBIGUOUS.  Tests and codes use only abs, &, |, comparisons,
+    int arithmetic on the order of STRATUM_NAMES and a table lookup, so the
+    arguments may be Python floats of one row or (n,) columns.
     """
     near_n1 = abs(n1) <= tol
     on_circle_12 = near_n1 & (abs(n2) <= tol)  # nu1 = nu2 = 0
@@ -244,6 +248,9 @@ def _cascade(n1, n2, n3, n4, F, p_code, tol):
         (on_circle_14, _CODE["V4"] - 2 * up),
         (on_sheet & (near_n1 | (abs(n2) <= tol)), _AMBIGUOUS),
         (on_sheet, _SHEET_CODES[2 * (n1 > 0.0) + up]),
+        ((F > 0.0) & (n1 < 0.0), _CODE["V3"]),
+        (F > 0.0, _CODE["V1"]),
+        (F <= 0.0, _CODE["V4"] - 2 * up),
     )
 
 
@@ -255,47 +262,30 @@ _CASCADE_WHY = {
 }
 
 
-def _open_rules(stable_count, n2, tol):
-    """The open region of a row off the critical set, from its count of
-    stable eigenvalues, as ordered (test, code) pairs like _cascade's: V3
-    with four, V1 with none; a mixed row is V2 or V4 by the sign of nu2,
-    _AMBIGUOUS where |nu2| <= tol.  One row or (n,) columns."""
-    return (
-        (stable_count == 4, _CODE["V3"]),
-        (stable_count == 0, _CODE["V1"]),
-        (abs(n2) <= tol, _AMBIGUOUS),
-        (n2 > 0.0, _CODE["V2"]),
-        (n2 <= 0.0, _CODE["V4"]),
-    )
-
-
-_OPEN_WHY = {2: "mixed configuration with unresolved sign of nu2"}
-
-
 def _row_code(rules, why: dict[int, str]) -> int:
     """The one-row evaluator of a rule table: the code of the first test
-    that holds, _OFF_CRITICAL if none; a hit on rule k with code
-    _AMBIGUOUS raises AmbiguousStratum(why[k])."""
+    that holds, _NO_RULE if none; a hit on rule k with code _AMBIGUOUS
+    raises AmbiguousStratum(why[k])."""
     for k, (test, code) in enumerate(rules):
         if test:
             if code == _AMBIGUOUS:
                 raise AmbiguousStratum(why[k])
             return code
-    return _OFF_CRITICAL
+    return _NO_RULE
 
 
 def _column_codes(rules) -> np.ndarray:
     """The column evaluator of a rule table: np.select over its pairs,
-    _OFF_CRITICAL where no test holds."""
+    _NO_RULE where no test holds."""
     tests, codes = zip(*rules)
-    return np.select(tests, codes, _OFF_CRITICAL)
+    return np.select(tests, codes, _NO_RULE)
 
 
-def _critical_stratum(v: np.ndarray, tol: float) -> int:
+def _row_stratum(v: np.ndarray, tol: float) -> int:
     """_cascade on one row (4,), on Python floats: the P test compares
     them as _near_p_points does, and an ambiguous row raises."""
     n1, n2, n3, n4 = v.tolist()
-    p_code = _OFF_CRITICAL
+    p_code = _NO_RULE
     if abs(n1) <= tol and abs(n4) <= tol:  # every P point has nu1 = nu4 = 0
         for name, (_, a, b, _) in P_POINTS.items():
             if abs(n2 - a) <= tol and abs(n3 - b) <= tol:
@@ -318,12 +308,12 @@ def _near_p_points(v: np.ndarray, tol: float) -> np.ndarray:
     return hits
 
 
-def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
+def _column_strata(v: np.ndarray, tol: float) -> np.ndarray:
     """_cascade on every row of an (n, 4) array: one int code per row, an
-    index into STRATUM_NAMES, _OFF_CRITICAL or _AMBIGUOUS."""
+    index into STRATUM_NAMES or _AMBIGUOUS (_NO_RULE on a non-finite row)."""
     hits = _near_p_points(v, tol)
     near = np.flatnonzero(hits) // len(_P_NAMES)  # a row once per P point it is near
-    p_code = np.full(len(v), _OFF_CRITICAL)
+    p_code = np.full(len(v), _NO_RULE)
     p_code[near] = _P_CODES[hits[near].argmax(axis=1)]
     return _column_codes(_cascade(*v.T, F_critical(v), p_code, tol))
 
@@ -331,14 +321,17 @@ def _critical_strata(v: np.ndarray, tol: float) -> np.ndarray:
 _UNRESOLVED = "real or zero eigenvalue in row %d; no pair configuration applies"
 
 
-def _coincident_config(v: np.ndarray, nu5: float, w: complex, s_hi, tol: float) -> int:
-    """Config code of row v, whose two pairs coincide at w with real-part
-    sign s_hi: one annihilator-rank test splits semisimple from nilpotent."""
-    w = complex(w)
-    semisimple = _pair_is_semisimple(
+def _coincident_config(v: np.ndarray, nu5: float, w: complex, tol: float) -> int | None:
+    """Config code of row v, whose two pairs coincide at w: one
+    annihilator-rank test splits semisimple from nilpotent.  None at rank
+    4, where the pairs are distinct after all."""
+    rank = _annihilator_rank(
         evaluation_matrix(SpherePoint(v), nu5), -2.0 * w.real, abs(w) ** 2, tol
     )
-    return CONFIG_NAMES.index(_COINCIDENT_CODES[int(s_hi), semisimple])
+    if rank == 4:
+        return None
+    s = int(_pair_labels(w, w, tol)[1])
+    return CONFIG_NAMES.index(_COINCIDENT_CODES[s, _semisimple_at_rank(rank)])
 
 
 def _family_spectra(v: np.ndarray, nu5: float, tol: float):
@@ -347,20 +340,25 @@ def _family_spectra(v: np.ndarray, nu5: float, tol: float):
     The column evaluator of the pair kernel (spectra._upper_pair and
     _pair_labels): returns the two eigenvalues above the real axis, hi and
     lo (n,), the config codes into CONFIG_NAMES, the stable counts and the
-    max real parts.  A coincident row takes the exact double root
-    w = t0 nu1 + i nu5 (on the axis and the curves nu4 = 0, nu2^2 = nu3^2
-    through P1..P4) and one rank test.  Raises UnresolvedConfiguration
-    where an imaginary part reads as zero, as classify_configuration does.
+    max real parts.  A coincident row (on the axis and the curves nu4 = 0,
+    nu2^2 = nu3^2 through P1..P4) takes one rank test (_coincident_config)
+    and, unless that finds two distinct pairs, the exact double root
+    w = t0 nu1 + i nu5.  Raises UnresolvedConfiguration where an imaginary
+    part reads as zero, as classify_configuration does.
     """
     t0 = interior_scale(nu5)
     hi, lo, coincident = _upper_pair(*v.T, t0, nu5)
-    coincident = np.flatnonzero(coincident)
-    hi[coincident] = lo[coincident] = t0 * v[coincident, 0] + 1j * nu5
-    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
+    double = {}
+    for k in np.flatnonzero(coincident).tolist():
+        w = complex(t0 * v[k, 0] + 1j * nu5)
+        code = _coincident_config(v[k], nu5, w, tol)
+        if code is not None:
+            hi[k] = lo[k] = w
+            double[k] = code
+    unresolved, _, config, stable_count, max_re = _pair_labels(hi, lo, tol)
     if unresolved.any():
         raise UnresolvedConfiguration(_UNRESOLVED % unresolved.argmax())
-    for k in coincident.tolist():
-        config[k] = _coincident_config(v[k], nu5, hi[k], s_hi[k], tol)
+    config[list(double)] = list(double.values())
     return hi, lo, config, stable_count, max_re
 
 
@@ -370,33 +368,29 @@ def _row_spectrum(v: np.ndarray, nu5: float, tol: float):
     n1, n2, n3, n4 = v.tolist()
     t0 = interior_scale(nu5)
     hi, lo, coincident = _upper_pair(n1, n2, n3, n4, t0, nu5)
+    hi, lo = complex(hi), complex(lo)  # Python complex: no numpy scalar arithmetic
+    double = None
     if coincident:
-        hi = lo = t0 * n1 + 1j * nu5
-    else:  # Python complex from here on: no numpy scalar arithmetic
-        hi, lo = complex(hi), complex(lo)
-    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
+        w = t0 * n1 + 1j * nu5
+        double = _coincident_config(v, nu5, w, tol)
+        if double is not None:
+            hi = lo = w
+    unresolved, _, config, stable_count, max_re = _pair_labels(hi, lo, tol)
     if unresolved:
         raise UnresolvedConfiguration(_UNRESOLVED % 0)
-    if coincident:
-        config = _coincident_config(v, nu5, hi, s_hi, tol)
-    return hi, lo, int(config), stable_count, float(max_re)
+    return hi, lo, int(config if double is None else double), stable_count, float(max_re)
 
 
 def _row_label(v: np.ndarray, nu5: float, tol: float):
     """The one-row labeller, the row path of classify_point and classify.
 
-    On a unit row v (4,): the stratum code into STRATUM_NAMES and
-    _row_spectrum's hi, lo, config code, stable count and max real part.
-    The P/L/S cascade runs first and raises on an ambiguous row; a row off
-    the critical set takes its open region from the stable count.
-    ValueError unless 1e-3 <= |nu5| <= 1e3.
+    On a unit row v (4,): the stratum code into STRATUM_NAMES from the rule
+    table (raising on an ambiguous row), then _row_spectrum's hi, lo,
+    config code, stable count and max real part.  ValueError unless
+    1e-3 <= |nu5| <= 1e3.
     """
     _check_nu5(nu5, "_row_label")
-    code = _critical_stratum(v, tol)
-    hi, lo, config, stable_count, max_re = _row_spectrum(v, nu5, tol)
-    if code == _OFF_CRITICAL:
-        code = _row_code(_open_rules(stable_count, v[1], tol), _OPEN_WHY)
-    return code, hi, lo, config, stable_count, max_re
+    return (_row_stratum(v, tol), *_row_spectrum(v, nu5, tol))
 
 
 # -- incidence -----------------------------------------------------------------
@@ -426,20 +420,13 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.sqrt(np.vecdot(rows, rows))[:, None]
 
 
-def _probe_strata(points: np.ndarray, nu5: float, tol: float) -> frozenset[str]:
+def _probe_strata(points: np.ndarray, tol: float) -> frozenset[str]:
     """The stratum names classify_point gives the rows of points, each
-    divided by its norm, without the ambiguous ones, on whole arrays.
-
-    The P/L/S cascade labels the critical rows; the rows off the critical
-    set take the closed-form spectrum and the open rule.  Rows either rule
-    leaves _AMBIGUOUS are dropped.
-    """
+    divided by its norm, without the ambiguous ones: the rule table on
+    whole arrays."""
     unit = _unit_rows(points)
     check_unit_rows(unit)
-    codes = _critical_strata(unit, tol)
-    off = unit[codes == _OFF_CRITICAL]
-    stable_count = _family_spectra(off, nu5, tol)[3]
-    codes = np.concatenate([codes, _column_codes(_open_rules(stable_count, off[:, 1], tol))])
+    codes = _column_strata(unit, tol)
     return frozenset(STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist())
 
 
@@ -539,11 +526,15 @@ class StabilityReport:
     stratum: np.ndarray  # (n,) int8 codes into STRATUM_NAMES
     config: np.ndarray  # (n,) int8 codes into CONFIG_NAMES
     max_real_part: np.ndarray  # (n,) float
-    stable: np.ndarray  # (n,) bool
     stable_component_count: int
     unstable_component_count: int
     mixed_component_count: int
     stable_boundary_strata: frozenset[str]
+
+    @property
+    def stable(self) -> np.ndarray:
+        """(n,) bool: the sample lies in V3, the one stratum of stable systems."""
+        return self.stratum == _CODE["V3"]
 
     @property
     def stable_strata(self) -> frozenset[str]:
@@ -567,6 +558,9 @@ class StabilityReport:
 # Stability kind of a sample, stored as an int8 code into KINDS.
 KINDS = ("stable", "unstable", "mixed", "critical")
 _STABLE, _UNSTABLE, _MIXED, _CRITICAL = range(len(KINDS))
+# The kind of each stratum by its code: V1..V4, which lead STRATUM_NAMES, are
+# unstable, mixed, stable and mixed, and every sheet, curve and point critical.
+_STRATUM_KINDS = np.array([_UNSTABLE, _MIXED, _STABLE, _MIXED] + [_CRITICAL] * 16, dtype=np.int8)
 
 
 class PointClasses(NamedTuple):
@@ -581,12 +575,11 @@ class PointClasses(NamedTuple):
 def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     """Stratum, configuration, max real part and stability kind of unit rows.
 
-    Each row gets classify_point's label, on whole arrays: critical strata
-    from the P/L/S cascade, and the configuration, max real part and open
-    region from the closed-form spectrum (_family_spectra).  Raises where
-    classify_point would raise on some row.  A sample is stable when every
-    real part lies below -ZERO_RE_TOL_SAMPLED (1 + max |lambda|), critical
-    when one lies within that threshold of zero.  Strata and configurations
+    Each row gets classify_point's label, on whole arrays: the stratum from
+    the rule table (_cascade, the open regions by the sign of F), its kind
+    from the stratum (_STRATUM_KINDS), and the configuration and max real
+    part from the closed-form spectrum (_family_spectra).  Raises where
+    classify_point would raise on some row.  Strata and configurations
     come as int8 codes into STRATUM_NAMES and CONFIG_NAMES.  ValueError
     unless 1e-3 <= |nu5| <= 1e3.
     """
@@ -595,20 +588,12 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
         raise ValueError("classify_points: tol must be positive")
     v = np.asarray(pts, dtype=float).reshape(-1, 4)
     check_unit_rows(v)
-    hi, lo, config, stable_count, max_re = _family_spectra(v, nu5, tol)
-    stratum = _critical_strata(v, tol)
-    open_ = _column_codes(_open_rules(stable_count, v[:, 1], tol))
-    stratum = np.where(stratum == _OFF_CRITICAL, open_, stratum)
+    stratum = _column_strata(v, tol)
     raises = stratum == _AMBIGUOUS
     if raises.any():
         _row_label(v[np.argmax(raises)], nu5, tol)  # raises its error
-
-    stable_tol = ZERO_RE_TOL_SAMPLED * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))
-    kind = np.full(len(v), _MIXED, dtype=np.int8)
-    kind[np.minimum(np.abs(hi.real), np.abs(lo.real)) <= stable_tol] = _CRITICAL
-    kind[np.minimum(hi.real, lo.real) > stable_tol] = _UNSTABLE
-    kind[max_re < -stable_tol] = _STABLE
-    return PointClasses(stratum.astype(np.int8), config, max_re, kind)
+    _, _, config, _, max_re = _family_spectra(v, nu5, tol)
+    return PointClasses(stratum.astype(np.int8), config, max_re, _STRATUM_KINDS[stratum])
 
 
 _CHORD_NODES = np.linspace(0.0, 1.0, 5)
@@ -706,7 +691,7 @@ def _anchor_classes() -> np.ndarray:
     return classes
 
 
-def _anchor_components(points: np.ndarray, kinds: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _anchor_components(points: np.ndarray, kinds: np.ndarray) -> np.ndarray:
     """Component count per kind (len(KINDS),), the critical entry 0.
 
     F = (nu1^2 - Im D^2)(nu1^2 + Re D^2), so V3 = {nu1 < -|Im D|} is
@@ -715,9 +700,10 @@ def _anchor_components(points: np.ndarray, kinds: np.ndarray, signs: np.ndarray)
     by one arc; a mixed one to A(sign nu2, sigma) through the waypoint
     (0, nu2, nu3, sigma max(|nu4|, |nu2| / 4)), normalised, sigma the sign
     of nu4 (+1 at 0).  An arc counts when _chord_sign_constant certifies
-    the sample's sign of F along it.  A kind's count is the number of anchor
-    classes (_anchor_classes) its certified samples reach, plus one per
-    sample with a failed arc: a wrong kind raises a count and never hides.
+    the sign of F of the sample's kind along it: F < 0 for mixed samples,
+    F > 0 for the others.  A kind's count is the number of anchor classes
+    (_anchor_classes) its certified samples reach, plus one per sample
+    with a failed arc: a wrong kind raises a count and never hides.
     """
     anchor = np.select(
         [kinds == _STABLE, kinds == _UNSTABLE], [0, 1], _mixed_anchor(points[:, 1], points[:, 3])
@@ -730,6 +716,7 @@ def _anchor_components(points: np.ndarray, kinds: np.ndarray, signs: np.ndarray)
     )
     ends = _ANCHORS[anchor]
     ends[mixed] = waypoint
+    signs = np.where(kinds == _MIXED, -1.0, 1.0)
     ok = _certified(points, ends, signs)
     ok[mixed] &= _certified(waypoint, _ANCHORS[anchor[mixed]], signs[mixed])
 
@@ -752,9 +739,9 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
     """Classify samples, connect each region to its anchors, audit stability.
 
     samples is an (n, 4) array, or a list of 4-sequences, of unit vectors.
-    A sample is stable when every eigenvalue real part sits below the
-    relative threshold at the ray-interior evaluation; samples straddling
-    the threshold are tagged critical and excluded from the component
+    Each sample's stratum comes from the rule table, its open region from
+    the sign of F, and its kind from the stratum: a sample is stable in V3,
+    and the samples on the critical set are excluded from the component
     counts.  The other samples reach their region's anchors by arcs the
     sound arc test accepts, never one that meets F = 0 (_anchor_components).
     Boundary strata of the stable region are read where each stable
@@ -769,21 +756,18 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
         raise ValueError("stability_report: samples must not be empty")
     unit = _unit_rows(rows)
     cls = classify_points(unit, nu5, tol)
-    kinds = cls.kind
-
-    counts = _anchor_components(unit, kinds, np.sign(F_critical(unit)))
-    boundary = _stable_boundary(unit[kinds == _STABLE])
+    counts = _anchor_components(unit, cls.kind)
+    boundary = _stable_boundary(unit[cls.kind == _STABLE])
 
     return StabilityReport(
         points=unit,
         stratum=cls.stratum,
         config=cls.config,
         max_real_part=cls.max_real_part,
-        stable=kinds == _STABLE,
         stable_component_count=int(counts[_STABLE]),
         unstable_component_count=int(counts[_UNSTABLE]),
         mixed_component_count=int(counts[_MIXED]),
-        stable_boundary_strata=_probe_strata(boundary, nu5, tol),
+        stable_boundary_strata=_probe_strata(boundary, tol),
     )
 
 
@@ -881,10 +865,10 @@ def mesh_surfaces(
     welded grid and its triangles (_chart_topology) are built once; every
     mesh shares one read-only params array and one read-only triangles
     array.  Per disc the chart is evaluated on the whole grid, and vertices
-    are labelled, as int8 codes into STRATUM_NAMES, by the P/L/S cascade on
-    the whole array; rows it leaves off the critical set or ambiguous go
-    through the one-row labeller _row_label, which raises as classify_point
-    would for that point.  Output is deterministic for a given input.
+    are labelled, as int8 codes into STRATUM_NAMES, by the rule table on
+    the whole array, with no spectrum; the first row it leaves ambiguous
+    raises AmbiguousStratum as classify_point would for that point.
+    Output is deterministic for a given input.
     ValueError unless 1e-3 <= |nu5| <= 1e3 and tol > 0.
     """
     _check_nu5(nu5, "mesh_surfaces")
@@ -900,9 +884,10 @@ def mesh_surfaces(
     for d in discs:
         vertices = param_phi_array(d, params[:, 0], params[:, 1])
         check_unit_rows(vertices)
-        codes = _critical_strata(vertices, tol)
-        for k in np.flatnonzero(codes < 0):
-            codes[k] = _row_label(vertices[k], nu5, tol)[0]
+        codes = _column_strata(vertices, tol)
+        raises = codes == _AMBIGUOUS
+        if raises.any():
+            _row_stratum(vertices[np.argmax(raises)], tol)  # raises its error
         meshes.append(SurfaceMesh(d, vertices, params, tris, codes.astype(np.int8)))
     return tuple(meshes)
 

@@ -223,10 +223,14 @@ def near_p_points_reference(v, p_points, tol: float) -> np.ndarray:
     return hits
 
 
-def critical_stratum_reference(v, tol: float):
-    """The P/L/S cascade on one row as a hand-written if chain: the stratum
-    name, None off the critical set, or AmbiguousStratum where the label
-    is undetermined at this tol."""
+def stratum_reference(v, tol: float):
+    """The stratum rules on one row as a hand-written if chain: the stratum
+    name, or AmbiguousStratum where the label is undetermined at this tol.
+    Off the critical set the open region comes from the factorisation
+    F = (nu1^2 - Im D^2)(nu1^2 + Re D^2), D^2 = nu3^2 + nu4^2 - nu2^2 +
+    2i nu2 nu4, without F: V3 = {nu1 < -|Im D|}, V1 = {nu1 > |Im D|}, and
+    V2 / V4 between them by the sign of nu2."""
+    import cmath
     import math
 
     from resonance_atlas.errors import AmbiguousStratum
@@ -267,7 +271,13 @@ def critical_stratum_reference(v, tol: float):
         if n1 > 0.0:
             return "S1" if n2 > 0.0 else "S4"
         return "S3" if n2 > 0.0 else "S2"
-    return None
+
+    im_d = abs(cmath.sqrt(complex(n3 * n3 + n4 * n4 - n2 * n2, 2.0 * n2 * n4)).imag)
+    if n1 < -im_d:
+        return "V3"
+    if n1 > im_d:
+        return "V1"
+    return "V2" if n2 > 0.0 else "V4"
 
 
 def chord_points_reference(a, b, t) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from resonance_atlas import linalg, spectra, stratification
-from resonance_atlas.errors import AmbiguousStratum, ResonanceAtlasError
+from resonance_atlas.errors import AmbiguousStratum, RankAnomalous, ResonanceAtlasError
 from resonance_atlas.geometry import (
     P_POINTS,
     F_critical,
@@ -17,7 +17,8 @@ from resonance_atlas.geometry import (
 )
 from resonance_atlas.spectra import (
     CONFIG_NAMES,
-    ZERO_RE_TOL_SAMPLED,
+    CONFIG_STABLE_PAIRS,
+    CONFIG_UNSTABLE_PAIRS,
     classify_configuration,
     spectrum,
 )
@@ -28,9 +29,9 @@ from resonance_atlas.stratification import (
     IncidenceGraph,
     SurfaceMesh,
     _chord_sign_constant,
-    _critical_stratum,
-    _critical_strata,
+    _column_strata,
     _row_label,
+    _row_stratum,
     build_incidence,
     classify_point,
     classify_points,
@@ -223,36 +224,32 @@ def test_stability_report_small_run():
         assert r.stable == (r.stratum == "V3")
 
 
-def _scalar_path(points, nu5, tol=1e-9, zero_re_tol=ZERO_RE_TOL_SAMPLED):
+# The stability kind of each open region; every other stratum is critical.
+_REGION_KINDS = {"V1": "unstable", "V2": "mixed", "V3": "stable", "V4": "mixed"}
+
+
+def _scalar_path(points, nu5, tol=1e-9):
     """Per-point stratum, config, max real part and kind, one point at a
-    time through classify_point, configuration_at and spectrum."""
+    time through classify_point, configuration_at and spectrum; the kind
+    is that of the stratum."""
     out = []
     for v in points:
         p = SpherePoint(v)
-        spec = spectrum(evaluation_matrix(p, nu5), tol)
-        thresh = zero_re_tol * (1.0 + max(abs(z) for z in spec.eigenvalues))
-        re = [z.real for z in spec.eigenvalues]
-        if all(r < -thresh for r in re):
-            kind = "stable"
-        elif all(r > thresh for r in re):
-            kind = "unstable"
-        elif any(abs(r) <= thresh for r in re):
-            kind = "critical"
-        else:
-            kind = "mixed"
+        name = classify_point(p, nu5, tol).name
         out.append(
             (
-                classify_point(p, nu5, tol).name,
+                name,
                 configuration_at(p, nu5, tol).code,
-                spec.max_real_part,
-                kind,
+                spectrum(evaluation_matrix(p, nu5), tol).max_real_part,
+                _REGION_KINDS.get(name, "critical"),
             )
         )
     return out
 
 
-def _near_sheet_points(rng, count, tol=1e-9):
-    """Chart points of both discs pushed a few tol off the surface."""
+def _near_sheet_points(rng, count, tol=1e-9, scales=(0.0, 0.5, 1.0, 2.0, 5.0, 50.0, 200.0)):
+    """Chart points of both discs pushed each of scales times tol off the
+    surface, in one random direction per chart point."""
     out = []
     for _ in range(count):
         s = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.85))
@@ -260,7 +257,7 @@ def _near_sheet_points(rng, count, tol=1e-9):
         t = quarter + float(rng.uniform(0.15, math.pi / 2.0 - 0.15))
         q = param_phi(int(rng.choice([-1, 1])), s, t).nu4
         d = rng.standard_normal(4)
-        for k in (0.0, 0.5, 1.0, 2.0, 5.0, 50.0, 200.0):
+        for k in scales:
             v = q + k * tol * d / np.linalg.norm(d)
             out.append(v / np.linalg.norm(v))
     return np.array(out)
@@ -328,55 +325,40 @@ def _stress_points():
 def test_closed_form_configuration_matches_general_path(nu5):
     """The closed-form spectrum gives the configuration and stable count of
     the general path (char_poly, quartic_roots, clustering) on the
-    evaluation matrix; where the general path raises, the closed form
-    raises the same exception class."""
+    evaluation matrix.  The general path raises only on rows (+-1, e, e, e)
+    next to the axis, RankAnomalous: their pairs lie within the coincidence
+    threshold, but the annihilator has rank 4.  The closed form reads them
+    as two distinct pairs, g+1g+2 where nu1 > 0 and g-1g-2 where nu1 < 0."""
     pts = _stress_points()
-    want = []
-    for v in pts:
+    want, raised = [], []
+    for k, v in enumerate(pts):
         try:
             cfg = classify_configuration(evaluation_matrix(SpherePoint(v), nu5), 1e-9)
             want.append((cfg.code, cfg.stable_count))
-        except ResonanceAtlasError as exc:
-            want.append(type(exc))
-
-    def closed_form(rows):
-        _, _, config, stable, _ = stratification._family_spectra(rows, nu5, 1e-9)
-        return [(CONFIG_NAMES[c], s) for c, s in zip(config.tolist(), stable.tolist())]
-
-    raised = np.array([isinstance(w, type) for w in want])
-    assert 0 < raised.sum() < 10
-    assert closed_form(pts[~raised]) == [w for w in want if not isinstance(w, type)]
-    for v, err in zip(pts[raised], [w for w in want if isinstance(w, type)]):
-        with pytest.raises(err):
-            closed_form(v[None, :])
+        except RankAnomalous:
+            raised.append(k)
+            want.append((CONFIG_UNSTABLE_PAIRS, 0) if v[0] > 0.0 else (CONFIG_STABLE_PAIRS, 4))
+    assert 0 < len(raised) < 10
+    assert np.abs(pts[raised, 1:]).max() <= 1e-6
+    _, _, config, stable, _ = stratification._family_spectra(pts, nu5, 1e-9)
+    assert [(CONFIG_NAMES[c], s) for c, s in zip(config.tolist(), stable.tolist())] == want
 
 
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
 def test_row_spectrum_equals_column_spectrum(nu5):
     """The one-row evaluator of the pair kernel equals the column evaluator
     bit for bit: both eigenvalues above the real axis, config, stable count
-    and max real part.  Where one raises, the other raises the same
-    exception class."""
+    and max real part, on every stress row; neither raises, on the rank-4
+    rows next to the axis included."""
     pts = _stress_points()
-
-    def row(v):
-        try:
-            return stratification._row_spectrum(v, nu5, 1e-9)
-        except ResonanceAtlasError as exc:
-            return type(exc)
 
     def as_bits(hi, lo, config, stable, max_re):
         floats = np.array([hi.real, hi.imag, lo.real, lo.imag, max_re], dtype=float)
         return floats.view(np.int64).tolist(), int(config), int(stable)
 
-    want = [row(v) for v in pts]
-    raised = np.array([isinstance(w, type) for w in want])
-    assert 0 < raised.sum() < 10
-    cols = stratification._family_spectra(pts[~raised], nu5, 1e-9)
-    assert [as_bits(*r) for r in zip(*cols)] == [as_bits(*w) for w in want if not isinstance(w, type)]
-    for v, err in zip(pts[raised], [w for w in want if isinstance(w, type)]):
-        with pytest.raises(err):
-            stratification._family_spectra(v[None, :], nu5, 1e-9)
+    want = [stratification._row_spectrum(v, nu5, 1e-9) for v in pts]
+    cols = stratification._family_spectra(pts, nu5, 1e-9)
+    assert [as_bits(*r) for r in zip(*cols)] == [as_bits(*w) for w in want]
 
 
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
@@ -413,7 +395,7 @@ def test_classify_points_rank_test_once_per_coincident_row(count_calls):
     on any other row."""
     spectra_calls = count_calls(spectra.spectrum)
     poly_calls = count_calls(linalg.char_poly)
-    rank_calls = count_calls(spectra._pair_is_semisimple)
+    rank_calls = count_calls(spectra._annihilator_rank)
     reps = np.array([p.nu4 for p, _ in representatives().values()])
     axis = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
     classify_points(np.vstack([sphere_samples(500, 3), reps, axis]), 1.0)
@@ -812,7 +794,7 @@ def test_boundary_probes_match_scalar_probes(seed):
     boundary = stratification._stable_boundary(pts[kinds == KINDS.index("stable")])
     want = {oracles.probe_classify(q, 1.0, 1e-9) for q in boundary} - {None}
     assert want == {"S2", "S3"}
-    assert stratification._probe_strata(boundary, 1.0, 1e-9) == want
+    assert stratification._probe_strata(boundary, 1e-9) == want
     assert stability_report(pts, nu5=1.0).stable_boundary_strata == want
 
 
@@ -827,11 +809,11 @@ def test_boundary_probes_drop_ambiguous_rows(count_calls):
     quadrant = _unit([5e-10, 0.3, math.sqrt(0.91), 5e-5])
     reps = representatives()
     rows = np.array([pinch, quadrant, reps["V3"][0].nu4, reps["S2"][0].nu4])
-    assert stratification._critical_strata(rows, 1e-9).tolist()[:3] == [
-        stratification._AMBIGUOUS, stratification._AMBIGUOUS, stratification._OFF_CRITICAL
+    assert _column_strata(rows, 1e-9).tolist()[:3] == [
+        stratification._AMBIGUOUS, stratification._AMBIGUOUS, STRATUM_NAMES.index("V3")
     ]
     calls = count_calls(stratification.classify_point)
-    got = stratification._probe_strata(rows, 1.0, 1e-9)
+    got = stratification._probe_strata(rows, 1e-9)
     assert calls[0] == 0
     assert got == {"V3", "S2"}
     assert got == {oracles.probe_classify(q, 1.0, 1e-9) for q in rows} - {None}
@@ -847,12 +829,20 @@ def test_stability_report_builds_no_records_or_scalar_labels(count_calls):
     assert len(rep.records) == records[0] == 10_000
 
 
+def _assert_stable_is_v3(rep):
+    """stable == (stratum == V3) row by row, and every stable row has a
+    negative max real part."""
+    assert np.array_equal(rep.stable, rep.stratum == STRATUM_NAMES.index("V3"))
+    assert np.all(rep.max_real_part[rep.stable] < 0.0)
+
+
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0])
 @pytest.mark.parametrize("n", [2000, 5000])
 @pytest.mark.parametrize("seed", range(6))
 def test_stability_invariants_across_samplings(seed, n, nu5):
     """One stable, one unstable and two mixed regions, with the stable
-    region bounded by S2 and S3, whatever the sample set and nu5."""
+    region bounded by S2 and S3, whatever the sample set and nu5; a sample
+    is stable exactly in V3."""
     rep = stability_report(sphere_samples(n, seed), nu5=nu5)
     assert (
         rep.stable_component_count,
@@ -860,6 +850,7 @@ def test_stability_invariants_across_samplings(seed, n, nu5):
         rep.mixed_component_count,
     ) == (1, 1, 2)
     assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
+    _assert_stable_is_v3(rep)
 
 
 def test_mixed_regions_not_split_near_p6():
@@ -881,7 +872,9 @@ _SWEEP_SEEDS = [*range(30), 42, 12345, 1559737105, 3658652565, 815100843, 250358
 def test_stability_invariants_where_the_knn_flood_splits(n, seed):
     """At n = 100k the kNN flood splits a mixed region on the first eight
     seeds; the anchor arcs give the paper's counts and boundary there, and
-    on every seed of the sweep at n = 10k."""
+    on every seed of the sweep at n = 10k.  A sample is stable exactly in
+    V3 (at 100k, seeds 12 and 42 have V3 samples that a relative 1e-6
+    threshold on the real parts read as not stable)."""
     rep = stability_report(sphere_samples(n, seed), nu5=1.0)
     assert (
         rep.stable_component_count,
@@ -889,6 +882,34 @@ def test_stability_invariants_where_the_knn_flood_splits(n, seed):
         rep.mixed_component_count,
     ) == (1, 1, 2)
     assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
+    _assert_stable_is_v3(rep)
+
+
+def test_near_sheet_rows_take_their_kind_from_the_sign_of_f():
+    """Chart points pushed 0 to 1e4 tol off the sheets, 1800 rows added to
+    10k samples, keep one stable, one unstable and two mixed regions with
+    boundary {S2, S3}, and every row off the critical set has the kind of
+    its sign of F: stable or unstable where F > 0, mixed where F < 0.  The
+    stratum is read from F, so a row a few tol off a sheet whose real part
+    reads as zero still lands in the region its arcs reach (kinds taken
+    from strata read off the count of stable eigenvalues give (1, 14, 13)
+    here), and it is stable exactly in V3 (143 of these rows lie in V3,
+    but a relative 1e-6 threshold on the real parts read them as not
+    stable)."""
+    scales = (0.0, 0.5, 1.0, 2.0, 5.0, 50.0, 200.0, 1e3, 1e4)
+    near = _near_sheet_points(np.random.default_rng(11), 200, scales=scales)
+    rep = stability_report(np.vstack([sphere_samples(10_000, 42), near]), nu5=1.0)
+    assert (
+        rep.stable_component_count,
+        rep.unstable_component_count,
+        rep.mixed_component_count,
+    ) == (1, 1, 2)
+    assert rep.stable_boundary_strata == frozenset({"S2", "S3"})
+    kinds = classify_points(rep.points, 1.0).kind
+    live = kinds != KINDS.index("critical")
+    want = np.where(kinds[live] == KINDS.index("mixed"), -1.0, 1.0)
+    assert np.array_equal(np.sign(F_critical(rep.points[live])), want)
+    _assert_stable_is_v3(rep)
 
 
 def test_anchors_lie_in_their_regions():
@@ -918,14 +939,14 @@ def test_bridges_are_certified():
 def test_wrong_kinds_raise_the_counts():
     """Five stable samples relabelled unstable and five mixed ones relabelled
     stable fail their arcs, so each counts as a component of its own."""
-    pts, kinds, signs = _flood_inputs(10_000, 42, 1.0)
+    pts, kinds, _ = _flood_inputs(10_000, 42, 1.0)
     stable, unstable, mixed = (KINDS.index(k) for k in ("stable", "unstable", "mixed"))
-    counts = stratification._anchor_components(pts, kinds, signs)
+    counts = stratification._anchor_components(pts, kinds)
     assert counts.tolist() == [1, 1, 2, 0]
     wrong = kinds.copy()
     wrong[np.flatnonzero(kinds == stable)[:5]] = unstable
     wrong[np.flatnonzero(kinds == mixed)[:5]] = stable
-    assert stratification._anchor_components(pts, wrong, signs).tolist() == [6, 6, 2, 0]
+    assert stratification._anchor_components(pts, wrong).tolist() == [6, 6, 2, 0]
 
 
 def test_anchor_arcs_per_sample(monkeypatch):
@@ -933,8 +954,8 @@ def test_anchor_arcs_per_sample(monkeypatch):
     sample, two per mixed one and four for the bridges, with no neighbour
     search."""
     rows = _count_chords(monkeypatch)
-    pts, kinds, signs = _flood_inputs(10_000, 42, 1.0)
-    stratification._anchor_components(pts, kinds, signs)
+    pts, kinds, _ = _flood_inputs(10_000, 42, 1.0)
+    stratification._anchor_components(pts, kinds)
     assert rows[0] == len(pts) + np.count_nonzero(kinds == KINDS.index("mixed")) + 4
 
 
@@ -1055,8 +1076,8 @@ def test_mesh_labels_without_scalar_calls(count_calls):
 
 def _outcomes(label, rows, tol):
     """(code, message) per row of label(row, tol), which returns a code into
-    STRATUM_NAMES, a stratum name or None: the code, or _OFF_CRITICAL for
-    None, with no message; or _AMBIGUOUS and the AmbiguousStratum message."""
+    STRATUM_NAMES or a stratum name: the code with no message; or
+    _AMBIGUOUS and the AmbiguousStratum message."""
     out = []
     for row in rows:
         try:
@@ -1064,9 +1085,7 @@ def _outcomes(label, rows, tol):
         except AmbiguousStratum as exc:
             out.append((stratification._AMBIGUOUS, str(exc)))
             continue
-        if got is None:
-            got = stratification._OFF_CRITICAL
-        elif isinstance(got, str):
+        if isinstance(got, str):
             got = STRATUM_NAMES.index(got)
         out.append((int(got), None))
     return out
@@ -1112,45 +1131,26 @@ def _cascade_probe_rows(rng, tol):
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_critical_strata_matches_scalar_cascade(rng, tol):
     """Row by row both evaluators of the rule table give the hand-written
-    cascade's stratum and its None, and 'ambiguous' exactly where it
-    raises; the one-row evaluator raises with the same message."""
+    if chain's stratum, and 'ambiguous' exactly where it raises; the
+    one-row evaluator raises with the same message.  The if chain reads the
+    open regions from the closed form V3 = {nu1 < -|Im D|},
+    V1 = {nu1 > |Im D|}, the table from the sign of F."""
     rows = _cascade_probe_rows(rng, tol)
-    want = _outcomes(oracles.critical_stratum_reference, rows, tol)
-    assert _outcomes(_critical_stratum, rows, tol) == want
+    want = _outcomes(oracles.stratum_reference, rows, tol)
+    assert _outcomes(_row_stratum, rows, tol) == want
     codes = np.array([code for code, _ in want])
-    assert np.array_equal(_critical_strata(rows, tol), codes)
-    # every branch of the cascade is exercised, every ambiguous rule included
-    names = {STRATUM_NAMES[k][0] for k in codes[codes >= 0]}
-    assert names == {"P", "L", "S", "V"}
+    assert np.array_equal(_column_strata(rows, tol), codes)
+    # every rule of the table is exercised, every ambiguous rule included
+    names = {STRATUM_NAMES[k] for k in codes[codes >= 0]}
+    assert {"V1", "V2", "V3", "V4"} <= names
+    assert {name[0] for name in names} == {"P", "L", "S", "V"}
     assert len({why for _, why in want} - {None}) == 3
     assert (codes == stratification._AMBIGUOUS).sum() > 50
-    assert (codes == stratification._OFF_CRITICAL).sum() > 1000
-
-
-def test_open_rules_row_and_column_evaluators_agree():
-    """V3 with four stable eigenvalues, V1 with none; a mixed row is V2 or V4
-    by the sign of nu2 and ambiguous within tol of nu2 = 0, where the
-    one-row evaluator raises."""
-    tol = 1e-9
-    counts, n2 = np.meshgrid([0, 2, 4], [-1.0, -tol, -0.0, 0.5 * tol, tol, 2.0 * tol, 0.3])
-    counts, n2 = counts.ravel(), n2.ravel()
-    want = []
-    for c, x in zip(counts.tolist(), n2.tolist()):
-        if c != 2:
-            want.append((STRATUM_NAMES.index("V3" if c == 4 else "V1"), None))
-        elif abs(x) <= tol:
-            why = "mixed configuration with unresolved sign of nu2"
-            want.append((stratification._AMBIGUOUS, why))
-        else:
-            want.append((STRATUM_NAMES.index("V2" if x > 0.0 else "V4"), None))
-
-    def one_row(row, tol):
-        rules = stratification._open_rules(int(row[0]), row[1], tol)
-        return stratification._row_code(rules, stratification._OPEN_WHY)
-
-    assert _outcomes(one_row, np.column_stack([counts, n2]), tol) == want
-    got = stratification._column_codes(stratification._open_rules(counts, n2, tol))
-    assert got.tolist() == [code for code, _ in want]
+    assert np.isin(codes, [STRATUM_NAMES.index(f"V{k}") for k in range(1, 5)]).sum() > 1000
+    # F >= -tol^2 where |nu2| <= tol, so no such row reaches the V2 / V4 rule
+    near_nu2_zero = codes[np.abs(rows[:, 1]) <= tol]
+    assert len(near_nu2_zero) > 100
+    assert not np.isin(near_nu2_zero, [STRATUM_NAMES.index("V2"), STRATUM_NAMES.index("V4")]).any()
 
 
 def test_mesh_euler_characteristic_is_resolution_invariant():
