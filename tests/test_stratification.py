@@ -1153,6 +1153,39 @@ def test_critical_strata_matches_scalar_cascade(rng, tol):
     assert not np.isin(near_nu2_zero, [STRATUM_NAMES.index("V2"), STRATUM_NAMES.index("V4")]).any()
 
 
+def test_open_rules_row_and_column_evaluators_agree():
+    """Off the critical surface and the self-intersection loci the last
+    rules of _cascade give V3 where F > 0 and nu1 < 0, V1 where F > 0,
+    else V2 or V4 by the sign of nu2, in the one-row and the column
+    evaluator alike, at 2 tol from each sign change."""
+    tol = 1e-9
+    F, n1, n2 = np.meshgrid(
+        [-0.3, -2.0 * tol, 2.0 * tol, 0.3],
+        [-0.5, -2.0 * tol, 2.0 * tol, 0.5],
+        [-0.4, -2.0 * tol, 2.0 * tol, 0.4],
+    )
+    F, n1, n2 = F.ravel(), n1.ravel(), n2.ravel()
+    n3, n4 = np.full_like(F, 0.5), np.full_like(F, 0.5)
+    want = []
+    for f, a, b in zip(F.tolist(), n1.tolist(), n2.tolist()):
+        if f > 0.0:
+            want.append(STRATUM_NAMES.index("V3" if a < 0.0 else "V1"))
+        else:
+            want.append(STRATUM_NAMES.index("V2" if b > 0.0 else "V4"))
+    no_p = stratification._NO_RULE
+    one_row = [
+        stratification._row_code(
+            stratification._cascade(a, b, c, d, f, no_p, tol), stratification._CASCADE_WHY
+        )
+        for a, b, c, d, f in zip(n1.tolist(), n2.tolist(), n3.tolist(), n4.tolist(), F.tolist())
+    ]
+    assert one_row == want
+    p_code = np.full(len(F), no_p)
+    got = stratification._column_codes(stratification._cascade(n1, n2, n3, n4, F, p_code, tol))
+    assert got.tolist() == want
+    assert {STRATUM_NAMES[k] for k in want} == {"V1", "V2", "V3", "V4"}
+
+
 def test_mesh_euler_characteristic_is_resolution_invariant():
     """The weld pattern closes up the same way at every 4-divisible size."""
     chis = {
