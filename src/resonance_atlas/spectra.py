@@ -34,6 +34,7 @@ __all__ = [
     "CONFIG_UNSTABLE_PAIRS",
     "EigConfig",
     "Spectrum",
+    "ZERO_RE_TOL_SAMPLED",
     "classify_configuration",
     "is_semisimple_double_pair",
     "spectrum",
@@ -141,6 +142,10 @@ def _pair_labels(hi, lo, tol):
     return unresolved, s_hi, _SIGN_CODES[3 * s_hi + s_lo + 4], stable_count, max_re
 
 
+# Relative real-part threshold of a sampled point's `stable` flag.
+ZERO_RE_TOL_SAMPLED = 1e-6
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Four eigenvalues, their coincidence clusters, and summary fields.
@@ -200,35 +205,36 @@ def _im_is_zero(z: complex, tol: float) -> bool:
     return abs(z.imag) <= tol * (1.0 + abs(z))
 
 
-def _annihilator_rank(A: Mat4, u: float, v: float, tol: float) -> int:
-    """rank(A^2 + u A + v id), the one annihilator-rank test.
+def _pair_is_semisimple(A: Mat4, u: float, v: float, tol: float) -> bool | None:
+    """True iff A, whose spectrum is the roots of x^2 + u x + v, each
+    double, has no nilpotent part.
 
-    Singular values are measured against (1 + ||A||)^2, the natural size
-    of a quadratic polynomial in A: a threshold relative to the annihilator
-    itself would report full rank for the numerically zero matrix, whose
-    largest singular value is roundoff.
+    rank(A^2 + u A + v id) is 0 exactly for the semisimple case and 2 when
+    a rank-two nilpotent rides on top; rank 4 off the imaginary axis
+    (|u| / 2 > tol (1 + sqrt v)) gives None, two distinct pairs within the
+    coincidence threshold.  Anything else means the premise did not hold,
+    raised as RankAnomalous.  Singular values are measured against
+    (1 + ||A||)^2, the natural size of a quadratic polynomial in A: a
+    threshold relative to the annihilator itself would report full rank
+    for the numerically zero matrix, whose largest singular value is
+    roundoff.
     """
     E = A.entries
     svals = np.linalg.svd(E @ E + u * E + v * np.eye(4), compute_uv=False)
     scale = (1.0 + float(np.linalg.norm(E, 2))) ** 2
-    return int(np.sum(svals > max(tol, 1e-12) * scale))
-
-
-def _semisimple_at_rank(r: int) -> bool:
-    """Whether a double pair, the roots of x^2 + u x + v, whose annihilator
-    A^2 + u A + v id has rank r is semisimple: rank 0 exactly for the
-    semisimple case and 2 when a rank-two nilpotent rides on top; anything
-    else means the premise did not hold, raised as RankAnomalous."""
+    r = int(np.sum(svals > max(tol, 1e-12) * scale))
     if r == 0:
         return True
     if r == 2:
         return False
+    if r == 4 and abs(u) / 2.0 > tol * (1.0 + math.sqrt(max(v, 0.0))):
+        return None
     raise RankAnomalous(f"annihilator rank {r}, expected 0 or 2")
 
 
 def is_semisimple_double_pair(A: Mat4, beta: float, tol: float) -> bool:
     """True iff A with spectrum {+-i beta (double)} has no nilpotent part."""
-    return _semisimple_at_rank(_annihilator_rank(A, 0.0, float(beta) ** 2, tol))
+    return _pair_is_semisimple(A, 0.0, float(beta) ** 2, tol)
 
 
 def spectrum(A: Mat4, tol: float) -> Spectrum:
@@ -254,7 +260,7 @@ def spectrum(A: Mat4, tol: float) -> Spectrum:
         roots = (w.conjugate(), w.conjugate(), w, w)
         pair = (u, v)
         if _re_is_zero(w, tol) and not _im_is_zero(w, tol):
-            flag = _semisimple_at_rank(_annihilator_rank(A, u, v, tol))
+            flag = _pair_is_semisimple(A, u, v, tol)
     return Spectrum(tuple(roots), clusters, max(z.real for z in roots), flag, pair)
 
 
@@ -264,8 +270,9 @@ def classify_configuration(A: Mat4, tol: float) -> EigConfig:
     Cascade: reject real/zero eigenvalues (UnresolvedConfiguration), read
     the sign of each pair's real part against the relative threshold
     tol*(1+|lambda|), and for a pair coincident within CLUSTER_TOL_DEFAULT
-    (spectrum) split semisimple from nilpotent by annihilator rank.
-    Everything is read from one spectrum.
+    (spectrum) split semisimple from nilpotent by annihilator rank (rank 4
+    off the imaginary axis: two distinct pairs, both of the double root's
+    sign).  Everything is read from one spectrum.
     """
     sp = spectrum(A, tol)
     roots = sp.eigenvalues
@@ -284,8 +291,9 @@ def classify_configuration(A: Mat4, tol: float) -> EigConfig:
         semisimple = (
             sp.semisimple_double_pair
             if signs[0] == 0
-            else _semisimple_at_rank(_annihilator_rank(A, *sp.double_pair, tol))
+            else _pair_is_semisimple(A, *sp.double_pair, tol)
         )
-        return EigConfig(_COINCIDENT_CODES[signs[0], semisimple], stable_count, sp)
+        if semisimple is not None:
+            return EigConfig(_COINCIDENT_CODES[signs[0], semisimple], stable_count, sp)
 
     return EigConfig(CONFIG_NAMES[_SIGN_CODES[3 * signs[0] + signs[1] + 4]], stable_count, sp)

@@ -46,12 +46,12 @@ from .spectra import (
     CONFIG_STABLE_PAIRS,
     CONFIG_TWO_IMAGINARY,
     CONFIG_UNSTABLE_PAIRS,
+    ZERO_RE_TOL_SAMPLED,
     _COINCIDENT_CODES,
     EigConfig,
-    _annihilator_rank,
+    _pair_is_semisimple,
     _pair_labels,
     _pair_split,
-    _semisimple_at_rank,
     _upper_pair,
     classify_configuration,
 )
@@ -321,17 +321,13 @@ def _column_strata(v: np.ndarray, tol: float) -> np.ndarray:
 _UNRESOLVED = "real or zero eigenvalue in row %d; no pair configuration applies"
 
 
-def _coincident_config(v: np.ndarray, nu5: float, w: complex, tol: float) -> int | None:
-    """Config code of row v, whose two pairs coincide at w: one
-    annihilator-rank test splits semisimple from nilpotent.  None at rank
-    4, where the pairs are distinct after all."""
-    rank = _annihilator_rank(
+def _coincident_semisimple(v: np.ndarray, nu5: float, w: complex, tol: float) -> bool | None:
+    """Whether the two pairs of row v, coincident at w, are semisimple: one
+    annihilator-rank test (spectra._pair_is_semisimple).  None where they
+    are two distinct pairs after all (rank 4 off the imaginary axis)."""
+    return _pair_is_semisimple(
         evaluation_matrix(SpherePoint(v), nu5), -2.0 * w.real, abs(w) ** 2, tol
     )
-    if rank == 4:
-        return None
-    s = int(_pair_labels(w, w, tol)[1])
-    return CONFIG_NAMES.index(_COINCIDENT_CODES[s, _semisimple_at_rank(rank)])
 
 
 def _family_spectra(v: np.ndarray, nu5: float, tol: float):
@@ -341,24 +337,25 @@ def _family_spectra(v: np.ndarray, nu5: float, tol: float):
     _pair_labels): returns the two eigenvalues above the real axis, hi and
     lo (n,), the config codes into CONFIG_NAMES, the stable counts and the
     max real parts.  A coincident row (on the axis and the curves nu4 = 0,
-    nu2^2 = nu3^2 through P1..P4) takes one rank test (_coincident_config)
-    and, unless that finds two distinct pairs, the exact double root
-    w = t0 nu1 + i nu5.  Raises UnresolvedConfiguration where an imaginary
-    part reads as zero, as classify_configuration does.
+    nu2^2 = nu3^2 through P1..P4) takes one rank test and, unless that
+    finds two distinct pairs, the exact double root w = t0 nu1 + i nu5.
+    Raises UnresolvedConfiguration where an imaginary part reads as zero,
+    as classify_configuration does.
     """
     t0 = interior_scale(nu5)
     hi, lo, coincident = _upper_pair(*v.T, t0, nu5)
     double = {}
     for k in np.flatnonzero(coincident).tolist():
         w = complex(t0 * v[k, 0] + 1j * nu5)
-        code = _coincident_config(v[k], nu5, w, tol)
-        if code is not None:
+        semisimple = _coincident_semisimple(v[k], nu5, w, tol)
+        if semisimple is not None:
             hi[k] = lo[k] = w
-            double[k] = code
-    unresolved, _, config, stable_count, max_re = _pair_labels(hi, lo, tol)
+            double[k] = semisimple
+    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
     if unresolved.any():
         raise UnresolvedConfiguration(_UNRESOLVED % unresolved.argmax())
-    config[list(double)] = list(double.values())
+    for k, semisimple in double.items():
+        config[k] = CONFIG_NAMES.index(_COINCIDENT_CODES[int(s_hi[k]), semisimple])
     return hi, lo, config, stable_count, max_re
 
 
@@ -369,16 +366,18 @@ def _row_spectrum(v: np.ndarray, nu5: float, tol: float):
     t0 = interior_scale(nu5)
     hi, lo, coincident = _upper_pair(n1, n2, n3, n4, t0, nu5)
     hi, lo = complex(hi), complex(lo)  # Python complex: no numpy scalar arithmetic
-    double = None
+    semisimple = None
     if coincident:
         w = t0 * n1 + 1j * nu5
-        double = _coincident_config(v, nu5, w, tol)
-        if double is not None:
+        semisimple = _coincident_semisimple(v, nu5, w, tol)
+        if semisimple is not None:
             hi = lo = w
-    unresolved, _, config, stable_count, max_re = _pair_labels(hi, lo, tol)
+    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
     if unresolved:
         raise UnresolvedConfiguration(_UNRESOLVED % 0)
-    return hi, lo, int(config if double is None else double), stable_count, float(max_re)
+    if semisimple is not None:
+        config = CONFIG_NAMES.index(_COINCIDENT_CODES[int(s_hi), semisimple])
+    return hi, lo, int(config), stable_count, float(max_re)
 
 
 def _row_label(v: np.ndarray, nu5: float, tol: float):
@@ -526,15 +525,11 @@ class StabilityReport:
     stratum: np.ndarray  # (n,) int8 codes into STRATUM_NAMES
     config: np.ndarray  # (n,) int8 codes into CONFIG_NAMES
     max_real_part: np.ndarray  # (n,) float
+    stable: np.ndarray  # (n,) bool
     stable_component_count: int
     unstable_component_count: int
     mixed_component_count: int
     stable_boundary_strata: frozenset[str]
-
-    @property
-    def stable(self) -> np.ndarray:
-        """(n,) bool: the sample lies in V3, the one stratum of stable systems."""
-        return self.stratum == _CODE["V3"]
 
     @property
     def stable_strata(self) -> frozenset[str]:
@@ -558,9 +553,12 @@ class StabilityReport:
 # Stability kind of a sample, stored as an int8 code into KINDS.
 KINDS = ("stable", "unstable", "mixed", "critical")
 _STABLE, _UNSTABLE, _MIXED, _CRITICAL = range(len(KINDS))
-# The kind of each stratum by its code: V1..V4, which lead STRATUM_NAMES, are
-# unstable, mixed, stable and mixed, and every sheet, curve and point critical.
-_STRATUM_KINDS = np.array([_UNSTABLE, _MIXED, _STABLE, _MIXED] + [_CRITICAL] * 16, dtype=np.int8)
+# The kind of each stratum by its code, read off its configuration: only the
+# open strata carry stable, unstable or mixed pairs; the rest are critical.
+_OPEN_KINDS = {CONFIG_STABLE_PAIRS: _STABLE, CONFIG_UNSTABLE_PAIRS: _UNSTABLE, CONFIG_MIXED: _MIXED}
+_STRATUM_KINDS = np.array(
+    [_OPEN_KINDS.get(label.expected_config, _CRITICAL) for label in STRATA.values()], dtype=np.int8
+)
 
 
 class PointClasses(NamedTuple):
@@ -570,18 +568,21 @@ class PointClasses(NamedTuple):
     config: np.ndarray  # (n,) int8 codes into CONFIG_NAMES
     max_real_part: np.ndarray  # (n,) float
     kind: np.ndarray  # (n,) int8 codes into KINDS
+    stable: np.ndarray  # (n,) bool
 
 
 def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
-    """Stratum, configuration, max real part and stability kind of unit rows.
+    """Stratum, configuration, max real part, stability kind and stable
+    flag of unit rows.
 
     Each row gets classify_point's label, on whole arrays: the stratum from
     the rule table (_cascade, the open regions by the sign of F), its kind
     from the stratum (_STRATUM_KINDS), and the configuration and max real
-    part from the closed-form spectrum (_family_spectra).  Raises where
-    classify_point would raise on some row.  Strata and configurations
-    come as int8 codes into STRATUM_NAMES and CONFIG_NAMES.  ValueError
-    unless 1e-3 <= |nu5| <= 1e3.
+    part from the closed-form spectrum (_family_spectra).  A row is stable
+    when every real part lies below -ZERO_RE_TOL_SAMPLED (1 + max |lambda|),
+    so a V3 row within that threshold of zero is not.  Raises where classify_point would
+    raise on some row.  Strata and configurations come as int8 codes into
+    STRATUM_NAMES and CONFIG_NAMES.  ValueError unless 1e-3 <= |nu5| <= 1e3.
     """
     _check_nu5(nu5, "classify_points")
     if tol <= 0.0:
@@ -592,8 +593,9 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     raises = stratum == _AMBIGUOUS
     if raises.any():
         _row_label(v[np.argmax(raises)], nu5, tol)  # raises its error
-    _, _, config, _, max_re = _family_spectra(v, nu5, tol)
-    return PointClasses(stratum.astype(np.int8), config, max_re, _STRATUM_KINDS[stratum])
+    hi, lo, config, _, max_re = _family_spectra(v, nu5, tol)
+    stable = max_re < -ZERO_RE_TOL_SAMPLED * (1.0 + np.maximum(np.abs(hi), np.abs(lo)))
+    return PointClasses(stratum.astype(np.int8), config, max_re, _STRATUM_KINDS[stratum], stable)
 
 
 _CHORD_NODES = np.linspace(0.0, 1.0, 5)
@@ -740,10 +742,12 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
 
     samples is an (n, 4) array, or a list of 4-sequences, of unit vectors.
     Each sample's stratum comes from the rule table, its open region from
-    the sign of F, and its kind from the stratum: a sample is stable in V3,
-    and the samples on the critical set are excluded from the component
-    counts.  The other samples reach their region's anchors by arcs the
-    sound arc test accepts, never one that meets F = 0 (_anchor_components).
+    the sign of F, and its kind from the stratum; the samples on the
+    critical set are excluded from the component counts.  The other
+    samples reach their region's anchors by arcs the sound arc test
+    accepts, never one that meets F = 0 (_anchor_components).  A sample
+    is stable when every real part lies below -ZERO_RE_TOL_SAMPLED
+    (1 + max |lambda|) (classify_points).
     Boundary strata of the stable region are read where each stable
     sample's meridian from -e1 leaves V3, in closed form
     (_stable_boundary).  The report keeps one row per sample in arrays,
@@ -764,6 +768,7 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
         stratum=cls.stratum,
         config=cls.config,
         max_real_part=cls.max_real_part,
+        stable=cls.stable,
         stable_component_count=int(counts[_STABLE]),
         unstable_component_count=int(counts[_UNSTABLE]),
         mixed_component_count=int(counts[_MIXED]),

