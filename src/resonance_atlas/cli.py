@@ -51,6 +51,7 @@ from .stratification import (
     STRATA,
     STRATUM_NAMES,
     _check_nu5,
+    _present_strata,
     _row_label,
     _stable_boundary,
     classify_point,
@@ -597,22 +598,46 @@ def _cmd_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
 # -- mesh ----------------------------------------------------------------------
 
 
+def _shared_texts(per_mesh) -> list:
+    """The float columns of each mesh, one list per mesh with the same
+    fields, where a field whose column in a later mesh equals the first
+    mesh's bit for bit gets one '%.17g' text for all those meshes: an 'S'
+    column of the NUL-padded slots, which write_rows writes as the floats.
+    Bits, not values, decide: 0.0 == -0.0, but '%.17g' writes 0 and -0.
+    The other columns stay floats, formatted a block of rows at a time."""
+    out = [list(columns) for columns in per_mesh]
+    for f, col in enumerate(per_mesh[0]):
+        bits = col.view(np.int64)
+        same = [m for m in range(1, len(per_mesh))
+                if np.array_equal(per_mesh[m][f].view(np.int64), bits)]
+        if same:
+            text = _float_slots(col).view(f"S{4 * _FLOAT_WORDS}").ravel()
+            for m in (0, *same):
+                out[m][f] = text
+    return out
+
+
 def _write_obj(fh, meshes) -> None:
+    """The meshes as OBJ groups; the other disc's nu1, nu2 and nu4 are the
+    first disc's, so their text is formatted once."""
+    shared = _shared_texts([list(mesh.vertices.T) for mesh in meshes])
     offset = 0
-    for mesh in meshes:
+    for mesh, columns in zip(meshes, shared):
         name = b"plus" if mesh.disc > 0 else b"minus"
         fh.write(b"g %s\n" % name)
-        write_rows(fh, [b"v ", *_joined(b" ", mesh.vertices.T), b"\n"])
+        write_rows(fh, [b"v ", *_joined(b" ", columns), b"\n"])
         write_rows(fh, [b"f ", *_joined(b" ", (mesh.triangles + (1 + offset)).T), b"\n"])
         offset += len(mesh.vertices)
 
 
 def _write_mesh_csv(fh, meshes) -> None:
     """One vertex row (index, coordinates, chart (s, t), stratum) and one
-    face row (three indices) per element, the fields csv.writer would give."""
+    face row (three indices) per element, the fields csv.writer would give;
+    a float column the discs share is formatted once."""
     fh.write(b"type,disc,i0,i1,i2,nu1,nu2,nu3,nu4,s,t,stratum\n")
-    for mesh in meshes:
-        columns = [*mesh.vertices.T, *mesh.params.T, _STRATUM_BYTES[mesh.strata]]
+    shared = _shared_texts([[*mesh.vertices.T, *mesh.params.T] for mesh in meshes])
+    for mesh, columns in zip(meshes, shared):
+        columns = [*columns, _STRATUM_BYTES[mesh.strata]]
         write_rows(fh, [b"vertex,%d," % mesh.disc, np.arange(len(mesh.vertices)), b",,,",
                         *_joined(b",", columns), b"\n"])
         write_rows(fh, [b"face,%d," % mesh.disc, *_joined(b",", mesh.triangles.T),
@@ -629,6 +654,13 @@ def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
         else:
             _write_mesh_csv(fh, meshes)
 
+    # the discs share one triangles array: one Euler characteristic per
+    # distinct (triangles, vertex count)
+    euler = {}
+    for mesh in meshes:
+        key = (id(mesh.triangles), len(mesh.vertices))
+        if key not in euler:
+            euler[key] = mesh.euler_characteristic()
     summary = {
         "schema_version": SCHEMA_VERSION,
         "resolution": args.resolution,
@@ -638,10 +670,8 @@ def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "disc": mesh.disc,
                 "vertices": int(len(mesh.vertices)),
                 "triangles": int(len(mesh.triangles)),
-                "euler_characteristic": mesh.euler_characteristic(),
-                "strata": sorted(
-                    STRATUM_NAMES[k] for k in np.flatnonzero(np.bincount(mesh.strata)).tolist()
-                ),
+                "euler_characteristic": euler[id(mesh.triangles), len(mesh.vertices)],
+                "strata": sorted(_present_strata(mesh.strata)),
             }
             for mesh in meshes
         ],

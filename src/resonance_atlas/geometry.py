@@ -248,12 +248,13 @@ def param_phi_array(disc, s, t) -> np.ndarray:
 
 def check_unit_rows(v: np.ndarray) -> None:
     """SpherePoint's rule on every row of an (n, 4) array: finite, with
-    |norm - 1| <= UNIT_NORM_TOL.  Raises ValueError for the first row that
-    breaks it."""
-    finite = np.isfinite(v).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"SpherePoint: coordinates must be finite (row {np.argmin(finite)})")
-    dev = np.abs(np.linalg.norm(v, axis=1) - 1.0)
+    |norm - 1| <= UNIT_NORM_TOL, the norm of each row as SpherePoint takes
+    it bit for bit (np.linalg.norm(v, axis=1) differs in the last place on
+    some rows).  Raises ValueError for the first row that breaks it."""
+    if not np.isfinite(v).all():
+        row = np.argmin(np.isfinite(v).all(axis=1))
+        raise ValueError(f"SpherePoint: coordinates must be finite (row {row})")
+    dev = np.abs(np.sqrt(np.vecdot(v, v)) - 1.0)
     bad = np.flatnonzero(dev > UNIT_NORM_TOL)
     if len(bad):
         raise ValueError(

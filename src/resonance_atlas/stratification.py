@@ -413,6 +413,13 @@ class IncidenceGraph:
         return frozenset(out)
 
 
+def _present_strata(codes: np.ndarray) -> frozenset[str]:
+    """The names of the codes into STRATUM_NAMES that occur in codes (presence
+    by np.bincount: np.unique would import numpy.ma)."""
+    k = np.bincount(codes, minlength=len(STRATUM_NAMES))
+    return frozenset(STRATUM_NAMES[c] for c in np.flatnonzero(k).tolist())
+
+
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row divided by its norm, bit for bit as row / np.linalg.norm(row)
     (np.linalg.norm(rows, axis=1) differs in the last place on some rows)."""
@@ -426,7 +433,7 @@ def _probe_strata(points: np.ndarray, tol: float) -> frozenset[str]:
     unit = _unit_rows(points)
     check_unit_rows(unit)
     codes = _column_strata(unit, tol)
-    return frozenset(STRATUM_NAMES[k] for k in np.unique(codes[codes >= 0]).tolist())
+    return _present_strata(codes[codes >= 0])
 
 
 def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> IncidenceGraph:
@@ -469,7 +476,7 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
 
     edges = frozenset(
         (STRATUM_NAMES[k // n], STRATUM_NAMES[k % n])
-        for k in np.unique(np.concatenate(keys)).tolist()
+        for k in np.flatnonzero(np.bincount(np.concatenate(keys), minlength=n * n)).tolist()
     )
     return IncidenceGraph(tuple(sorted(STRATA)), edges)
 
@@ -533,7 +540,7 @@ class StabilityReport:
 
     @property
     def stable_strata(self) -> frozenset[str]:
-        return frozenset(STRATUM_NAMES[k] for k in np.unique(self.stratum[self.stable]).tolist())
+        return _present_strata(self.stratum[self.stable])
 
     @property
     def records(self) -> tuple[SampleRecord, ...]:
@@ -724,7 +731,9 @@ def _anchor_components(points: np.ndarray, kinds: np.ndarray) -> np.ndarray:
 
     live = kinds != _CRITICAL
     failed = np.bincount(kinds[live & ~ok], minlength=len(KINDS))
-    reached = np.unique(_anchor_classes()[anchor[live & ok]])
+    reached = np.flatnonzero(
+        np.bincount(_anchor_classes()[anchor[live & ok]], minlength=len(_ANCHORS))
+    )
     return failed + np.bincount(_ANCHOR_KINDS[reached], minlength=len(KINDS))
 
 
@@ -792,11 +801,11 @@ class SurfaceMesh:
     def euler_characteristic(self) -> int:
         """V - E + T; an edge (a, b) with a < b counts once, by its key a V + b."""
         n = len(self.vertices)
-        x, y, z = self.triangles.astype(np.int64).T
+        x, y, z = self.triangles.astype(np.int64, copy=False).T
         pairs = ((x, y), (y, z), (x, z))
         keys = np.concatenate([np.minimum(p, q) * n + np.maximum(p, q) for p, q in pairs])
         keys.sort()
-        edges = int(np.count_nonzero(np.diff(keys))) + 1 if len(keys) else 0
+        edges = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1 if len(keys) else 0
         return n - edges + len(self.triangles)
 
 
@@ -819,13 +828,16 @@ def _chart_topology(res: int) -> tuple[np.ndarray, np.ndarray]:
     ci = np.stack([i, i + 1, i, i + 1], axis=-1).ravel()
     cj = np.stack([j, j, j + 1, j + 1], axis=-1).ravel()
     cj[cj == res] = 0
+    moved = np.zeros(len(ci), dtype=bool)  # corners the fold or mirror weld reaches
     if res % 4 == 0:
         fold = cj == 3 * (res // 4)
         ci[fold] = res - ci[fold]
         cj[fold] = res // 4
+        moved |= fold
     if res % 2 == 0:
         mirror = (ci == res // 2) & (cj != 0)
         cj[mirror] = np.minimum(cj[mirror], res - cj[mirror])
+        moved |= mirror
 
     # vertex ids by first appearance, read off a dense table of grid keys
     keys = ci * (res + 1) + cj
@@ -844,15 +856,23 @@ def _chart_topology(res: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.stack([v10, v11], axis=1).ravel()
     c = np.stack([v11, v01], axis=1).ravel()
     keep = (a != b) & (b != c) & (a != c)
-    # drop all but the first copy of each vertex set: a stable sort of the
-    # row-sorted columns puts the copies of one set next to each other, in
-    # their original order
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    mid = a + b + c - lo - hi
+    # drop all but the first copy of each vertex set.  Only the fold and
+    # mirror welds make copies: the seam-welded grid alone is a cylinder
+    # whose triangles are all distinct, so a copy touches a vertex one of
+    # those welds joined.  A stable sort of the row-sorted columns of
+    # those triangles puts the copies of one set next to each other, in
+    # their original order.
+    welded = np.zeros(len(grid_keys), dtype=bool)
+    welded[rank[keys[moved]]] = True
+    near = np.flatnonzero(keep & (welded[a] | welded[b] | welded[c]))
+    x, y, z = a[near], b[near], c[near]
+    lo = np.minimum(np.minimum(x, y), z)
+    hi = np.maximum(np.maximum(x, y), z)
+    mid = x + y + z - lo - hi
     order = np.lexsort((mid, hi, lo))
     lo, mid, hi = lo[order], mid[order], hi[order]
-    keep[order[1:][(lo[1:] == lo[:-1]) & (mid[1:] == mid[:-1]) & (hi[1:] == hi[:-1])]] = False
+    copy = (lo[1:] == lo[:-1]) & (mid[1:] == mid[:-1]) & (hi[1:] == hi[:-1])
+    keep[near[order[1:][copy]]] = False
     k = np.flatnonzero(keep)
 
     s_vals = np.linspace(-1.0, 1.0, res + 1)
@@ -869,8 +889,10 @@ def mesh_surfaces(
     The chart of the two discs differs only in the sign of nu3, so the
     welded grid and its triangles (_chart_topology) are built once; every
     mesh shares one read-only params array and one read-only triangles
-    array.  Per disc the chart is evaluated on the whole grid, and vertices
-    are labelled, as int8 codes into STRATUM_NAMES, by the rule table on
+    array.  The chart is evaluated and checked once, on the whole grid of
+    disc +1; a disc's vertices are those rows times (1, 1, disc, 1), which
+    is param_phi_array(disc, ...) bit for bit.  Per disc the vertices are
+    labelled, as int8 codes into STRATUM_NAMES, by the rule table on
     the whole array, with no spectrum; the first row it leaves ambiguous
     raises AmbiguousStratum as classify_point would for that point.
     Output is deterministic for a given input.
@@ -885,10 +907,11 @@ def mesh_surfaces(
     params, tris = _chart_topology(int(resolution))
     params.setflags(write=False)
     tris.setflags(write=False)
+    chart = param_phi_array(+1, params[:, 0], params[:, 1])
+    check_unit_rows(chart)
     meshes = []
     for d in discs:
-        vertices = param_phi_array(d, params[:, 0], params[:, 1])
-        check_unit_rows(vertices)
+        vertices = chart * [1.0, 1.0, d, 1.0]
         codes = _column_strata(vertices, tol)
         raises = codes == _AMBIGUOUS
         if raises.any():

@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -583,6 +584,69 @@ def mesh_surface_reference(disc: int, resolution: int, nu5: float = 1.0, tol: fl
     vertices = np.array(coords)
     strata = tuple(classify_point(SpherePoint(row, disc), nu5, tol).name for row in vertices)
     return vertices, np.array(params), np.array(triangles, dtype=np.int64), strata
+
+
+def chart_topology_reference(res: int) -> tuple[np.ndarray, np.ndarray]:
+    """The welded (s, t) grid of the chart with the duplicate search run on
+    every triangle, for comparison with the mesher's search on the weld
+    triangles only: each vertex's (s, t) in id order (V, 2) and the
+    triangles (T, 3), the same on both discs.
+
+    Welds are exact index identifications: the seam t = 0 ~ 2 pi always; the
+    fold (s, pi/2) ~ (-s, 3 pi/2) when res is divisible by 4, and the mirror
+    (0, t) ~ (0, 2 pi - t) when it is even, i.e. whenever the grid hits
+    those lines.  Vertices are numbered by first appearance over the cells
+    (i-major, corners (i, j), (i+1, j), (i, j+1), (i+1, j+1)).  Triangles
+    collapsed by a weld are dropped, and so is the second copy of a triangle
+    that the fold and mirror welds map onto an earlier one next to
+    (s, t) = (0, pi/2).
+    """
+    # canonical (i, j) of the corners of every cell, welded in the order
+    # seam, fold, mirror
+    i, j = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
+    ci = np.stack([i, i + 1, i, i + 1], axis=-1).ravel()
+    cj = np.stack([j, j, j + 1, j + 1], axis=-1).ravel()
+    cj[cj == res] = 0
+    if res % 4 == 0:
+        fold = cj == 3 * (res // 4)
+        ci[fold] = res - ci[fold]
+        cj[fold] = res // 4
+    if res % 2 == 0:
+        mirror = (ci == res // 2) & (cj != 0)
+        cj[mirror] = np.minimum(cj[mirror], res - cj[mirror])
+
+    # vertex ids by first appearance, read off a dense table of grid keys
+    keys = ci * (res + 1) + cj
+    first = np.full((res + 1) ** 2, len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first[first < len(keys)]] = True
+    grid_keys = keys[is_first]  # one per vertex, in id order
+    rank = np.empty_like(first)
+    rank[grid_keys] = np.arange(len(grid_keys))
+
+    # corners v00, v10, v01, v11 -> triangles (v00, v10, v11), (v00, v11, v01),
+    # as columns a, b, c in cell order
+    v00, v10, v01, v11 = rank[keys].reshape(-1, 4).T
+    a = np.repeat(v00, 2)
+    b = np.stack([v10, v11], axis=1).ravel()
+    c = np.stack([v11, v01], axis=1).ravel()
+    keep = (a != b) & (b != c) & (a != c)
+    # drop all but the first copy of each vertex set: a stable sort of the
+    # row-sorted columns puts the copies of one set next to each other, in
+    # their original order
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    mid = a + b + c - lo - hi
+    order = np.lexsort((mid, hi, lo))
+    lo, mid, hi = lo[order], mid[order], hi[order]
+    keep[order[1:][(lo[1:] == lo[:-1]) & (mid[1:] == mid[:-1]) & (hi[1:] == hi[:-1])]] = False
+    k = np.flatnonzero(keep)
+
+    s_vals = np.linspace(-1.0, 1.0, res + 1)
+    t_vals = np.linspace(0.0, 2.0 * math.pi, res + 1)
+    params = np.column_stack([s_vals[grid_keys // (res + 1)], t_vals[grid_keys % (res + 1)]])
+    return params, np.column_stack([a[k], b[k], c[k]])
 
 
 SAMPLE_HEADER = ["nu1", "nu2", "nu3", "nu4", "stratum", "config", "max_real_part", "stable"]

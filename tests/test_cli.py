@@ -335,12 +335,57 @@ def test_mesh_writer_matches_per_value_reference(tmp_path, fmt, res, reference):
         assert np.any((coords > 0.0) & (coords < 1e-6))
 
 
-def test_mesh_builds_chart_topology_once(tmp_path, count_calls):
-    """Both discs are meshed from one welded chart topology."""
+def test_mesh_builds_chart_topology_once(tmp_path, count_calls, monkeypatch):
+    """Both discs are meshed from one welded chart topology, one chart
+    evaluation and one unit-row check, and the summary takes one Euler
+    characteristic.  The OBJ writer formats the second disc's nu3 alone:
+    its nu1, nu2 and nu4 are the first disc's, so 5 V values are formatted
+    for 8 V written."""
     calls = count_calls(stratification._chart_topology)
-    assert main(["mesh", "--disc", "both", "--resolution", "16",
-                 "--out", str(tmp_path / "m.obj")]) == 0
-    assert calls[0] == 1
+    chart_calls = count_calls(stratification.param_phi_array)
+    check_calls = count_calls(stratification.check_unit_rows)
+    euler_calls = [0]
+    euler = stratification.SurfaceMesh.euler_characteristic
+
+    def counted_euler(mesh):
+        euler_calls[0] += 1
+        return euler(mesh)
+
+    monkeypatch.setattr(stratification.SurfaceMesh, "euler_characteristic", counted_euler)
+    formatted = [0]
+    float_slots = cli._float_slots
+
+    def counted_slots(x):
+        formatted[0] += len(x)
+        return float_slots(x)
+
+    monkeypatch.setattr(cli, "_float_slots", counted_slots)
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--disc", "both", "--resolution", "16", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "m.obj.summary.json").read_text())
+    V = summary["meshes"][0]["vertices"]
+    assert [m["euler_characteristic"] for m in summary["meshes"]] == [1, 1]
+    assert (calls[0], chart_calls[0], check_calls[0], euler_calls[0]) == (1, 1, 1, 1)
+    assert formatted[0] == 5 * V
+
+
+@pytest.mark.parametrize("write, reference", [(cli._write_obj, _reference_obj),
+                                              (cli._write_mesh_csv, _reference_csv)])
+def test_mesh_writers_share_only_bit_equal_columns(write, reference):
+    """Two meshes whose nu3 columns are equal as values but differ in the
+    sign of zero: each nu3 keeps its own text (0 and -0), which one text
+    shared by value would not."""
+    params = np.array([[0.0, 0.0], [0.5, 1.0], [-0.5, 2.0]])
+    plus = np.array([[0.25, 0.5, 0.0, -0.0], [0.0, -0.5, 0.75, 1e-9], [-0.0, 0.5, -0.0, 0.1]])
+    minus = plus.copy()
+    minus[:, 2] = [-0.0, 0.75, 0.0]
+    triangles = np.array([[0, 1, 2]])
+    strata = np.array([0, 1, 2], dtype=np.int8)
+    meshes = [stratification.SurfaceMesh(d, v, params, triangles, strata)
+              for d, v in ((+1, plus), (-1, minus))]
+    buf = io.BytesIO()
+    write(buf, meshes)
+    assert buf.getvalue() == reference(meshes).encode()
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):
@@ -534,7 +579,7 @@ def test_parser_is_built_once():
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """No command uses scipy: importing the CLI does not load it, and
-    neither does a sample run."""
+    neither does a sample run, which does not load numpy.ma either."""
     src = os.path.dirname(os.path.dirname(resonance_atlas.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = str(tmp_path / "s.csv")
@@ -544,11 +589,12 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         f"main(['--seed', '42', 'sample', '--n', '2000', '--out', {out!r}])",
     ):
         run = subprocess.run(
-            [sys.executable, "-c", code + "; print('scipy' in sys.modules)"],
+            [sys.executable, "-c",
+             code + "; print('scipy' in sys.modules, 'numpy.ma' in sys.modules)"],
             capture_output=True, text=True, env=env,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip().splitlines()[-1] == "False"
+        assert run.stdout.strip().splitlines()[-1] == "False False"
 
 
 def _classify_json(capsys, coords):

@@ -13,6 +13,7 @@ from resonance_atlas.geometry import (
     P_POINTS,
     RootTriple,
     SpherePoint,
+    UNIT_NORM_TOL,
     check_unit_rows,
     f_surface,
     grad_F,
@@ -45,6 +46,27 @@ class TestSpherePoint:
                 SpherePoint(np.array(bad))
             with pytest.raises(ValueError):
                 check_unit_rows(np.vstack([good, bad]))
+
+    def test_unit_rows_take_sphere_point_norms(self):
+        """At the edge of the tolerance check_unit_rows accepts a row exactly
+        when SpherePoint does: its norms are SpherePoint's, row for row."""
+
+        def accepts(check, row):
+            try:
+                check(row)
+            except ValueError:
+                return False
+            return True
+
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((2000, 4))
+        # norms up to 4 units in the last place either side of 1 + tol
+        scale = 1.0 + UNIT_NORM_TOL + rng.integers(-4, 5, (2000, 1)) * 2.0**-52
+        rows = u / np.linalg.norm(u, axis=1)[:, None] * scale
+        one = [accepts(SpherePoint, row) for row in rows]
+        batch = [accepts(check_unit_rows, row[None]) for row in rows]
+        assert one == batch
+        assert 0 < sum(one) < len(one)
 
     def test_disc_derived_from_nu3(self):
         assert SpherePoint(np.array([0.0, 0.0, 1.0, 0.0])).disc == 1

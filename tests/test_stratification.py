@@ -1046,6 +1046,17 @@ def test_mesh_matches_reference_mesher(res):
             assert _names(mesh.strata) == strata
 
 
+def test_chart_topology_matches_full_duplicate_search():
+    """The duplicate search on the weld triangles only numbers the vertices
+    and keeps the triangles as the search over every triangle does, for
+    every resolution from 8 to 130."""
+    for res in range(8, 131):
+        params, triangles = stratification._chart_topology(res)
+        want_params, want_triangles = oracles.chart_topology_reference(res)
+        assert params.tobytes() == want_params.tobytes(), res
+        assert triangles.tobytes() == want_triangles.tobytes(), res
+
+
 def test_mesh_surfaces_share_read_only_topology():
     """Both discs carry the one chart topology; writing into it raises."""
     plus, minus = mesh_surfaces([+1, -1], 16)
