@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import ReducedCoords, homogeneous_reduced
+from ._pcg64 import uniform_doubles
 from .errors import AmbiguousStratum, UnresolvedConfiguration
 from .geometry import (
     F_critical,
@@ -422,8 +423,11 @@ def _present_strata(codes: np.ndarray) -> frozenset[str]:
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row divided by its norm, bit for bit as row / np.linalg.norm(row)
-    (np.linalg.norm(rows, axis=1) differs in the last place on some rows)."""
-    return rows / np.sqrt(np.vecdot(rows, rows))[:, None]
+    (np.linalg.norm(rows, axis=1) differs in the last place on some rows),
+    as the (n, 4) view of contiguous (4, n) columns.  np.vecdot sums in
+    another order on rows that are not C-contiguous, so it gets a C copy."""
+    rows = np.ascontiguousarray(rows)
+    return np.divide(rows.T, np.sqrt(np.vecdot(rows, rows)), order="C").T
 
 
 def _probe_strata(points: np.ndarray, tol: float) -> frozenset[str]:
@@ -483,6 +487,8 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
 
 # -- sampling and the stability domain -----------------------------------------
 
+_ALPHAS = (2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0)
+
 
 def sphere_samples(n: int, seed: int) -> np.ndarray:
     """n quasi-uniform points on the unit 3-sphere, deterministic per seed.
@@ -492,26 +498,28 @@ def sphere_samples(n: int, seed: int) -> np.ndarray:
     the measure-preserving torus chart
     (u, v, w) -> (sqrt(1-u) sin 2 pi v, sqrt(1-u) cos 2 pi v,
                   sqrt(u) sin 2 pi w,  sqrt(u) cos 2 pi w).
+    The shift is numpy.random.default_rng(seed).random(3), drawn without
+    importing numpy.random; seed must be a non-negative integer.
     """
     if n <= 0:
         raise ValueError("sphere_samples: n must be positive")
-    rng = np.random.default_rng(seed)
-    shift = rng.random(3)
-    alphas = np.array([2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0])
-    k = np.arange(1, n + 1)[:, None]
-    uvw = (k * alphas[None, :] + shift[None, :]) % 1.0
-    u, v, w = uvw[:, 0], uvw[:, 1], uvw[:, 2]
-    r1, r2 = np.sqrt(1.0 - u), np.sqrt(u)
-    pts = np.column_stack(
-        [
-            r1 * np.sin(TWO_PI * v),
-            r1 * np.cos(TWO_PI * v),
-            r2 * np.sin(TWO_PI * w),
-            r2 * np.cos(TWO_PI * w),
-        ]
-    )
-    # renormalize so every row honors the SpherePoint unit-norm invariant
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    k = np.arange(1.0, n + 1.0)
+    u, v, w = (k * a + s for a, s in zip(_ALPHAS, uniform_doubles(seed, 3)))
+    for x in (u, v, w):
+        x -= np.floor(x)  # x % 1.0 bit for bit for x >= 0, at a third of the cost
+    cols = np.empty((4, n))
+    for at, r, x in ((0, np.sqrt(1.0 - u), v), (2, np.sqrt(u), w)):
+        x *= TWO_PI
+        np.multiply(r, np.sin(x), out=cols[at])
+        np.multiply(r, np.cos(x), out=cols[at + 1])
+    # renormalize so every row honors the SpherePoint unit-norm invariant;
+    # ((c0^2 + c1^2) + c2^2) + c3^2 is np.linalg.norm(rows, axis=1)'s sum
+    # bit for bit
+    norm = cols[0] * cols[0]
+    for c in cols[1:]:
+        norm += c * c
+    pts = np.empty((n, 4))
+    np.divide(cols, np.sqrt(norm, out=norm), out=pts.T)
     return pts
 
 
@@ -528,7 +536,7 @@ class SampleRecord:
 class StabilityReport:
     """Per-sample columns, one row per sample, plus the region audit."""
 
-    points: np.ndarray  # (n, 4) unit rows
+    points: np.ndarray  # (n, 4) unit rows, a view of contiguous (4, n) columns
     stratum: np.ndarray  # (n,) int8 codes into STRATUM_NAMES
     config: np.ndarray  # (n,) int8 codes into CONFIG_NAMES
     max_real_part: np.ndarray  # (n,) float
@@ -605,28 +613,44 @@ def classify_points(pts, nu5: float, tol: float = 1e-9) -> PointClasses:
     return PointClasses(stratum.astype(np.int8), config, max_re, _STRATUM_KINDS[stratum], stable)
 
 
-_CHORD_NODES = np.linspace(0.0, 1.0, 5)
-# node values -> Bernstein coefficients: the inverse of the basis at the nodes
-_CHORD_BERNSTEIN = np.linalg.inv(
-    [[math.comb(4, k) * t**k * (1.0 - t) ** (4 - k) for k in range(5)] for t in _CHORD_NODES]
-)
 # share of a chord's largest Bernstein coefficient that a coefficient must
 # clear to count as signed, far above the rounding of the map and halvings
 _BERNSTEIN_MARGIN = 1e-12
 _SUBDIVISION_DEPTH = 20  # halvings before a piece still undecided is given up
-# Chords per block of the arc test; bounds the temporaries to a few MB.
+# Chords per block of the arc test; bounds its (5, m) coefficients and the
+# temporaries that build them to a few hundred kB.
 _EDGE_BLOCK = 4096
 
 
-def _chord_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """F at the five chord nodes (m, 5).
+def _chord_bernstein(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Bernstein coefficients (5, m) of F on the chords a -> b (m, 4).
 
-    F is a quartic form, so on the chord from a to b it is a quartic in
-    the line parameter, pinned exactly by these five values.  Each
-    coordinate of a and b is one contiguous row.
+    F = x1^4 + x1^2 (x3^2 + x4^2 - x2^2) - x2^2 x4^2 is a quartic form, so
+    on the chord (1 - t) a + t b the k-th coefficient is its polar form at
+    4 - k copies of a and k copies of b.  With p, q, c = a1^2, b1^2, a1 b1,
+    A, B, C the form x3 y3 + x4 y4 - x2 y2 at (a, a), (b, b), (a, b) and
+    u, v, w = a2 a4, b2 b4, a2 b4 + b2 a4, that is
+        p^2 + p A - u^2,  c p + (c A + p C) / 2 - u w / 2,
+        p q + (q A + p B + 4 c C) / 6 - (2 u v + w^2) / 6,
+        c q + (c B + q C) / 2 - v w / 2,  q^2 + q B - v^2.
+    Rows a and b that are views of contiguous (4, m) columns read fastest.
     """
-    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    return np.column_stack([F_critical(((1.0 - t) * at + t * bt).T) for t in _CHORD_NODES])
+    a1, a2, a3, a4 = a.T
+    b1, b2, b3, b4 = b.T
+    p, q, c = a1 * a1, b1 * b1, a1 * b1
+    A = a3 * a3 + a4 * a4 - a2 * a2
+    B = b3 * b3 + b4 * b4 - b2 * b2
+    C = a3 * b3 + a4 * b4 - a2 * b2
+    u, v, w = a2 * a4, b2 * b4, a2 * b4 + b2 * a4
+    return np.array(
+        [
+            p * p + p * A - u * u,
+            c * p + (c * A + p * C) / 2.0 - u * w / 2.0,
+            p * q + (q * A + p * B + 4.0 * c * C) / 6.0 - (2.0 * u * v + w * w) / 6.0,
+            c * q + (c * B + q * C) / 2.0 - v * w / 2.0,
+            q * q + q * B - v * v,
+        ]
+    )
 
 
 def _halves(bern: np.ndarray) -> np.ndarray:
@@ -642,24 +666,25 @@ def _chord_sign_constant(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.n
     """For each row, True when F keeps the strict sign along the arc a -> b.
 
     The sign on the arc is that of the chord quartic, which lies in the
-    convex hull of its Bernstein coefficients.  A piece whose coefficients
-    of sign * F all clear _BERNSTEIN_MARGIN of the whole chord's largest
-    keeps the sign; a piece with an end value <= 0, or still open after
-    _SUBDIVISION_DEPTH halvings, rejects the chord.  An accepted arc never
-    meets F = 0, a tangent one included.
+    convex hull of its Bernstein coefficients (_chord_bernstein).  A piece
+    whose coefficients of sign * F all clear _BERNSTEIN_MARGIN of the whole
+    chord's largest keeps the sign; a piece with an end value <= 0, or still
+    open after _SUBDIVISION_DEPTH halvings, rejects the chord.  Most chords
+    are decided on their own coefficients; only the rest are halved.  An
+    accepted arc never meets F = 0, a tangent one included.
     """
-    vals = sign[:, None] * _chord_values(a, b)
-    ok = np.all(vals > 0.0, axis=1)
-    bern = vals @ _CHORD_BERNSTEIN.T
-    floor = _BERNSTEIN_MARGIN * np.abs(bern).max(axis=1, keepdims=True)
-    rows, pieces = np.arange(len(bern)), bern
-    for depth in range(_SUBDIVISION_DEPTH + 1):
-        ok[rows[np.minimum(pieces[:, 0], pieces[:, 4]) <= 0.0]] = False
-        open_ = ok[rows] & ~np.all(pieces > floor[rows], axis=1)
-        rows, pieces = rows[open_], pieces[open_]
-        if not len(rows) or depth == _SUBDIVISION_DEPTH:
+    bern = sign * _chord_bernstein(a, b)
+    floor = _BERNSTEIN_MARGIN * np.abs(bern).max(axis=0)
+    ok = np.minimum(bern[0], bern[4]) > 0.0
+    rows = np.flatnonzero(ok & ~(bern > floor).all(axis=0))
+    pieces = bern[:, rows].T
+    for _ in range(_SUBDIVISION_DEPTH):
+        if not len(rows):
             break
         rows, pieces = np.repeat(rows, 2), _halves(pieces)
+        ok[rows[np.minimum(pieces[:, 0], pieces[:, 4]) <= 0.0]] = False
+        open_ = ok[rows] & ~np.all(pieces > floor[rows, None], axis=1)
+        rows, pieces = rows[open_], pieces[open_]
     ok[rows] = False
     return ok
 
@@ -714,20 +739,22 @@ def _anchor_components(points: np.ndarray, kinds: np.ndarray) -> np.ndarray:
     (_anchor_classes) its certified samples reach, plus one per sample
     with a failed arc: a wrong kind raises a count and never hides.
     """
+    cols = points.T
     anchor = np.select(
-        [kinds == _STABLE, kinds == _UNSTABLE], [0, 1], _mixed_anchor(points[:, 1], points[:, 3])
+        [kinds == _STABLE, kinds == _UNSTABLE], [0, 1], _mixed_anchor(cols[1], cols[3])
     )
     mixed = np.flatnonzero(kinds == _MIXED)
-    n2, n3, n4 = points[mixed, 1:].T
+    n2, n3, n4 = cols[1:].take(mixed, axis=1)
     sigma = np.where(n4 < 0.0, -1.0, 1.0)
     waypoint = _unit_rows(
         np.column_stack([np.zeros(len(mixed)), n2, n3, sigma * np.maximum(abs(n4), abs(n2) / 4.0)])
     )
-    ends = _ANCHORS[anchor]
-    ends[mixed] = waypoint
+    # the far end of each arc as (4, n) columns, like points
+    ends = _ANCHORS.T.take(anchor, axis=1)
+    ends[:, mixed] = waypoint.T
     signs = np.where(kinds == _MIXED, -1.0, 1.0)
-    ok = _certified(points, ends, signs)
-    ok[mixed] &= _certified(waypoint, _ANCHORS[anchor[mixed]], signs[mixed])
+    ok = _certified(points, ends.T, signs)
+    ok[mixed] &= _certified(waypoint, _ANCHORS.T.take(anchor[mixed], axis=1).T, signs[mixed])
 
     live = kinds != _CRITICAL
     failed = np.bincount(kinds[live & ~ok], minlength=len(KINDS))
@@ -767,7 +794,7 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
     rows = np.asarray(samples, dtype=float).reshape(-1, 4)
     if not len(rows):
         raise ValueError("stability_report: samples must not be empty")
-    unit = _unit_rows(rows)
+    unit = _unit_rows(rows)  # a view of (4, n) columns, read one coordinate at a time
     cls = classify_points(unit, nu5, tol)
     counts = _anchor_components(unit, cls.kind)
     boundary = _stable_boundary(unit[cls.kind == _STABLE])

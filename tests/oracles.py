@@ -141,6 +141,53 @@ def F_quartic(v) -> np.ndarray:
 
 _CHORD_NODES = np.linspace(0.0, 1.0, 5)
 _CHORD_VAND_INV = np.linalg.inv(np.vander(_CHORD_NODES, 5))
+# the quartic Bernstein basis at the nodes (node k, coefficient j), and its
+# inverse: node values -> Bernstein coefficients
+CHORD_BASIS = np.array(
+    [[math.comb(4, j) * t**j * (1.0 - t) ** (4 - j) for j in range(5)] for t in _CHORD_NODES]
+)
+_CHORD_BERNSTEIN_INV = np.linalg.inv(CHORD_BASIS)
+
+
+def chord_values_reference(a, b) -> np.ndarray:
+    """F at the five nodes t = 0, 1/4, 1/2, 3/4, 1 of each chord a -> b, (m, 5)."""
+    nodes = np.broadcast_to(_CHORD_NODES, (len(a), 5))
+    return F_quartic(chord_points_reference(np.asarray(a), np.asarray(b), nodes))
+
+
+def chord_bernstein_reference(a, b) -> np.ndarray:
+    """The Bernstein coefficients (m, 5) of F on each chord a -> b, from its
+    values at the five nodes through the inverse of the basis there: the
+    route the package took before it read them off the polar form of F."""
+    return chord_values_reference(a, b) @ _CHORD_BERNSTEIN_INV.T
+
+
+def chord_certified_reference(a, b, sign, margin=1e-12, depth=20) -> np.ndarray:
+    """The arc test on the node-value coefficients, as the package ran it
+    before the closed form: a chord needs sign * F > 0 at every node, a
+    piece whose coefficients all clear margin of the chord's largest keeps
+    the sign, and a piece with an end value <= 0, or still open after depth
+    halvings at t = 1/2, rejects the chord."""
+    vals = np.asarray(sign)[:, None] * chord_values_reference(a, b)
+    ok = np.all(vals > 0.0, axis=1)
+    bern = vals @ _CHORD_BERNSTEIN_INV.T
+    floor = margin * np.abs(bern).max(axis=1, keepdims=True)
+    rows, pieces = np.arange(len(bern)), bern
+    for level in range(depth + 1):
+        ok[rows[np.minimum(pieces[:, 0], pieces[:, 4]) <= 0.0]] = False
+        still = ok[rows] & ~np.all(pieces > floor[rows], axis=1)
+        rows, pieces = rows[still], pieces[still]
+        if not len(rows) or level == depth:
+            break
+        left, right = np.empty_like(pieces), np.empty_like(pieces)
+        tri = pieces
+        for k in range(5):  # de Casteljau at t = 1/2
+            left[:, k], right[:, 4 - k] = tri[:, 0], tri[:, -1]
+            tri = 0.5 * (tri[:, :-1] + tri[:, 1:])
+        rows = np.repeat(rows, 2)
+        pieces = np.stack([left, right], axis=1).reshape(-1, 5)
+    ok[rows] = False
+    return ok
 
 
 def chord_sign_constant(a, b, sign: float) -> bool:
@@ -712,3 +759,25 @@ def classify_json_reference(point, nu5, label, config, F) -> str:
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in spec.eigenvalues],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def sphere_samples_reference(n: int, seed: int) -> np.ndarray:
+    """The package's sphere_samples as it was written on (n, 3) and (n, 4)
+    rows, with the shift from numpy.random and np.linalg.norm's row norms."""
+    rng = np.random.default_rng(seed)
+    shift = rng.random(3)
+    alphas = np.array([2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0])
+    k = np.arange(1, n + 1)[:, None]
+    uvw = (k * alphas[None, :] + shift[None, :]) % 1.0
+    u, v, w = uvw[:, 0], uvw[:, 1], uvw[:, 2]
+    r1, r2 = np.sqrt(1.0 - u), np.sqrt(u)
+    pts = np.column_stack(
+        [
+            r1 * np.sin(2.0 * math.pi * v),
+            r1 * np.cos(2.0 * math.pi * v),
+            r2 * np.sin(2.0 * math.pi * w),
+            r2 * np.cos(2.0 * math.pi * w),
+        ]
+    )
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return pts

@@ -579,7 +579,8 @@ def test_parser_is_built_once():
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """No command uses scipy: importing the CLI does not load it, and
-    neither does a sample run, which does not load numpy.ma either."""
+    neither does a sample run, which does not load numpy.ma or
+    numpy.random either."""
     src = os.path.dirname(os.path.dirname(resonance_atlas.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = str(tmp_path / "s.csv")
@@ -590,11 +591,11 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     ):
         run = subprocess.run(
             [sys.executable, "-c",
-             code + "; print('scipy' in sys.modules, 'numpy.ma' in sys.modules)"],
+             code + "; print(*(m in sys.modules for m in ('scipy', 'numpy.ma', 'numpy.random')))"],
             capture_output=True, text=True, env=env,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip().splitlines()[-1] == "False False"
+        assert run.stdout.strip().splitlines()[-1] == "False False False"
 
 
 def _classify_json(capsys, coords):

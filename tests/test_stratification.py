@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from resonance_atlas import linalg, spectra, stratification
+from resonance_atlas._pcg64 import uniform_doubles
 from resonance_atlas.errors import AmbiguousStratum, ResonanceAtlasError
 from resonance_atlas.geometry import (
     P_POINTS,
@@ -199,6 +200,38 @@ def test_sphere_samples_unit_and_balanced():
 def test_sphere_samples_rejects_bad_n():
     with pytest.raises(ValueError):
         sphere_samples(0, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 12345, 3658652565, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4097, 10_000, 100_000])
+def test_sphere_samples_match_reference(n, seed):
+    """The build on (4, n) columns, with its own shift and row sums, gives
+    the C-ordered (n, 4) rows of the row build with numpy.random's shift
+    and np.linalg.norm, byte for byte."""
+    got = sphere_samples(n, seed)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == oracles.sphere_samples_reference(n, seed).tobytes()
+
+
+def test_sphere_samples_shift_matches_numpy_random():
+    """The shift is numpy.random.default_rng(seed).random(3) bit for bit,
+    on small seeds and on seeds of one to four 32-bit words."""
+    big = [2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**100 + 12345, 3658652565, 1559737105]
+    for seed in [*range(3000), *big]:
+        assert uniform_doubles(seed, 3) == np.random.default_rng(seed).random(3).tolist(), seed
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError), ("3", TypeError),
+     (np.float64(2.0), TypeError)],
+)
+def test_sphere_samples_rejects_bad_seed(seed, error):
+    """A negative or non-integer seed raises as numpy.random.default_rng does."""
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        sphere_samples(4, seed)
 
 
 @pytest.mark.parametrize("samples", [np.zeros((0, 4)), []])
@@ -498,9 +531,40 @@ def test_unit_rows_match_per_row_norm(seed):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_chord_test_matches_scalar_oracle(seed):
-    """The batched arc test decides every kNN chord as the scalar one does."""
+def test_unit_rows_ignore_memory_layout():
+    """C-ordered, Fortran-ordered and column-sliced rows give the bits of
+    row / np.linalg.norm(row), as a view of contiguous (4, n) columns
+    (np.vecdot alone sums the last two in another order)."""
+    rows = np.random.default_rng(5).standard_normal((5000, 4))
+    want = np.array([row / np.linalg.norm(row) for row in rows])
+    wide = np.zeros((5000, 7))
+    wide[:, 2:6] = rows
+    for layout in (rows, np.asfortranarray(rows), wide[:, 2:6]):
+        got = stratification._unit_rows(layout)
+        assert got.T.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_stability_report_ignores_memory_layout():
+    """Fortran-ordered samples give the report of C-ordered ones bit for
+    bit, its points a view of contiguous (4, n) columns."""
+    pts = sphere_samples(10_000, 42)
+    want = stability_report(pts)
+    got = stability_report(np.asfortranarray(pts))
+    assert got.points.T.flags.c_contiguous
+    for name in ("points", "stratum", "config", "max_real_part", "stable"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (
+        got.stable_component_count,
+        got.unstable_component_count,
+        got.mixed_component_count,
+        got.stable_boundary_strata,
+    ) == (1, 1, 2, frozenset({"S2", "S3"}))
+
+
+def _knn_chords(seed):
+    """The chords from each of 1500 samples to its 12 nearest neighbours
+    whose ends share a nonzero sign of F, with that sign."""
     from scipy.spatial import cKDTree
 
     pts = sphere_samples(1500, seed)
@@ -508,7 +572,13 @@ def test_chord_test_matches_scalar_oracle(seed):
     i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
     signs = np.sign(F_critical(pts))
     same = (signs[i] != 0.0) & (signs[i] == signs[j])
-    a, b, sign = pts[i[same]], pts[j[same]], signs[i[same]]
+    return pts[i[same]], pts[j[same]], signs[i[same]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_chord_test_matches_scalar_oracle(seed):
+    """The batched arc test decides every kNN chord as the scalar one does."""
+    a, b, sign = _knn_chords(seed)
     got = _chord_sign_constant(a, b, sign)
     want = [oracles.chord_sign_constant(x, y, s) for x, y, s in zip(a, b, sign)]
     assert got.tolist() == want
@@ -520,15 +590,8 @@ def test_bernstein_certificate_is_sound(seed, monkeypatch):
     """Every kNN chord the Bernstein bound passes without a halving (the
     arc test at depth 0) is one the exact scalar test accepts, and it
     passes nearly all of those."""
-    from scipy.spatial import cKDTree
-
     monkeypatch.setattr(stratification, "_SUBDIVISION_DEPTH", 0)
-    pts = sphere_samples(1500, seed)
-    nbrs = cKDTree(pts).query(pts, k=13)[1]
-    i, j = np.repeat(np.arange(len(pts)), 12), nbrs[:, 1:].ravel()
-    signs = np.sign(F_critical(pts))
-    same = (signs[i] != 0.0) & (signs[i] == signs[j])
-    a, b, sign = pts[i[same]], pts[j[same]], signs[i[same]]
+    a, b, sign = _knn_chords(seed)
     certified = _chord_sign_constant(a, b, sign)
     exact = np.array([oracles.chord_sign_constant(x, y, s) for x, y, s in zip(a, b, sign)])
     assert not np.any(certified & ~exact)
@@ -551,7 +614,7 @@ _DIPPING_CHORD = (_unit([-0.1, 0.01, 0.0, 1.0]), _unit([0.2, 0.01, 0.0, 1.0]))
 def test_bernstein_certificate_rejects_chords_reaching_zero(chord, monkeypatch):
     monkeypatch.setattr(stratification, "_SUBDIVISION_DEPTH", 0)
     a, b = (row[None, :] for row in chord)
-    vals = stratification._chord_values(a, b)
+    vals = oracles.chord_values_reference(a, b)
     assert np.all(vals > 0.0)
     assert not _chord_sign_constant(a, b, np.ones(1))[0]
 
@@ -722,14 +785,60 @@ def test_flood_tests_few_chords(monkeypatch):
 
 @pytest.mark.parametrize("seed", [42, 3658652565, 815100843])
 def test_chord_values_match_chord_points(seed):
-    """The chord values on contiguous columns equal, bit for bit, F at the
-    (m, 5, 4) chord points of the reference, on each sample's arc to its
-    mixed anchor."""
+    """The chord quartic of the closed-form coefficients takes, at the five
+    nodes, the values of F at the (m, 5, 4) chord points of the reference,
+    to 1e-13 of its largest coefficient, on each sample's arc to its mixed
+    anchor; the coefficients are the same bits on C-ordered rows as on
+    views of contiguous (4, m) columns."""
     a = sphere_samples(10_000, seed)
     b = stratification._ANCHORS[stratification._mixed_anchor(a[:, 1], a[:, 3])]
-    nodes = np.broadcast_to(np.linspace(0.0, 1.0, 5), (len(a), 5))
-    want = F_critical(oracles.chord_points_reference(a, b, nodes))
-    assert np.array_equal(stratification._chord_values(a, b), want)
+    bern = stratification._chord_bernstein(a, b)
+    vals = (oracles.CHORD_BASIS @ bern).T
+    want = oracles.chord_values_reference(a, b)
+    assert np.all(np.abs(vals - want) <= 1e-13 * np.abs(bern).max(axis=0)[:, None])
+    cols = stratification._chord_bernstein(*(np.ascontiguousarray(x.T).T for x in (a, b)))
+    assert np.array_equal(cols.view(np.int64), bern.view(np.int64))
+
+
+def _assert_closed_form_matches_node_values(a, b, sign, certified):
+    """The closed-form coefficients of each chord lie within 1e-13 of its
+    largest coefficient of the node-value route, and the arc test decides
+    every chord as it does on those coefficients."""
+    got = stratification._chord_bernstein(a, b).T
+    want = oracles.chord_bernstein_reference(a, b)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+    assert np.array_equal(certified(a, b, sign), oracles.chord_certified_reference(a, b, sign))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_closed_form_chords_match_node_values_on_knn_chords(seed):
+    a, b, sign = _knn_chords(seed)
+    _assert_closed_form_matches_node_values(a, b, sign, stratification._certified)
+
+
+def test_closed_form_chords_match_node_values_on_anchor_arcs(monkeypatch):
+    """On every anchor and waypoint arc of sphere_samples(10000, s), s in
+    0..35, with the region counts (1, 1, 2) and the boundary {S2, S3}."""
+    certified = stratification._certified
+    arcs = []
+
+    def recorded(a, b, sign):
+        arcs.append((a, b, sign))
+        return certified(a, b, sign)
+
+    monkeypatch.setattr(stratification, "_certified", recorded)
+    for seed in range(36):
+        rep = stability_report(sphere_samples(10_000, seed))
+        assert (
+            rep.stable_component_count,
+            rep.unstable_component_count,
+            rep.mixed_component_count,
+            rep.stable_boundary_strata,
+        ) == (1, 1, 2, frozenset({"S2", "S3"})), seed
+        assert len(arcs) == 2, seed  # the arcs to anchors and waypoints, the waypoint arcs
+        for a, b, sign in arcs:
+            _assert_closed_form_matches_node_values(a, b, sign, certified)
+        arcs.clear()
 
 
 @pytest.mark.parametrize("seed", [42, 3658652565, 815100843, 2503583820, 7])
