@@ -342,6 +342,12 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # the NULs leaves the text.  A float's slot is built from its 17 significant
 # digits, read off exactly; the digits go in four at a time from tables of
 # the words of 0000..9999.
+#
+# Index rows (the mesh faces) take each index from one table per call of
+# 8-byte words, b"%d" % i and its separator left-aligned, NUL after them:
+# a face row is a few gathered words.  Text that the two discs share but
+# for a sign carries a marker byte, _MARK, where the sign goes, and each
+# disc's copy replaces it with "-" or with nothing.
 
 _BLOCK_ROWS = 2048  # rows formatted at once; bounds the bytes held at once
 _FLOAT_WORDS = 7  # a float's slot, 28 bytes: room for any '%.17g'
@@ -350,6 +356,8 @@ _INT_WORDS = 5  # an integer's slot, 20 bytes: room for any int64 '%d'
 # be an exact double; '%g' writes k >= -4 in fixed form, d.ddd...e-0K below
 _K_MIN, _K_MAX = -6, 0
 _VELTKAMP = 2.0**27 + 1.0
+_INDEX_LIMIT = 10**7  # index words hold up to 7 digits and a separator
+_MARK = b"\x01"  # stands for a sign in text shared by the two discs
 
 
 def _split(a):
@@ -552,6 +560,55 @@ def _joined(sep: bytes, columns) -> list:
     return fields[1:]
 
 
+def _index_words(i: np.ndarray, seps: bytes) -> list:
+    """For each separator byte c in seps, the '<u8' words of b"%d" % v + c
+    for the indices i, 0 <= v < _INDEX_LIMIT: the text left-aligned, NUL
+    after it."""
+    text = _int_slots(i, 2).view("<u8").ravel()  # '%d', right-aligned
+    bits = 8 * (1 + np.searchsorted(10 ** np.arange(1, 7), i, side="right")).astype(np.uint64)
+    text >>= 64 - bits
+    return [text | (np.uint64(c) << bits) for c in seps]
+
+
+def _face_words(faces, seps: bytes):
+    """The index words (_index_words) of 0 up to the largest index of the
+    faces, (first, triangles) pairs whose indices are triangles + first;
+    None, for write_rows, unless every index fits the table and no
+    triangle index is negative."""
+    top = 0
+    for first, tri in faces:
+        if tri.size:
+            if tri.min() < 0:
+                return None
+            top = max(top, int(tri.max()) + first)
+    if top >= _INDEX_LIMIT:
+        return None
+    return _index_words(np.arange(top + 1), seps)
+
+
+class _Blocks(list):
+    """A binary file for write_rows and _index_rows that keeps each block of
+    text they write as one item."""
+
+    write = list.append
+
+
+def _index_rows(fh, head: bytes, indices: np.ndarray, words, tail: bytes = b"") -> None:
+    """Write one row per row of indices (m, k) to the binary file fh, a
+    block of rows at a time: head, words[j] at index j for each column j,
+    and tail, the literals padded to whole words."""
+    head, tail = (np.frombuffer(b + b"\0" * (-len(b) % 8), dtype="<u8") for b in (head, tail))
+    block = np.empty((min(len(indices), _BLOCK_ROWS), len(head) + len(words) + len(tail)),
+                     dtype="<u8")
+    block[:, : len(head)] = head
+    block[:, block.shape[1] - len(tail) :] = tail
+    for lo in range(0, len(indices), _BLOCK_ROWS):
+        rows = block[: min(len(indices) - lo, _BLOCK_ROWS)]
+        for j, table in enumerate(words):
+            rows[:, len(head) + j] = table.take(indices[lo : lo + len(rows), j])
+        fh.write(rows.tobytes().translate(None, b"\0"))
+
+
 # -- sample --------------------------------------------------------------------
 
 # the CSV bytes of each stratum and configuration code; none needs quoting
@@ -617,31 +674,75 @@ def _shared_texts(per_mesh) -> list:
     return out
 
 
+def _chart_text(meshes):
+    """The OBJ vertex rows of the chart, the first mesh's vertices times
+    (1, 1, disc, 1), as write_rows' blocks of text (_Blocks) with _MARK
+    before nu3.  Each mesh's rows are this text with _MARK replaced by '-'
+    (disc -1) or by nothing (disc +1): '%.17g' % -x == '-' + '%.17g' % x
+    for every x of clear sign bit but NaN, +0.0 included.  None, for
+    write_rows, unless every disc is +-1, every mesh's vertices are the
+    chart times (1, 1, disc, 1) bit for bit, and the chart's nu3 has clear
+    sign bits and no NaN."""
+    if any(m.disc not in (1, -1) for m in meshes):
+        return None
+    chart = meshes[0].vertices * [1.0, 1.0, meshes[0].disc, 1.0]
+    if chart[:, 2].view(np.uint64).max(initial=0) > 0x7FF0000000000000:  # +inf's bits
+        return None
+    for m in meshes:
+        if not np.array_equal((chart * [1.0, 1.0, m.disc, 1.0]).view(np.uint64),
+                              m.vertices.view(np.uint64)):
+            return None
+    blocks = _Blocks()
+    write_rows(blocks, [b"v ", chart[:, 0], b" ", chart[:, 1], b" " + _MARK, chart[:, 2],
+                        b" ", chart[:, 3], b"\n"])
+    return blocks
+
+
 def _write_obj(fh, meshes) -> None:
-    """The meshes as OBJ groups; the other disc's nu1, nu2 and nu4 are the
-    first disc's, so their text is formatted once."""
-    shared = _shared_texts([list(mesh.vertices.T) for mesh in meshes])
-    offset = 0
-    for mesh, columns in zip(meshes, shared):
-        name = b"plus" if mesh.disc > 0 else b"minus"
-        fh.write(b"g %s\n" % name)
-        write_rows(fh, [b"v ", *_joined(b" ", columns), b"\n"])
-        write_rows(fh, [b"f ", *_joined(b" ", (mesh.triangles + (1 + offset)).T), b"\n"])
-        offset += len(mesh.vertices)
+    """The meshes as OBJ groups, vertices numbered from 1 across them.  The
+    discs' vertex rows come from one text of the chart (_chart_text) and
+    their face rows from one table of index words."""
+    firsts = np.cumsum([1] + [len(m.vertices) for m in meshes])[:-1].tolist()
+    words = _face_words(zip(firsts, (m.triangles for m in meshes)), b" \n")
+    chart = _chart_text(meshes)
+    for mesh, first in zip(meshes, firsts):
+        fh.write(b"g %s\n" % (b"plus" if mesh.disc > 0 else b"minus"))
+        if chart is None:
+            write_rows(fh, [b"v ", *_joined(b" ", mesh.vertices.T), b"\n"])
+        else:
+            for text in chart:
+                fh.write(text.replace(_MARK, b"-" if mesh.disc < 0 else b""))
+        if words is None:
+            write_rows(fh, [b"f ", *_joined(b" ", (mesh.triangles + first).T), b"\n"])
+        else:
+            space, newline = (table[first:] for table in words)
+            _index_rows(fh, b"f ", mesh.triangles, [space, space, newline])
 
 
 def _write_mesh_csv(fh, meshes) -> None:
     """One vertex row (index, coordinates, chart (s, t), stratum) and one
     face row (three indices) per element, the fields csv.writer would give;
-    a float column the discs share is formatted once."""
+    a float column the discs share is formatted once, and so is the face
+    text of the triangles they share, with _MARK for the sign of disc."""
     fh.write(b"type,disc,i0,i1,i2,nu1,nu2,nu3,nu4,s,t,stratum\n")
     shared = _shared_texts([[*mesh.vertices.T, *mesh.params.T] for mesh in meshes])
+    words = _face_words(((0, mesh.triangles) for mesh in meshes), b",")
+    faces = {}
     for mesh, columns in zip(meshes, shared):
         columns = [*columns, _STRATUM_BYTES[mesh.strata]]
         write_rows(fh, [b"vertex,%d," % mesh.disc, np.arange(len(mesh.vertices)), b",,,",
                         *_joined(b",", columns), b"\n"])
-        write_rows(fh, [b"face,%d," % mesh.disc, *_joined(b",", mesh.triangles.T),
-                        b",,,,,,\n"])
+        if words is None:
+            write_rows(fh, [b"face,%d," % mesh.disc, *_joined(b",", mesh.triangles.T),
+                            b",,,,,,\n"])
+            continue
+        key = (id(mesh.triangles), abs(mesh.disc))
+        if key not in faces:
+            faces[key] = _Blocks()
+            _index_rows(faces[key], b"face,%s%d," % (_MARK, abs(mesh.disc)), mesh.triangles,
+                        words * 3, b",,,,,\n")
+        for text in faces[key]:
+            fh.write(text.replace(_MARK, b"-" if mesh.disc < 0 else b""))
 
 
 def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:

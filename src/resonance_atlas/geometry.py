@@ -250,7 +250,10 @@ def check_unit_rows(v: np.ndarray) -> None:
     """SpherePoint's rule on every row of an (n, 4) array: finite, with
     |norm - 1| <= UNIT_NORM_TOL, the norm of each row as SpherePoint takes
     it bit for bit (np.linalg.norm(v, axis=1) differs in the last place on
-    some rows).  Raises ValueError for the first row that breaks it."""
+    some rows).  np.vecdot sums in another order on rows that are not
+    C-contiguous, so those get a C copy.  Raises ValueError for the first
+    row that breaks it."""
+    v = np.ascontiguousarray(v)
     if not np.isfinite(v).all():
         row = np.argmin(np.isfinite(v).all(axis=1))
         raise ValueError(f"SpherePoint: coordinates must be finite (row {row})")

@@ -817,7 +817,13 @@ def stability_report(samples, nu5: float = 1.0, tol: float = 1e-9) -> StabilityR
 
 @dataclass(frozen=True, eq=False)
 class SurfaceMesh:
-    """Welded triangle mesh of one hemisphere's ruled surface."""
+    """Welded triangle mesh of one hemisphere's ruled surface.
+
+    From mesh_surfaces, vertices are the chart rows times (1, 1, disc, 1),
+    bit for bit, with the chart's nu3 >= 0 and +0.0 on the equator, so
+    disc -1 has the sign bit of nu3 set on every row.  The OBJ writer checks
+    this and then formats the chart once for every disc; vertices that
+    break it are written value by value."""
 
     disc: int
     vertices: np.ndarray  # (V, 4) sphere coordinates
@@ -917,8 +923,9 @@ def mesh_surfaces(
     welded grid and its triangles (_chart_topology) are built once; every
     mesh shares one read-only params array and one read-only triangles
     array.  The chart is evaluated and checked once, on the whole grid of
-    disc +1; a disc's vertices are those rows times (1, 1, disc, 1), which
-    is param_phi_array(disc, ...) bit for bit.  Per disc the vertices are
+    disc +1, where nu3 >= 0 with +0.0 on the equator; a disc's vertices are
+    those rows times (1, 1, disc, 1), which is param_phi_array(disc, ...)
+    bit for bit, and which the OBJ writer checks.  Per disc the vertices are
     labelled, as int8 codes into STRATUM_NAMES, by the rule table on
     the whole array, with no spectrum; the first row it leaves ambiguous
     raises AmbiguousStratum as classify_point would for that point.

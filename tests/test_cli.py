@@ -338,9 +338,9 @@ def test_mesh_writer_matches_per_value_reference(tmp_path, fmt, res, reference):
 def test_mesh_builds_chart_topology_once(tmp_path, count_calls, monkeypatch):
     """Both discs are meshed from one welded chart topology, one chart
     evaluation and one unit-row check, and the summary takes one Euler
-    characteristic.  The OBJ writer formats the second disc's nu3 alone:
-    its nu1, nu2 and nu4 are the first disc's, so 5 V values are formatted
-    for 8 V written."""
+    characteristic.  The OBJ writer formats the chart's vertex rows once
+    for both discs, 4 V values for 8 V written, and its face indices come
+    from one table of the 2 V + 1 indices 0 .. 2 V."""
     calls = count_calls(stratification._chart_topology)
     chart_calls = count_calls(stratification.param_phi_array)
     check_calls = count_calls(stratification.check_unit_rows)
@@ -352,21 +352,66 @@ def test_mesh_builds_chart_topology_once(tmp_path, count_calls, monkeypatch):
         return euler(mesh)
 
     monkeypatch.setattr(stratification.SurfaceMesh, "euler_characteristic", counted_euler)
-    formatted = [0]
-    float_slots = cli._float_slots
+    formatted = [0, 0]
+    float_slots, int_slots = cli._float_slots, cli._int_slots
 
-    def counted_slots(x):
+    def counted_floats(x):
         formatted[0] += len(x)
         return float_slots(x)
 
-    monkeypatch.setattr(cli, "_float_slots", counted_slots)
+    def counted_ints(i, size):
+        formatted[1] += len(i)
+        return int_slots(i, size)
+
+    monkeypatch.setattr(cli, "_float_slots", counted_floats)
+    monkeypatch.setattr(cli, "_int_slots", counted_ints)
     out = tmp_path / "m.obj"
     assert main(["mesh", "--disc", "both", "--resolution", "16", "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "m.obj.summary.json").read_text())
     V = summary["meshes"][0]["vertices"]
     assert [m["euler_characteristic"] for m in summary["meshes"]] == [1, 1]
     assert (calls[0], chart_calls[0], check_calls[0], euler_calls[0]) == (1, 1, 1, 1)
-    assert formatted[0] == 5 * V
+    assert formatted == [4 * V, 2 * V + 1]
+
+
+@pytest.mark.parametrize("res", [8, 9, 16, 130])
+@pytest.mark.parametrize("discs", [[-1, +1], [-1], [+1]])
+@pytest.mark.parametrize("write, reference", [(cli._write_obj, _reference_obj),
+                                              (cli._write_mesh_csv, _reference_csv)])
+def test_mesh_writers_match_reference_in_any_disc_order(write, reference, discs, res):
+    """The chart text and the index table give the per-value bytes whatever
+    disc comes first, for both discs or one."""
+    meshes = stratification.mesh_surfaces(discs, res)
+    buf = io.BytesIO()
+    write(buf, meshes)
+    assert buf.getvalue() == reference(meshes).encode()
+
+
+@pytest.mark.parametrize("write, reference", [(cli._write_obj, _reference_obj),
+                                              (cli._write_mesh_csv, _reference_csv)])
+def test_face_indices_past_the_table_take_write_rows(monkeypatch, write, reference):
+    """A call whose largest face index reaches the index table's limit
+    writes its faces with write_rows, in the same bytes; one below the
+    limit takes the table."""
+    meshes = stratification.mesh_surfaces([+1, -1], 8)
+    top = int(meshes[1].triangles.max())
+    if write is cli._write_obj:  # numbered from 1 across the discs
+        top += len(meshes[0].vertices) + 1
+    tables = [0]
+    index_rows = cli._index_rows
+
+    def counted(*args):
+        tables[0] += 1
+        return index_rows(*args)
+
+    monkeypatch.setattr(cli, "_index_rows", counted)
+    for limit, used in ((top + 1, True), (top, False)):
+        tables[0] = 0
+        monkeypatch.setattr(cli, "_INDEX_LIMIT", limit)
+        buf = io.BytesIO()
+        write(buf, meshes)
+        assert buf.getvalue() == reference(meshes).encode()
+        assert (tables[0] > 0) == used
 
 
 @pytest.mark.parametrize("write, reference", [(cli._write_obj, _reference_obj),
@@ -374,7 +419,8 @@ def test_mesh_builds_chart_topology_once(tmp_path, count_calls, monkeypatch):
 def test_mesh_writers_share_only_bit_equal_columns(write, reference):
     """Two meshes whose nu3 columns are equal as values but differ in the
     sign of zero: each nu3 keeps its own text (0 and -0), which one text
-    shared by value would not."""
+    shared by value would not.  A -0.0 in the first mesh's nu3 sends the
+    OBJ vertex rows to write_rows."""
     params = np.array([[0.0, 0.0], [0.5, 1.0], [-0.5, 2.0]])
     plus = np.array([[0.25, 0.5, 0.0, -0.0], [0.0, -0.5, 0.75, 1e-9], [-0.0, 0.5, -0.0, 0.1]])
     minus = plus.copy()
@@ -383,6 +429,42 @@ def test_mesh_writers_share_only_bit_equal_columns(write, reference):
     strata = np.array([0, 1, 2], dtype=np.int8)
     meshes = [stratification.SurfaceMesh(d, v, params, triangles, strata)
               for d, v in ((+1, plus), (-1, minus))]
+    assert cli._chart_text(meshes) is None
+    buf = io.BytesIO()
+    write(buf, meshes)
+    assert buf.getvalue() == reference(meshes).encode()
+
+
+def _off_contract_meshes():
+    """Meshes that break what the table paths rest on, each by one value."""
+    plus, minus = stratification.mesh_surfaces([+1, -1], 8)
+
+    def edited(mesh, row, col, value, triangles=None):
+        v = mesh.vertices.copy()
+        v[row, col] = value
+        tris = mesh.triangles if triangles is None else triangles
+        return stratification.SurfaceMesh(mesh.disc, v, mesh.params, tris, mesh.strata)
+
+    negative = plus.triangles.copy()
+    negative[0, 0] = -1
+    return {
+        "nu1 off the chart": [plus, edited(minus, 5, 0, np.nextafter(minus.vertices[5, 0], 1.0))],
+        "nu3 = -0.0": [edited(plus, 0, 2, -0.0)],
+        "nu3 = nan": [edited(minus, 3, 2, np.nan)],
+        "negative index": [edited(plus, 0, 0, plus.vertices[0, 0], negative), minus],
+    }
+
+
+@pytest.mark.parametrize("case", list(_off_contract_meshes()))
+@pytest.mark.parametrize("write, reference", [(cli._write_obj, _reference_obj),
+                                              (cli._write_mesh_csv, _reference_csv)])
+def test_mesh_writers_take_write_rows_off_the_chart_contract(write, reference, case):
+    """Vertices that are not the chart times (1, 1, disc, 1) bit for bit, a
+    chart nu3 whose text is not the sign-free one, and a negative triangle
+    index are written value by value, in the reference's bytes."""
+    meshes = _off_contract_meshes()[case]
+    if case != "negative index":
+        assert cli._chart_text(meshes) is None
     buf = io.BytesIO()
     write(buf, meshes)
     assert buf.getvalue() == reference(meshes).encode()

@@ -49,7 +49,8 @@ class TestSpherePoint:
 
     def test_unit_rows_take_sphere_point_norms(self):
         """At the edge of the tolerance check_unit_rows accepts a row exactly
-        when SpherePoint does: its norms are SpherePoint's, row for row."""
+        when SpherePoint does: its norms are SpherePoint's, row for row, and
+        the rows may be C-ordered, Fortran-ordered or sliced from wider rows."""
 
         def accepts(check, row):
             try:
@@ -64,9 +65,17 @@ class TestSpherePoint:
         scale = 1.0 + UNIT_NORM_TOL + rng.integers(-4, 5, (2000, 1)) * 2.0**-52
         rows = u / np.linalg.norm(u, axis=1)[:, None] * scale
         one = [accepts(SpherePoint, row) for row in rows]
-        batch = [accepts(check_unit_rows, row[None]) for row in rows]
-        assert one == batch
         assert 0 < sum(one) < len(one)
+
+        def layouts(rows):
+            wide = np.zeros((len(rows), 7))
+            wide[:, 2:6] = rows
+            return rows, np.asfortranarray(rows), wide[:, 2:6]
+
+        # row by row, and the rows SpherePoint accepts as one batch
+        for layout, kept in zip(layouts(rows), layouts(rows[np.array(one)])):
+            assert [accepts(check_unit_rows, layout[i : i + 1]) for i in range(len(rows))] == one
+            assert accepts(check_unit_rows, kept)
 
     def test_disc_derived_from_nu3(self):
         assert SpherePoint(np.array([0.0, 0.0, 1.0, 0.0])).disc == 1

@@ -12,6 +12,7 @@ from resonance_atlas.geometry import (
     P_POINTS,
     F_critical,
     SpherePoint,
+    UNIT_NORM_TOL,
     param_phi,
     param_phi_array,
     unit_point,
@@ -543,6 +544,25 @@ def test_unit_rows_ignore_memory_layout():
         got = stratification._unit_rows(layout)
         assert got.T.flags.c_contiguous
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_classify_points_ignore_memory_layout():
+    """Fortran-ordered rows and rows sliced from wider ones give the classes
+    of the C-ordered call bit for bit, rows at the edge of the unit-norm
+    tolerance included, which SpherePoint accepts."""
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((2000, 4))
+    scale = 1.0 + UNIT_NORM_TOL + rng.integers(-4, 5, (2000, 1)) * 2.0**-52
+    rows = u / np.linalg.norm(u, axis=1)[:, None] * scale
+    rows = rows[np.sqrt(np.vecdot(rows, rows)) - 1.0 <= UNIT_NORM_TOL]  # SpherePoint's rule
+    want = classify_points(rows, 1.0)
+    wide = np.zeros((len(rows), 7))
+    wide[:, 2:6] = rows
+    for layout in (np.asfortranarray(rows), wide[:, 2:6]):
+        assert not layout.flags.c_contiguous
+        got = classify_points(layout, 1.0)
+        for name in want._fields:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_stability_report_ignores_memory_layout():

@@ -118,6 +118,16 @@ def test_small_ints_take_two_words(monkeypatch):
     assert sizes == [2, cli._INT_WORDS]
 
 
+def test_index_words_match_percent_format():
+    """An index word is b"%d" % i and its separator, left-aligned and
+    NUL-padded to 8 bytes, at every digit-count boundary up to the limit."""
+    i = np.array([0, *(v for k in range(1, 7) for v in (10**k - 1, 10**k)),
+                  cli._INDEX_LIMIT - 1])
+    for words, fmt in zip(cli._index_words(i, b" \n,"), (b"%d ", b"%d\n", b"%d,")):
+        assert words.dtype == np.dtype("<u8")
+        assert words.tobytes() == b"".join((fmt % v).ljust(8, b"\0") for v in i.tolist())
+
+
 def test_rows_mix_literals_floats_ints_and_text():
     buf = io.BytesIO()
     cli.write_rows(buf, [b"row ", np.array([3, 10**9]), b",", np.array([0.5, -2e-9]),
