@@ -343,11 +343,12 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # digits, read off exactly; the digits go in four at a time from tables of
 # the words of 0000..9999.
 #
-# Index rows (the mesh faces) take each index from one table per call of
-# 8-byte words, b"%d" % i and its separator left-aligned, NUL after them:
-# a face row is a few gathered words.  Text that the two discs share but
-# for a sign carries a marker byte, _MARK, where the sign goes, and each
-# disc's copy replaces it with "-" or with nothing.
+# The OBJ face rows take each index from one table per call of 8-byte
+# words, b"%d" % i and its separator left-aligned, NUL after them: a face
+# row is a few words gathered a block of rows at a time.  The OBJ vertex
+# text, which the two discs share but for the sign of nu3, carries a marker
+# byte, _MARK, where that sign goes, and each disc's copy replaces it with
+# "-" or with nothing.
 
 _BLOCK_ROWS = 2048  # rows formatted at once; bounds the bytes held at once
 _FLOAT_WORDS = 7  # a float's slot, 28 bytes: room for any '%.17g'
@@ -357,7 +358,7 @@ _INT_WORDS = 5  # an integer's slot, 20 bytes: room for any int64 '%d'
 _K_MIN, _K_MAX = -6, 0
 _VELTKAMP = 2.0**27 + 1.0
 _INDEX_LIMIT = 10**7  # index words hold up to 7 digits and a separator
-_MARK = b"\x01"  # stands for a sign in text shared by the two discs
+_MARK = b"\x01"  # stands for the sign of nu3 in the OBJ text of the two discs
 
 
 def _split(a):
@@ -570,38 +571,22 @@ def _index_words(i: np.ndarray, seps: bytes) -> list:
     return [text | (np.uint64(c) << bits) for c in seps]
 
 
-def _face_words(faces, seps: bytes):
-    """The index words (_index_words) of 0 up to the largest index of the
-    faces, (first, triangles) pairs whose indices are triangles + first;
-    None, for write_rows, unless every index fits the table and no
-    triangle index is negative."""
-    top = 0
-    for first, tri in faces:
-        if tri.size:
-            if tri.min() < 0:
-                return None
-            top = max(top, int(tri.max()) + first)
-    if top >= _INDEX_LIMIT:
-        return None
-    return _index_words(np.arange(top + 1), seps)
-
-
 class _Blocks(list):
-    """A binary file for write_rows and _index_rows that keeps each block of
-    text they write as one item."""
+    """A binary file for write_rows that keeps each block of text it writes
+    as one item."""
 
     write = list.append
 
 
-def _index_rows(fh, head: bytes, indices: np.ndarray, words, tail: bytes = b"") -> None:
+def _index_rows(fh, head: bytes, indices: np.ndarray, words) -> None:
     """Write one row per row of indices (m, k) to the binary file fh, a
-    block of rows at a time: head, words[j] at index j for each column j,
-    and tail, the literals padded to whole words."""
-    head, tail = (np.frombuffer(b + b"\0" * (-len(b) % 8), dtype="<u8") for b in (head, tail))
-    block = np.empty((min(len(indices), _BLOCK_ROWS), len(head) + len(words) + len(tail)),
-                     dtype="<u8")
+    block of rows at a time: head, padded to whole words, then words[j] at
+    index j for each column j.  The words are gathered per block; gathered
+    for the whole call, as 'S8' columns for write_rows, they raised the
+    peak RSS of the surface-mesh benchmark by 0.7 MB."""
+    head = np.frombuffer(head + b"\0" * (-len(head) % 8), dtype="<u8")
+    block = np.empty((min(len(indices), _BLOCK_ROWS), len(head) + len(words)), dtype="<u8")
     block[:, : len(head)] = head
-    block[:, block.shape[1] - len(tail) :] = tail
     for lo in range(0, len(indices), _BLOCK_ROWS):
         rows = block[: min(len(indices) - lo, _BLOCK_ROWS)]
         for j, table in enumerate(words):
@@ -701,9 +686,14 @@ def _chart_text(meshes):
 def _write_obj(fh, meshes) -> None:
     """The meshes as OBJ groups, vertices numbered from 1 across them.  The
     discs' vertex rows come from one text of the chart (_chart_text) and
-    their face rows from one table of index words."""
+    their face rows from one table of index words (_index_words), unless a
+    triangle index is negative or an index reaches _INDEX_LIMIT."""
     firsts = np.cumsum([1] + [len(m.vertices) for m in meshes])[:-1].tolist()
-    words = _face_words(zip(firsts, (m.triangles for m in meshes)), b" \n")
+    top = max((int(m.triangles.max()) + first for m, first in zip(meshes, firsts)
+               if m.triangles.size), default=0)
+    words = None
+    if top < _INDEX_LIMIT and all(m.triangles.min(initial=0) >= 0 for m in meshes):
+        words = _index_words(np.arange(top + 1), b" \n")
     chart = _chart_text(meshes)
     for mesh, first in zip(meshes, firsts):
         fh.write(b"g %s\n" % (b"plus" if mesh.disc > 0 else b"minus"))
@@ -722,27 +712,15 @@ def _write_obj(fh, meshes) -> None:
 def _write_mesh_csv(fh, meshes) -> None:
     """One vertex row (index, coordinates, chart (s, t), stratum) and one
     face row (three indices) per element, the fields csv.writer would give;
-    a float column the discs share is formatted once, and so is the face
-    text of the triangles they share, with _MARK for the sign of disc."""
+    a float column the discs share is formatted once."""
     fh.write(b"type,disc,i0,i1,i2,nu1,nu2,nu3,nu4,s,t,stratum\n")
     shared = _shared_texts([[*mesh.vertices.T, *mesh.params.T] for mesh in meshes])
-    words = _face_words(((0, mesh.triangles) for mesh in meshes), b",")
-    faces = {}
     for mesh, columns in zip(meshes, shared):
         columns = [*columns, _STRATUM_BYTES[mesh.strata]]
         write_rows(fh, [b"vertex,%d," % mesh.disc, np.arange(len(mesh.vertices)), b",,,",
                         *_joined(b",", columns), b"\n"])
-        if words is None:
-            write_rows(fh, [b"face,%d," % mesh.disc, *_joined(b",", mesh.triangles.T),
-                            b",,,,,,\n"])
-            continue
-        key = (id(mesh.triangles), abs(mesh.disc))
-        if key not in faces:
-            faces[key] = _Blocks()
-            _index_rows(faces[key], b"face,%s%d," % (_MARK, abs(mesh.disc)), mesh.triangles,
-                        words * 3, b",,,,,\n")
-        for text in faces[key]:
-            fh.write(text.replace(_MARK, b"-" if mesh.disc < 0 else b""))
+        write_rows(fh, [b"face,%d," % mesh.disc, *_joined(b",", mesh.triangles.T),
+                        b",,,,,,\n"])
 
 
 def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -250,14 +250,19 @@ def check_unit_rows(v: np.ndarray) -> None:
     """SpherePoint's rule on every row of an (n, 4) array: finite, with
     |norm - 1| <= UNIT_NORM_TOL, the norm of each row as SpherePoint takes
     it bit for bit (np.linalg.norm(v, axis=1) differs in the last place on
-    some rows).  np.vecdot sums in another order on rows that are not
-    C-contiguous, so those get a C copy.  Raises ValueError for the first
-    row that breaks it."""
-    v = np.ascontiguousarray(v)
+    some rows).  Raises ValueError for the first row that breaks it."""
     if not np.isfinite(v).all():
         row = np.argmin(np.isfinite(v).all(axis=1))
         raise ValueError(f"SpherePoint: coordinates must be finite (row {row})")
     dev = np.abs(np.sqrt(np.vecdot(v, v)) - 1.0)
+    if not v.flags.c_contiguous:
+        # np.vecdot sums in another order on rows that are not C-contiguous,
+        # which moves a norm by an ulp or two: rows near the bound take
+        # their norm from a C copy
+        near = np.flatnonzero(np.abs(dev - UNIT_NORM_TOL) < 1e-14)
+        if len(near):
+            rows = np.ascontiguousarray(v[near])
+            dev[near] = np.abs(np.sqrt(np.vecdot(rows, rows)) - 1.0)
     bad = np.flatnonzero(dev > UNIT_NORM_TOL)
     if len(bad):
         raise ValueError(

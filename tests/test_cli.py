@@ -387,16 +387,12 @@ def test_mesh_writers_match_reference_in_any_disc_order(write, reference, discs,
     assert buf.getvalue() == reference(meshes).encode()
 
 
-@pytest.mark.parametrize("write, reference", [(cli._write_obj, _reference_obj),
-                                              (cli._write_mesh_csv, _reference_csv)])
-def test_face_indices_past_the_table_take_write_rows(monkeypatch, write, reference):
-    """A call whose largest face index reaches the index table's limit
+def test_face_indices_past_the_table_take_write_rows(monkeypatch):
+    """An OBJ call whose largest face index reaches the index table's limit
     writes its faces with write_rows, in the same bytes; one below the
     limit takes the table."""
     meshes = stratification.mesh_surfaces([+1, -1], 8)
-    top = int(meshes[1].triangles.max())
-    if write is cli._write_obj:  # numbered from 1 across the discs
-        top += len(meshes[0].vertices) + 1
+    top = len(meshes[0].vertices) + 1 + int(meshes[1].triangles.max())  # numbered from 1
     tables = [0]
     index_rows = cli._index_rows
 
@@ -409,8 +405,8 @@ def test_face_indices_past_the_table_take_write_rows(monkeypatch, write, referen
         tables[0] = 0
         monkeypatch.setattr(cli, "_INDEX_LIMIT", limit)
         buf = io.BytesIO()
-        write(buf, meshes)
-        assert buf.getvalue() == reference(meshes).encode()
+        cli._write_obj(buf, meshes)
+        assert buf.getvalue() == _reference_obj(meshes).encode()
         assert (tables[0] > 0) == used
 
 
