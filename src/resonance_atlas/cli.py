@@ -46,7 +46,7 @@ from .geometry import (
     normal_form_residual,
 )
 from .linalg import char_poly, commutator, frobenius_inner
-from .spectra import CONFIG_NAMES, _pair_split
+from .spectra import CONFIG_NAMES, _family_annihilator, _pair_split
 from .stratification import (
     STRATA,
     STRATUM_NAMES,
@@ -56,6 +56,8 @@ from .stratification import (
     _stable_boundary,
     classify_point,
     configuration_at,
+    evaluation_matrix,
+    interior_scale,
     mesh_surfaces,
     representatives,
     sphere_samples,
@@ -241,6 +243,29 @@ def _check_strata(rng, tol):
         if configuration_at(point, nu5, tol).code != STRATA[name].expected_config:
             mismatches += 1
     yield "strata.representatives", float(mismatches)
+    # the closed form the family's coincident pairs are decided by: the
+    # annihilator's two singular values and ||A||_2 (_family_annihilator)
+    # against the SVD, on the axis, random points next to it and random
+    # points of the curves D = 0 (nu4 = 0, nu2^2 = nu3^2) through P1..P4
+    worst = 0.0
+    for nu5 in (1.0, -1.0, -2.0, 0.3, 7.0, 1e-3, 1e3):
+        n1, a, e = rng.uniform(-1.0, 1.0, size=(3, 40))
+        g = rng.standard_normal((40, 4))
+        near_axis = np.sign(g[:, :1]) * [1.0, 0.0, 0.0, 0.0] + 1e-7 * e[:, None] * g
+        curves = np.column_stack([n1, a, np.sign(e) * a, 0.0 * a])
+        rows = np.vstack([[[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]], near_axis, curves])
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        t0 = interior_scale(nu5)
+        for v, large, small, norm in zip(rows, *_family_annihilator(*rows.T, t0, nu5)):
+            E = evaluation_matrix(SpherePoint(v), nu5).entries
+            w = complex(t0 * v[0], nu5)
+            svals = np.linalg.svd(E @ E - 2.0 * w.real * E + abs(w) ** 2 * np.eye(4),
+                                  compute_uv=False)
+            norm_svd = float(np.linalg.norm(E, 2))
+            gap = max(float(np.max(np.abs(svals - [large, large, small, small]))),
+                      abs(norm - norm_svd))
+            worst = max(worst, gap / (1.0 + norm_svd) ** 2)
+    yield "strata.annihilator_closed_form", worst
 
 
 _SUITES = {
@@ -530,7 +555,9 @@ def write_rows(fh, fields) -> None:
             width += int_words
         elif f.dtype.kind == "S":
             size = -(-f.dtype.itemsize // 4)
-            texts.append((width, f.astype(f"S{4 * size}").view("<u4").reshape(len(f), size)))
+            # a contiguous column whose item size is whole words is read in place
+            words = np.ascontiguousarray(f, dtype=f"S{4 * size}").view("<u4")
+            texts.append((width, words.reshape(len(f), size)))
             width += size
         else:
             raise TypeError(f"write_rows: cannot write a {f.dtype} column")
@@ -725,7 +752,7 @@ def _write_mesh_csv(fh, meshes) -> None:
 
 def _cmd_mesh(args: argparse.Namespace, cfg: RunConfig) -> int:
     discs = {"plus": [+1], "minus": [-1], "both": [+1, -1]}[args.disc]
-    meshes = mesh_surfaces(discs, args.resolution, cfg.nu5, cfg.tol)
+    meshes = mesh_surfaces(discs, args.resolution, cfg.tol)
 
     with open(args.out, "wb") as fh:
         if args.format == "obj":

@@ -3,7 +3,9 @@
 A matrix in the commuting family has eigenvalues in conjugate pairs; the
 classifier names the sign pattern of the two pairs (stable/unstable/
 imaginary) and, for a coincident pair, separates the semisimple case from
-the nilpotent one by the rank of the annihilator A^2 + u A + v id.  Each
+the nilpotent one by the rank of the annihilator A^2 + u A + v id, one rule
+(_rank_verdict) on two sources of singular values: the SVD for any matrix
+(spectrum), the closed form on the canonical family (_upper_pair).  Each
 configuration is read from one Spectrum, which computes the characteristic
 polynomial once.
 """
@@ -73,30 +75,60 @@ CONFIG_NAMES = (
     CONFIG_COINCIDENT_UNSTABLE_NILPOTENT,
 )
 
-# Index into CONFIG_NAMES of the configuration of a pair of real-part signs
-# (-1, 0 or +1 each, 0 when the real part reads as zero), indexed by
-# 3 s_a + s_b + 4 with the two signs in either order.
-_SIGN_CODES = np.array(
+# Verdicts of the annihilator-rank rule (_rank_verdict) on two pairs within
+# the coincidence threshold: two distinct pairs after all, one semisimple
+# double pair, one double pair with a nilpotent part, or no reading at all.
+_DISTINCT, _SEMISIMPLE, _NILPOTENT, _ANOMALOUS = 0, 1, 2, -1
+
+# Index into CONFIG_NAMES of the configuration of two pairs by the verdict
+# (a row) and the signs of their real parts (-1, 0 or +1 each, 0 when the
+# real part reads as zero) at 3 s_a + s_b + 4, the two signs in either
+# order.  A double pair has s_a = s_b, so its rows are read at 0, 4 and 8
+# only; their other entries repeat the distinct row.
+_CONFIG_CODES = np.array(
     [
-        CONFIG_NAMES.index(code)
-        for code in (
-            CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
-            CONFIG_BETA_STABLE, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
-            CONFIG_MIXED, CONFIG_BETA_UNSTABLE, CONFIG_UNSTABLE_PAIRS,
+        [CONFIG_NAMES.index(code) for code in row]
+        for row in (
+            (
+                CONFIG_STABLE_PAIRS, CONFIG_BETA_STABLE, CONFIG_MIXED,
+                CONFIG_BETA_STABLE, CONFIG_TWO_IMAGINARY, CONFIG_BETA_UNSTABLE,
+                CONFIG_MIXED, CONFIG_BETA_UNSTABLE, CONFIG_UNSTABLE_PAIRS,
+            ),
+            (
+                CONFIG_COINCIDENT_STABLE, CONFIG_BETA_STABLE, CONFIG_MIXED,
+                CONFIG_BETA_STABLE, CONFIG_DOUBLE_SEMISIMPLE, CONFIG_BETA_UNSTABLE,
+                CONFIG_MIXED, CONFIG_BETA_UNSTABLE, CONFIG_COINCIDENT_UNSTABLE,
+            ),
+            (
+                CONFIG_COINCIDENT_STABLE_NILPOTENT, CONFIG_BETA_STABLE, CONFIG_MIXED,
+                CONFIG_BETA_STABLE, CONFIG_DOUBLE_NILPOTENT, CONFIG_BETA_UNSTABLE,
+                CONFIG_MIXED, CONFIG_BETA_UNSTABLE, CONFIG_COINCIDENT_UNSTABLE_NILPOTENT,
+            ),
         )
     ],
     dtype=np.int8,
 )
-# Configuration code of a coincident pair by (sign of its real part,
-# whether the pair is semisimple).
-_COINCIDENT_CODES = {
-    (0, True): CONFIG_DOUBLE_SEMISIMPLE,
-    (0, False): CONFIG_DOUBLE_NILPOTENT,
-    (-1, True): CONFIG_COINCIDENT_STABLE,
-    (-1, False): CONFIG_COINCIDENT_STABLE_NILPOTENT,
-    (1, True): CONFIG_COINCIDENT_UNSTABLE,
-    (1, False): CONFIG_COINCIDENT_UNSTABLE_NILPOTENT,
-}
+
+
+# The verdict by annihilator rank 0..4, rank 4 on the imaginary axis read at 5.
+_RANK_VERDICTS = np.array([_SEMISIMPLE, _ANOMALOUS, _NILPOTENT, _ANOMALOUS, _DISTINCT, _ANOMALOUS])
+
+
+def _rank_verdict(svals, scale, tol, on_axis):
+    """The annihilator-rank rule, the one home of the semisimple/nilpotent
+    split.
+
+    The rank of A^2 + u A + v id counts its singular values svals (all
+    four, with multiplicity) above max(tol, 1e-12) scale.  Rank 0 is
+    _SEMISIMPLE and rank 2 _NILPOTENT; rank 4 is _DISTINCT off the
+    imaginary axis (two distinct pairs within the coincidence threshold)
+    and _ANOMALOUS on it (on_axis), as is every odd rank: the premise of
+    one double pair did not hold.  Python floats of one pair or (n,)
+    columns.
+    """
+    threshold = max(tol, 1e-12) * scale
+    rank = sum(s > threshold for s in svals)
+    return _RANK_VERDICTS[rank + ((rank == 4) & on_axis)]
 
 
 def _pair_split(n2, n3, n4):
@@ -107,31 +139,88 @@ def _pair_split(n2, n3, n4):
     return np.sqrt((n3 * n3 + n4 * n4 - n2 * n2) + 2j * (n2 * n4))
 
 
-def _upper_pair(n1, n2, n3, n4, t0, nu5):
-    """The two eigenvalues above the real axis of the canonical-family
-    matrix at t0 times the unit point (n1, n2, n3, n4) with weight nu5.
+_TINY = 2.0 ** -1022  # the smallest normal double, a Python float
 
-    They are hi, lo = t0 n1 + i(nu5 +- t0 D), D = _pair_split(n2, n3, n4),
-    returned with whether they coincide: a gap within CLUSTER_TOL_DEFAULT
-    (1 + max |lambda|).  Built from arithmetic, abs, comparisons, np.sqrt
-    and np.maximum only, so the arguments may be Python floats of one row
-    or (n,) columns.
+
+def _family_annihilator(n1, n2, n3, n4, t0, nu5):
+    """The two singular values, each twice, of the annihilator
+    A^2 + u A + v id of w = t0 n1 + i nu5 (u = -2 Re w, v = |w|^2), and
+    ||A||_2, for the canonical-family matrix A at t0 times the unit point
+    (n1, n2, n3, n4) with weight nu5.
+
+    A commutes with L, so on C^2, L acting as i, it is the 2x2 complex
+    matrix w + t0 (0, i n4 - n2, i n3).sigma, sigma the Pauli matrices.
+    Its annihilator is (A - w)(A - conj w) = -t0^2 D^2 + x.sigma with
+    D^2 = r + i m = n3^2 + n4^2 - n2^2 + 2 i n2 n4 (_pair_split) and
+    x = -2 nu5 t0 (0, n4 + i n2, n3).  A matrix c + x.sigma has the
+    singular values s^2 = |c|^2 + |x|^2 +- |2 Re(conj(c) x) + i conj(x) * x|
+    (* the cross product), each twice on R^4, and their product is
+    |det| = |c^2 - x.x|.  So, with p = 2 |nu5| t0, q = t0^2 and
+    W^2 = n2^2 + n3^2 + n4^2, the large one is the root of
+    (q |D|^2)^2 + p^2 W^2 + 2 p sqrt((p n2 n3)^2 + (q n4 W^2)^2 + (q n3 r)^2),
+    the small one q |D|^2 |q D^2 - 4 nu5^2| / large (0 on the axis, where
+    both vanish), and ||A||_2^2 = |w|^2 + q W^2
+    + 2 t0 sqrt((t0 n2 n3)^2 + (nu5 n4 - t0 n1 n2)^2 + (nu5 n3)^2).  No
+    term cancels.  Built from arithmetic and powers only, so a row's
+    Python floats stay Python floats; or (n,) columns.
+    """
+    p, q, v = 2.0 * abs(nu5) * t0, t0 * t0, nu5 * nu5
+    s2, s3, s4 = n2 * n2, n3 * n3, n4 * n4
+    w2, r, m2, t23 = s2 + s3 + s4, s3 + s4 - s2, 4.0 * s2 * s4, s2 * s3
+    d4, e = r * r + m2, q * r - 4.0 * v  # |D|^4 = r^2 + m^2, q D^2 - 4 nu5^2 = e + i q m
+    cross = (p * p * t23 + q * q * (s4 * w2 * w2 + s3 * r * r)) ** 0.5
+    large = (q * q * d4 + p * p * w2 + 2.0 * p * cross) ** 0.5
+    small = q * (d4 * (e * e + q * q * m2)) ** 0.5 / (large + _TINY)
+    a1 = t0 * n1
+    cross = (q * t23 + (nu5 * n4 - a1 * n2) ** 2 + v * s3) ** 0.5
+    return large, small, (a1 * a1 + v + q * w2 + 2.0 * t0 * cross) ** 0.5
+
+
+def _family_verdict(n1, n2, n3, n4, t0, nu5, tol):
+    """_rank_verdict on the two pairs of the family matrix taken as one
+    double pair at w = t0 n1 + i nu5: the closed-form singular values of
+    _family_annihilator at the scale (1 + ||A||_2)^2, on the imaginary axis
+    where |t0 n1| <= tol (1 + |w|).  Arguments as _family_annihilator."""
+    large, small, norm = _family_annihilator(n1, n2, n3, n4, t0, nu5)
+    a1 = t0 * n1
+    on_axis = abs(a1) <= tol * (1.0 + (a1 * a1 + nu5 * nu5) ** 0.5)
+    return _rank_verdict((large, large, small, small), (1.0 + norm) ** 2, tol, on_axis)
+
+
+def _upper_pair(n1, n2, n3, n4, t0, nu5, tol):
+    """The two eigenvalues above the real axis of the canonical-family
+    matrix at t0 times the unit point (n1, n2, n3, n4) with weight nu5,
+    and the verdict on them.
+
+    They are hi, lo = t0 n1 + i(nu5 +- t0 D), D = _pair_split(n2, n3, n4).
+    Where they coincide, a gap within CLUSTER_TOL_DEFAULT
+    (1 + max |lambda|), the verdict is _family_verdict's, and a double pair
+    (_SEMISIMPLE or _NILPOTENT) takes D = 0: hi = lo = the double root
+    t0 n1 + i nu5.  Elsewhere the verdict is _DISTINCT.  Built from
+    arithmetic, powers, abs, comparisons, np.sqrt, np.maximum and table
+    lookups only, so the arguments may be Python floats of one row or (n,)
+    columns.
     """
     d = _pair_split(n2, n3, n4)
     hi = t0 * n1 + 1j * (nu5 + t0 * d)
     lo = t0 * n1 + 1j * (nu5 + t0 * -d)
-    return hi, lo, abs(hi - lo) <= CLUSTER_TOL_DEFAULT * (1.0 + np.maximum(abs(hi), abs(lo)))
+    coincident = abs(hi - lo) <= CLUSTER_TOL_DEFAULT * (1.0 + np.maximum(abs(hi), abs(lo)))
+    verdict = coincident * _family_verdict(n1, n2, n3, n4, t0, nu5, tol)
+    d = d * (verdict == _DISTINCT)
+    hi = t0 * n1 + 1j * (nu5 + t0 * d)
+    lo = t0 * n1 + 1j * (nu5 + t0 * -d)
+    return hi, lo, verdict
 
 
-def _pair_labels(hi, lo, tol):
-    """What the eigenvalue pair hi, lo (and conjugates) reads as, a real or
-    imaginary part counting as zero within tol (1 + |lambda|).
+def _pair_labels(hi, lo, verdict, tol):
+    """What the eigenvalue pair hi, lo (and conjugates) with its verdict
+    reads as, a real or imaginary part counting as zero within
+    tol (1 + |lambda|).
 
     Returns whether an imaginary part reads as zero (no configuration
-    applies), the sign of hi's real part (-1, 0 or +1), the config code of
-    two distinct pairs (an index into CONFIG_NAMES), the count of stable
-    eigenvalues and the max real part.  One row or (n,) columns, as
-    _upper_pair.
+    applies), the config code (an index into CONFIG_NAMES, from
+    _CONFIG_CODES), the count of stable eigenvalues and the max real part.
+    One row or (n,) columns, as _upper_pair.
     """
     tol_hi, tol_lo = tol * (1.0 + abs(hi)), tol * (1.0 + abs(lo))
     unresolved = (abs(hi.imag) <= tol_hi) | (abs(lo.imag) <= tol_lo)
@@ -139,7 +228,7 @@ def _pair_labels(hi, lo, tol):
     s_lo = (lo.real > tol_lo) * 1 - (lo.real < -tol_lo) * 1
     stable_count = (s_hi < 0) * 2 + (s_lo < 0) * 2
     max_re = np.maximum(hi.real, lo.real)
-    return unresolved, s_hi, _SIGN_CODES[3 * s_hi + s_lo + 4], stable_count, max_re
+    return unresolved, _CONFIG_CODES[verdict, 3 * s_hi + s_lo + 4], stable_count, max_re
 
 
 # Relative real-part threshold of a sampled point's `stable` flag.
@@ -151,10 +240,13 @@ class Spectrum:
     """Four eigenvalues, their coincidence clusters, and summary fields.
 
     double_pair is (u, v) when the two eigenvalues above the real axis
-    share a cluster: the characteristic polynomial is then (x^2 + u x + v)^2,
-    and the eigenvalues are its roots, each double.  It stays None
-    otherwise.  semisimple_double_pair is set only when that pair is
-    imaginary, +-i beta (True: semisimple, False: nilpotent part present).
+    share a cluster and read as one double pair: the characteristic
+    polynomial is then (x^2 + u x + v)^2, and the eigenvalues are its
+    roots, each double.  semisimple_double_pair is the annihilator-rank
+    verdict on that pair (True: semisimple, False: nilpotent part
+    present), None on a real double root, which reads no configuration.
+    Both stay None otherwise, two distinct pairs within the coincidence
+    threshold included.
     """
 
     eigenvalues: tuple[complex, complex, complex, complex]
@@ -205,31 +297,31 @@ def _im_is_zero(z: complex, tol: float) -> bool:
     return abs(z.imag) <= tol * (1.0 + abs(z))
 
 
+_RANK_ANOMALOUS = "annihilator rank neither 0 nor 2, nor 4 off the imaginary axis"
+
+
 def _pair_is_semisimple(A: Mat4, u: float, v: float, tol: float) -> bool | None:
     """True iff A, whose spectrum is the roots of x^2 + u x + v, each
     double, has no nilpotent part.
 
-    rank(A^2 + u A + v id) is 0 exactly for the semisimple case and 2 when
-    a rank-two nilpotent rides on top; rank 4 off the imaginary axis
-    (|u| / 2 > tol (1 + sqrt v)) gives None, two distinct pairs within the
-    coincidence threshold.  Anything else means the premise did not hold,
-    raised as RankAnomalous.  Singular values are measured against
-    (1 + ||A||)^2, the natural size of a quadratic polynomial in A: a
-    threshold relative to the annihilator itself would report full rank
-    for the numerically zero matrix, whose largest singular value is
-    roundoff.
+    _rank_verdict on the singular values of A^2 + u A + v id: True for
+    rank 0, False for rank 2 (a rank-two nilpotent rides on top), None for
+    rank 4 off the imaginary axis (|u| / 2 > tol (1 + sqrt v)), two
+    distinct pairs within the coincidence threshold.  Anything else means
+    the premise did not hold, raised as RankAnomalous.  Singular values
+    are measured against (1 + ||A||)^2, the natural size of a quadratic
+    polynomial in A: a threshold relative to the annihilator itself would
+    report full rank for the numerically zero matrix, whose largest
+    singular value is roundoff.
     """
     E = A.entries
     svals = np.linalg.svd(E @ E + u * E + v * np.eye(4), compute_uv=False)
     scale = (1.0 + float(np.linalg.norm(E, 2))) ** 2
-    r = int(np.sum(svals > max(tol, 1e-12) * scale))
-    if r == 0:
-        return True
-    if r == 2:
-        return False
-    if r == 4 and abs(u) / 2.0 > tol * (1.0 + math.sqrt(max(v, 0.0))):
-        return None
-    raise RankAnomalous(f"annihilator rank {r}, expected 0 or 2")
+    on_axis = abs(u) / 2.0 <= tol * (1.0 + math.sqrt(max(v, 0.0)))
+    verdict = _rank_verdict(svals.tolist(), scale, tol, on_axis)
+    if verdict == _ANOMALOUS:
+        raise RankAnomalous(_RANK_ANOMALOUS)
+    return {_SEMISIMPLE: True, _NILPOTENT: False, _DISTINCT: None}[verdict]
 
 
 def is_semisimple_double_pair(A: Mat4, beta: float, tol: float) -> bool:
@@ -242,11 +334,13 @@ def spectrum(A: Mat4, tol: float) -> Spectrum:
     within CLUSTER_TOL_DEFAULT (1 + max |root|) share a cluster.
 
     When the two eigenvalues above the real axis fall into one cluster,
-    the pair is taken from the square root x^2 + u x + v of the
-    characteristic polynomial instead: u and v come from its third- and
-    second-order coefficients, which traces give accurately, while double
-    roots of the quartic come out only to sqrt(eps).  For an imaginary
-    coincident pair the semisimple/nilpotent flag is filled in.
+    one annihilator-rank test (_pair_is_semisimple) decides whether they
+    are one double pair.  If so, the pair is taken from the square root
+    x^2 + u x + v of the characteristic polynomial: u and v come from its
+    third- and second-order coefficients, which traces give accurately,
+    while double roots of the quartic come out only to sqrt(eps).  Two
+    distinct pairs keep the quartic's roots.  A real double root skips the
+    test and keeps the square root's roots: no configuration applies.
     """
     poly = char_poly(A)
     roots = quartic_roots(poly, tol).roots
@@ -257,10 +351,11 @@ def spectrum(A: Mat4, tol: float) -> Spectrum:
         u = poly.a[1] / 2.0
         v = (poly.a[2] - u * u) / 2.0
         w = complex(-u / 2.0, math.sqrt(max(v - u * u / 4.0, 0.0)))
-        roots = (w.conjugate(), w.conjugate(), w, w)
-        pair = (u, v)
-        if _re_is_zero(w, tol) and not _im_is_zero(w, tol):
-            flag = _pair_is_semisimple(A, u, v, tol)
+        real = _im_is_zero(w, tol)
+        flag = None if real else _pair_is_semisimple(A, u, v, tol)
+        if real or flag is not None:
+            roots = (w.conjugate(), w.conjugate(), w, w)
+            pair = (u, v)
     return Spectrum(tuple(roots), clusters, max(z.real for z in roots), flag, pair)
 
 
@@ -269,10 +364,9 @@ def classify_configuration(A: Mat4, tol: float) -> EigConfig:
 
     Cascade: reject real/zero eigenvalues (UnresolvedConfiguration), read
     the sign of each pair's real part against the relative threshold
-    tol*(1+|lambda|), and for a pair coincident within CLUSTER_TOL_DEFAULT
-    (spectrum) split semisimple from nilpotent by annihilator rank (rank 4
-    off the imaginary axis: two distinct pairs, both of the double root's
-    sign).  Everything is read from one spectrum.
+    tol*(1+|lambda|), and look the code up in _CONFIG_CODES by those signs
+    and the spectrum's verdict on a coincident pair (semisimple, nilpotent,
+    or two distinct pairs).  Everything is read from one spectrum.
     """
     sp = spectrum(A, tol)
     roots = sp.eigenvalues
@@ -284,16 +378,9 @@ def classify_configuration(A: Mat4, tol: float) -> EigConfig:
     if len(upper) != 2:
         raise UnresolvedConfiguration(f"could not split {roots} into conjugate pairs")
     stable_count = 2 * sum(1 for w in upper if w.real < -tol * (1.0 + abs(w)))
-    signs = [0 if _re_is_zero(w, tol) else (-1 if w.real < 0.0 else 1) for w in upper]
-
-    if sp.double_pair is not None:
-        # the imaginary pair's flag is already in the spectrum
-        semisimple = (
-            sp.semisimple_double_pair
-            if signs[0] == 0
-            else _pair_is_semisimple(A, *sp.double_pair, tol)
-        )
-        if semisimple is not None:
-            return EigConfig(_COINCIDENT_CODES[signs[0], semisimple], stable_count, sp)
-
-    return EigConfig(CONFIG_NAMES[_SIGN_CODES[3 * signs[0] + signs[1] + 4]], stable_count, sp)
+    s_a, s_b = (0 if _re_is_zero(w, tol) else (-1 if w.real < 0.0 else 1) for w in upper)
+    if sp.double_pair is None:
+        verdict = _DISTINCT
+    else:
+        verdict = _SEMISIMPLE if sp.semisimple_double_pair else _NILPOTENT
+    return EigConfig(CONFIG_NAMES[_CONFIG_CODES[verdict, 3 * s_a + s_b + 4]], stable_count, sp)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import ReducedCoords, homogeneous_reduced
 from ._pcg64 import uniform_doubles
-from .errors import AmbiguousStratum, UnresolvedConfiguration
+from .errors import AmbiguousStratum, RankAnomalous, UnresolvedConfiguration
 from .geometry import (
     F_critical,
     P_POINTS,
@@ -48,9 +48,9 @@ from .spectra import (
     CONFIG_TWO_IMAGINARY,
     CONFIG_UNSTABLE_PAIRS,
     ZERO_RE_TOL_SAMPLED,
-    _COINCIDENT_CODES,
     EigConfig,
-    _pair_is_semisimple,
+    _ANOMALOUS,
+    _RANK_ANOMALOUS,
     _pair_labels,
     _pair_split,
     _upper_pair,
@@ -197,8 +197,11 @@ def classify_point(p: SpherePoint, nu5: float, tol: float = 1e-9) -> StratumLabe
     The first rule of _cascade that holds gives the stratum: the P/L/S
     strata, then the open region from the sign of F (and of nu1 or nu2).
     Matches that leave the label undetermined at this tol raise
-    AmbiguousStratum, and a row whose spectrum reads no configuration
-    raises as _row_spectrum does; ValueError unless 1e-3 <= |nu5| <= 1e3.
+    AmbiguousStratum, and a row whose closed-form spectrum reads no
+    configuration raises as _row_spectrum does (UnresolvedConfiguration,
+    or RankAnomalous where the annihilator rank of a coincident pair reads
+    no verdict); no matrix is built.  ValueError unless
+    1e-3 <= |nu5| <= 1e3.
     """
     if tol <= 0.0:
         raise ValueError("classify_point: tol must be positive")
@@ -322,15 +325,6 @@ def _column_strata(v: np.ndarray, tol: float) -> np.ndarray:
 _UNRESOLVED = "real or zero eigenvalue in row %d; no pair configuration applies"
 
 
-def _coincident_semisimple(v: np.ndarray, nu5: float, w: complex, tol: float) -> bool | None:
-    """Whether the two pairs of row v, coincident at w, are semisimple: one
-    annihilator-rank test (spectra._pair_is_semisimple).  None where they
-    are two distinct pairs after all (rank 4 off the imaginary axis)."""
-    return _pair_is_semisimple(
-        evaluation_matrix(SpherePoint(v), nu5), -2.0 * w.real, abs(w) ** 2, tol
-    )
-
-
 def _family_spectra(v: np.ndarray, nu5: float, tol: float):
     """The closed-form spectrum of the evaluation matrix on unit rows v (n, 4).
 
@@ -338,46 +332,35 @@ def _family_spectra(v: np.ndarray, nu5: float, tol: float):
     _pair_labels): returns the two eigenvalues above the real axis, hi and
     lo (n,), the config codes into CONFIG_NAMES, the stable counts and the
     max real parts.  A coincident row (on the axis and the curves nu4 = 0,
-    nu2^2 = nu3^2 through P1..P4) takes one rank test and, unless that
-    finds two distinct pairs, the exact double root w = t0 nu1 + i nu5.
-    Raises UnresolvedConfiguration where an imaginary part reads as zero,
-    as classify_configuration does.
+    nu2^2 = nu3^2 through P1..P4) gets its verdict from the closed-form
+    annihilator rank, with no matrix: a double pair reads the exact double
+    root w = t0 nu1 + i nu5, two distinct pairs keep their own eigenvalues.
+    Raises RankAnomalous where the rank reads no verdict and
+    UnresolvedConfiguration where an imaginary part reads as zero, as
+    classify_configuration does.
     """
-    t0 = interior_scale(nu5)
-    hi, lo, coincident = _upper_pair(*v.T, t0, nu5)
-    double = {}
-    for k in np.flatnonzero(coincident).tolist():
-        w = complex(t0 * v[k, 0] + 1j * nu5)
-        semisimple = _coincident_semisimple(v[k], nu5, w, tol)
-        if semisimple is not None:
-            hi[k] = lo[k] = w
-            double[k] = semisimple
-    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
+    hi, lo, verdict = _upper_pair(*v.T, interior_scale(nu5), nu5, tol)
+    unresolved, config, stable_count, max_re = _pair_labels(hi, lo, verdict, tol)
+    anomalous = verdict == _ANOMALOUS
+    if anomalous.any():
+        raise RankAnomalous(f"{_RANK_ANOMALOUS} in row {anomalous.argmax()}")
     if unresolved.any():
         raise UnresolvedConfiguration(_UNRESOLVED % unresolved.argmax())
-    for k, semisimple in double.items():
-        config[k] = CONFIG_NAMES.index(_COINCIDENT_CODES[int(s_hi[k]), semisimple])
     return hi, lo, config, stable_count, max_re
 
 
 def _row_spectrum(v: np.ndarray, nu5: float, tol: float):
-    """_family_spectra on one row v (4,), on Python floats: hi and lo as
-    complex, the config code, the stable count and the max real part."""
+    """_family_spectra on one row v (4,), on Python floats, with the same
+    closed-form verdict and raises: hi and lo as complex, the config code,
+    the stable count and the max real part."""
     n1, n2, n3, n4 = v.tolist()
-    t0 = interior_scale(nu5)
-    hi, lo, coincident = _upper_pair(n1, n2, n3, n4, t0, nu5)
+    hi, lo, verdict = _upper_pair(n1, n2, n3, n4, interior_scale(nu5), nu5, tol)
     hi, lo = complex(hi), complex(lo)  # Python complex: no numpy scalar arithmetic
-    semisimple = None
-    if coincident:
-        w = t0 * n1 + 1j * nu5
-        semisimple = _coincident_semisimple(v, nu5, w, tol)
-        if semisimple is not None:
-            hi = lo = w
-    unresolved, s_hi, config, stable_count, max_re = _pair_labels(hi, lo, tol)
+    unresolved, config, stable_count, max_re = _pair_labels(hi, lo, verdict, tol)
+    if verdict == _ANOMALOUS:
+        raise RankAnomalous(f"{_RANK_ANOMALOUS} in row 0")
     if unresolved:
         raise UnresolvedConfiguration(_UNRESOLVED % 0)
-    if semisimple is not None:
-        config = CONFIG_NAMES.index(_COINCIDENT_CODES[int(s_hi), semisimple])
     return hi, lo, int(config), stable_count, float(max_re)
 
 
@@ -444,7 +427,7 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
     """Adjacency graph of the 20 strata, read off the welded mesh.
 
     Incidence is the frontier relation, which the welded chart grid of
-    mesh_surfaces([+1, -1], grid_n, nu5, tol) realises: a triangle edge
+    mesh_surfaces([+1, -1], grid_n, tol) realises: a triangle edge
     whose ends' dimension goes up by one is a P-L or L-S edge.  For S-V
     edges every sheet vertex q is pushed to q +- h g (g the unit tangent
     gradient of F, h = 2 pi / grid_n) and labelled by classify_points.  A
@@ -459,7 +442,7 @@ def build_incidence(grid_n: int, nu5: float = 1.0, tol: float = 1e-9) -> Inciden
     dims = np.array([STRATA[name].dimension for name in STRATUM_NAMES])
     n = len(STRATUM_NAMES)
     keys = []  # lo * n + hi per edge, both codes into STRATUM_NAMES
-    for mesh in mesh_surfaces([+1, -1], grid_n, nu5, tol):
+    for mesh in mesh_surfaces([+1, -1], grid_n, tol):
         codes = mesh.strata.astype(np.intp)
         ends = codes[mesh.triangles]
         a, b = ends.ravel(), np.roll(ends, 1, axis=1).ravel()
@@ -914,9 +897,7 @@ def _chart_topology(res: int) -> tuple[np.ndarray, np.ndarray]:
     return params, np.column_stack([a[k], b[k], c[k]])
 
 
-def mesh_surfaces(
-    discs, resolution: int, nu5: float = 1.0, tol: float = 1e-9
-) -> tuple[SurfaceMesh, ...]:
+def mesh_surfaces(discs, resolution: int, tol: float = 1e-9) -> tuple[SurfaceMesh, ...]:
     """Triangulate the chart rectangle of each disc and weld the two-to-one loci.
 
     The chart of the two discs differs only in the sign of nu3, so the
@@ -929,10 +910,10 @@ def mesh_surfaces(
     labelled, as int8 codes into STRATUM_NAMES, by the rule table on
     the whole array, with no spectrum; the first row it leaves ambiguous
     raises AmbiguousStratum as classify_point would for that point.
-    Output is deterministic for a given input.
-    ValueError unless 1e-3 <= |nu5| <= 1e3 and tol > 0.
+    No spectrum is read, so no weight nu5 is taken.  Output is
+    deterministic for a given input.  ValueError unless tol > 0 and
+    resolution >= 8.
     """
-    _check_nu5(nu5, "mesh_surfaces")
     if tol <= 0.0:
         raise ValueError("mesh_surfaces: tol must be positive")
     if resolution < 8:
@@ -954,8 +935,6 @@ def mesh_surfaces(
     return tuple(meshes)
 
 
-def mesh_surface(
-    disc, resolution: int, nu5: float = 1.0, tol: float = 1e-9
-) -> SurfaceMesh:
+def mesh_surface(disc, resolution: int, tol: float = 1e-9) -> SurfaceMesh:
     """The welded mesh of one disc: mesh_surfaces on [disc]."""
-    return mesh_surfaces([disc], resolution, nu5, tol)[0]
+    return mesh_surfaces([disc], resolution, tol)[0]

@@ -570,6 +570,21 @@ def probe_classify(point, nu5: float, tol: float):
         return None
 
 
+def pair_verdict_reference(v, nu5: float, tol: float):
+    """The verdict of the SVD route on the two pairs of the unit row v (4,),
+    taken as one double pair at w = t0 nu1 + i nu5: the annihilator-rank
+    test spectra._pair_is_semisimple on the evaluation matrix, with
+    u = -2 Re w and v = |w|^2.  True (semisimple), False (nilpotent), None
+    (two distinct pairs), or RankAnomalous raised."""
+    from resonance_atlas.geometry import SpherePoint
+    from resonance_atlas.spectra import _pair_is_semisimple
+    from resonance_atlas.stratification import evaluation_matrix, interior_scale
+
+    w = complex(interior_scale(nu5) * v[0] + 1j * nu5)
+    A = evaluation_matrix(SpherePoint(v), nu5)
+    return _pair_is_semisimple(A, -2.0 * w.real, abs(w) ** 2, tol)
+
+
 def mesh_surface_reference(disc: int, resolution: int, nu5: float = 1.0, tol: float = 1e-9):
     """The welded chart mesh built one cell at a time, for comparison with
     the whole-array mesher.

@@ -36,9 +36,14 @@ def test_verify_basis_suite(capsys):
 
 
 def test_verify_strata_suite(capsys):
+    """The strata suite checks the representatives and the closed-form
+    annihilator the coincident pairs are decided by."""
     assert main(["verify", "--suite", "strata"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS strata.representatives" in out
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "OK 2 checks"
+    assert lines[0].startswith("PASS strata.representatives ")
+    assert lines[1].startswith("PASS strata.annihilator_closed_form ")
+    assert float(lines[1].split("residual=")[1].split()[0]) <= 1e-14
 
 
 def test_verify_surface_suite_states_the_anchor_facts(capsys):
@@ -639,6 +644,18 @@ def test_nu5_outside_its_range_is_a_usage_error(capsys, nu5):
     assert captured.out == ""
 
 
+def test_mesh_checks_nu5_through_the_run_config(tmp_path, capsys):
+    """mesh_surfaces takes no nu5, but mesh still refuses one outside the
+    range, from RunConfig.validate, before writing anything; inside it the
+    summary records the weight."""
+    out = tmp_path / "m.obj"
+    assert main(["--nu5", "1e6", "mesh", "--resolution", "8", "--out", str(out)]) == 2
+    assert "nu5 must satisfy 0.001 <= |nu5| <= 1000" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--nu5", "-2", "mesh", "--resolution", "8", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "m.obj.summary.json").read_text())["nu5"] == -2.0
+
+
 def test_classify_takes_negative_exponent_coordinates(capsys):
     """A coordinate like -1e-3 is a number, not an option, without "--"."""
     assert main(["classify", "0.5", "-1e-3", "0.5", "0.5", "--json"]) == 0
@@ -692,15 +709,20 @@ def _classify_json(capsys, coords):
 )
 def test_classify_computes_one_spectrum(coords, count_calls, capsys):
     """Label, config, max real part and eigenvalues all come from the one
-    closed-form spectrum: no general spectrum and no characteristic
-    polynomial.  The two pairs coincide where nu4 = 0 and nu2^2 = nu3^2
-    (the axis, P1), and only there one annihilator-rank test runs."""
-    spectra_calls = count_calls(spectra.spectrum)
-    poly_calls = count_calls(linalg.char_poly)
-    rank_calls = count_calls(spectra._pair_is_semisimple)
+    closed-form spectrum: no general spectrum, no characteristic polynomial,
+    no evaluation matrix and no annihilator-rank test on a matrix, where the
+    two pairs coincide (nu4 = 0 and nu2^2 = nu3^2: the axis, P1) too."""
+    calls = [
+        count_calls(f)
+        for f in (
+            spectra.spectrum,
+            linalg.char_poly,
+            stratification.evaluation_matrix,
+            spectra._pair_is_semisimple,
+        )
+    ]
     assert _classify_json(capsys, coords)["eigenvalues"]
-    coincident = coords[3] == 0.0 and coords[1] ** 2 == coords[2] ** 2
-    assert (spectra_calls[0], poly_calls[0], rank_calls[0]) == (0, 0, int(coincident))
+    assert [c[0] for c in calls] == [0, 0, 0, 0]
 
 
 def test_classify_runs_the_row_evaluator_once(count_calls, capsys):

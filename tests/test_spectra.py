@@ -68,9 +68,15 @@ def test_spectrum_flag_nilpotent():
     assert sp.semisimple_double_pair is False
 
 
-def test_spectrum_flag_none_off_axis():
-    sp = spectrum(_coincident(0.4, 1.0, False), 1e-9)
-    assert sp.semisimple_double_pair is None  # coincident but not imaginary
+def test_spectrum_flag_off_axis():
+    """The rank verdict is kept for a double pair off the imaginary axis
+    too, so classify_configuration runs no second test; two distinct pairs
+    within the coincidence threshold carry no flag and no double pair."""
+    assert spectrum(_coincident(0.4, 1.0, False), 1e-9).semisimple_double_pair is True
+    assert spectrum(_coincident(0.4, 1.0, True), 1e-9).semisimple_double_pair is False
+    sp = spectrum(_two_pairs(0.4, 1.0, 0.4, 1.0 + 1e-8), 1e-9)
+    assert len(sp.clusters) == 2
+    assert (sp.semisimple_double_pair, sp.double_pair) == (None, None)
 
 
 def test_spectrum_coincident_pair_is_exact():

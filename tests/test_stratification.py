@@ -7,7 +7,7 @@ import pytest
 
 from resonance_atlas import linalg, spectra, stratification
 from resonance_atlas._pcg64 import uniform_doubles
-from resonance_atlas.errors import AmbiguousStratum, ResonanceAtlasError
+from resonance_atlas.errors import AmbiguousStratum, RankAnomalous, ResonanceAtlasError
 from resonance_atlas.geometry import (
     P_POINTS,
     F_critical,
@@ -392,6 +392,186 @@ def test_closed_form_configuration_matches_general_path(nu5):
     assert [(CONFIG_NAMES[c], s) for c, s in zip(config.tolist(), stable.tolist())] == want
 
 
+# The weights the closed-form verdicts are checked at: QUERY_NU5 of the
+# benchmark, the stress weights and the ends of the nu5 range.
+_VERDICT_NU5 = (1.0, -1.0, 0.3, 7.0, -2.0, -0.5, 0.5, 3.0, 1e-3, 1e3)
+_VERDICT_NAMES = {
+    spectra._SEMISIMPLE: True,
+    spectra._NILPOTENT: False,
+    spectra._DISTINCT: None,
+    spectra._ANOMALOUS: RankAnomalous,
+}
+
+
+def _verdicts(rows, nu5, tol):
+    """The closed-form verdict (spectra._family_verdict, on whole columns)
+    and the SVD route's (oracles.pair_verdict_reference, row by row) on
+    every row, each True, False, None or RankAnomalous."""
+    closed = spectra._family_verdict(*rows.T, interior_scale(nu5), nu5, tol)
+    want = []
+    for v in rows:
+        try:
+            want.append(oracles.pair_verdict_reference(v, nu5, tol))
+        except RankAnomalous:
+            want.append(RankAnomalous)
+    return [_VERDICT_NAMES[k] for k in closed.tolist()], want
+
+
+@pytest.mark.parametrize("nu5", _VERDICT_NU5)
+def test_closed_form_verdicts_match_svd_on_stress_rows(nu5):
+    """On the stress rows whose pairs can coincide at some nu5 in the range
+    (|D| <= 2e-3: the axis, the rows next to it and next to P1..P6, P1..P4)
+    and on the six L representatives (rank 4 on the imaginary axis), the
+    closed-form verdict is the SVD route's: True, False, None or the raise."""
+    pts = _stress_points()
+    near = pts[np.abs(spectra._pair_split(*pts[:, 1:].T)) <= 2e-3]
+    rows = np.vstack([near, [representatives()[f"L{k}"][0].nu4 for k in range(1, 7)]])
+    got, want = _verdicts(rows, nu5, 1e-9)
+    assert len(rows) >= 90
+    assert got == want
+    assert {True, False, RankAnomalous} <= set(want)
+
+
+def _rows_near_coincidence(rng, count):
+    """count random unit rows, half next to the axis (+-1, e g) and half
+    next to the curves D = 0, nu4 = 0 and nu2^2 = nu3^2 (a quarter of
+    those on the imaginary axis, nu1 = 0), e log-uniform in 1e-10..1e-2."""
+    e = 10.0 ** rng.uniform(-10.0, -2.0, size=(count, 1))
+    g = rng.standard_normal((count, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    half = count // 2
+    axis = np.zeros((half, 4))
+    axis[:, 0] = rng.choice([-1.0, 1.0], size=half)
+    a = rng.uniform(0.05, 1.0, size=count - half) * rng.choice([-1.0, 1.0], size=count - half)
+    n1 = rng.uniform(-1.0, 1.0, size=count - half)
+    curve = np.column_stack([n1, a, a * rng.choice([-1.0, 1.0], size=count - half), 0.0 * a])
+    on_axis = np.arange(count - half) % 4 == 0
+    curve[on_axis, 0] = 0.0
+    g[half:][on_axis, 0] = 0.0
+    return stratification._unit_rows(np.vstack([axis, stratification._unit_rows(curve)]) + e * g)
+
+
+def test_closed_form_verdicts_match_svd_near_the_coincident_set():
+    """30,000 random rows next to the axis and the D = 0 curves, spread over
+    every weight of _VERDICT_NU5 and tol in {1e-12, 1e-9, 1e-6}: the
+    closed-form verdict is the SVD route's on every row, and all four
+    outcomes occur."""
+    rows = _rows_near_coincidence(np.random.default_rng(29), 30_000)
+    seen = set()
+    for k, (nu5, tol) in enumerate(itertools.product(_VERDICT_NU5, (1e-12, 1e-9, 1e-6))):
+        got, want = _verdicts(rows[k::30], nu5, tol)
+        assert got == want, (nu5, tol)
+        seen.update(want)
+    assert seen == {True, False, None, RankAnomalous}
+
+
+def _placed_rows(base, directions, nu5, tol, pick):
+    """Rows base + e g, g in directions, with e set so that the singular
+    value pick(svals) of the annihilator is 0.5, 0.9, 1.1 and 2 times the
+    threshold max(tol, 1e-12) (1 + ||A||_2)^2, from its slope at e = 1e-7;
+    only rows with e <= 1e-2 are kept, as (row, ratio) pairs."""
+    t0 = interior_scale(nu5)
+
+    def measure(v):
+        w = complex(t0 * v[0] + 1j * nu5)
+        E = evaluation_matrix(SpherePoint(v), nu5).entries
+        svals = np.linalg.svd(E @ E - 2.0 * w.real * E + abs(w) ** 2 * np.eye(4), compute_uv=False)
+        return pick(svals) / (max(tol, 1e-12) * (1.0 + np.linalg.norm(E, 2)) ** 2)
+
+    out = []
+    for g in directions:
+        slope = measure(_unit(base + 1e-7 * g)) / 1e-7
+        for k in (0.5, 0.9, 1.1, 2.0):
+            if k / slope <= 1e-2:
+                v = _unit(base + k / slope * g)
+                out.append((v, measure(v) / k))
+    return out
+
+
+def test_closed_form_verdicts_match_svd_at_the_rank_thresholds():
+    """Rows placed at 0.5, 0.9, 1.1 and 2 times the threshold of the large
+    singular value (next to the axis: rank 0 or 2) and of the small one
+    (next to P1's curve, nu1 = 0.5 and nu1 = 0: rank 2 or 4, None or the
+    raise), at every weight of _VERDICT_NU5 and tol in {1e-12, 1e-9,
+    1e-6}: the closed-form verdict is the SVD route's on every row."""
+    rng = np.random.default_rng(2029)
+    g = rng.standard_normal((4, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g0 = g * [0.0, 1.0, 1.0, 1.0]
+    c = math.sqrt(0.5)
+    count = 0
+    for nu5 in _VERDICT_NU5:
+        for tol in (1e-12, 1e-9, 1e-6):
+            placed = (
+                _placed_rows(np.array([1.0, 0.0, 0.0, 0.0]), g, nu5, tol, lambda s: s[0])
+                + _placed_rows(np.array([-1.0, 0.0, 0.0, 0.0]), g, nu5, tol, lambda s: s[0])
+                + _placed_rows(np.array([0.5, c, c, 0.0]) / math.hypot(0.5, 1.0), g, nu5, tol,
+                               lambda s: s[3])
+                + _placed_rows(np.array([0.0, c, c, 0.0]), g0, nu5, tol, lambda s: s[3])
+            )
+            if not placed:  # no row on the sphere reaches 0.5 thresholds
+                continue
+            # the slope placed every row within a few percent of its ratio
+            assert all(abs(ratio - 1.0) <= 0.05 for _, ratio in placed)
+            got, want = _verdicts(np.array([v for v, _ in placed]), nu5, tol)
+            assert got == want, (nu5, tol)
+            count += len(placed)
+    assert count >= 1000
+
+
+@pytest.mark.parametrize(
+    "row, nu5, margin",
+    [((1.0, 0.0, 8.4e-4, 1.12e-3), 1e-3, 5e-6), ((-1.0, 1e-6, 1e-6, 1e-6), 1.0, 2e-8)],
+)
+@pytest.mark.parametrize("which", [0, 3])  # the large and the small singular value
+def test_closed_form_verdicts_are_exact_in_d(row, nu5, margin, which):
+    """The two pairs of these rows coincide, yet D is not 0, and forms exact
+    only at D = 0 are off: the singular values 2 t0 |nu5|
+    sqrt((|nu2| +- |nu3|)^2 + nu4^2) by 2.4e-4 on the first row, the scale
+    from ||A||_2 at D = 0 by 1.2e-7 on the second.  With tol set so that
+    the SVD's singular value lies margin below and above the threshold, the
+    closed-form verdict is the SVD route's on both sides, and the two sides
+    differ."""
+    v = _unit(row)
+    t0 = interior_scale(nu5)
+    hi, lo, _ = spectra._upper_pair(*v, t0, nu5, 1e-9)
+    assert abs(hi - lo) <= linalg.CLUSTER_TOL_DEFAULT * (1.0 + max(abs(hi), abs(lo)))
+    w = complex(t0 * v[0] + 1j * nu5)
+    E = evaluation_matrix(SpherePoint(v), nu5).entries
+    svals = np.linalg.svd(E @ E - 2.0 * w.real * E + abs(w) ** 2 * np.eye(4), compute_uv=False)
+    sides = []
+    for ratio in (1.0 - margin, 1.0 + margin):
+        tol = svals[which] / (ratio * (1.0 + np.linalg.norm(E, 2)) ** 2)
+        got, want = _verdicts(v[None], nu5, tol)
+        assert got == want
+        sides.append(want[0])
+    assert sides[0] != sides[1]
+
+
+@pytest.mark.parametrize("nu5", [1.0, -1.0, -2.0, 0.3, 7.0, 1e3])
+@pytest.mark.parametrize("e", [1e-6, 1e-7])
+@pytest.mark.parametrize("nu1", [1.0, -1.0])
+def test_general_path_keeps_two_distinct_pairs(nu1, e, nu5):
+    """At (+-1, e, e, e) the two pairs lie within the coincidence threshold
+    but the annihilator has rank 4.  configuration_at then keeps the
+    quartic's two distinct pairs, as _row_label (classify) does, instead of
+    four copies of the double root, which lies |hi - lo| / 2 >= 1.2e-8
+    (1 + |lambda|) from each.  The quartic resolves pairs that close to
+    about 2e-9 (1 + |lambda|)."""
+    v = np.array([nu1, e, e, e]) / math.sqrt(1.0 + 3.0 * e * e)
+    general = configuration_at(SpherePoint(v), nu5, 1e-9)
+    _, hi, lo, config, stable_count, max_re = _row_label(v, nu5, 1e-9)
+    assert (general.code, general.stable_count) == (CONFIG_NAMES[config], stable_count)
+    assert general.code == ("g+1g+2" if nu1 > 0.0 else "g-1g-2")
+    assert general.spectrum.double_pair is None
+    scale = 1.0 + max(abs(hi), abs(lo))
+    assert abs(hi - lo) / 2.0 >= 1.2e-8 * scale
+    closed = [hi, lo, hi.conjugate(), lo.conjugate()]
+    gap = oracles.multiset_gap(general.spectrum.eigenvalues, closed)
+    assert gap <= 2e-9 * scale
+    assert abs(general.spectrum.max_real_part - max_re) <= 2e-9 * scale
+
+
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
 def test_row_spectrum_equals_column_spectrum(nu5):
     """The one-row evaluator of the pair kernel equals the column evaluator
@@ -436,18 +616,34 @@ def test_max_real_part_against_fifty_digit_closed_form():
         assert err <= Decimal("2.3e-16"), (row, err)
 
 
-def test_classify_points_rank_test_once_per_coincident_row(count_calls):
-    """Every row is read from the closed-form spectrum: no general spectrum
-    and no characteristic polynomial.  One annihilator-rank test runs per
-    row whose two pairs coincide (P1..P4 and the two axis points), and none
-    on any other row."""
-    spectra_calls = count_calls(spectra.spectrum)
-    poly_calls = count_calls(linalg.char_poly)
-    rank_calls = count_calls(spectra._pair_is_semisimple)
+def test_classify_points_build_no_matrix(count_calls, monkeypatch):
+    """Every row is read from the closed-form spectrum: no general spectrum,
+    no characteristic polynomial, no evaluation matrix, no annihilator-rank
+    test on a matrix and no SVD, on the rows whose two pairs coincide (P1..P4
+    and the two axis points) too."""
+    calls = [
+        count_calls(f)
+        for f in (
+            spectra.spectrum,
+            linalg.char_poly,
+            evaluation_matrix,
+            spectra._pair_is_semisimple,
+        )
+    ]
+    svd_calls = [0]
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     reps = np.array([p.nu4 for p, _ in representatives().values()])
     axis = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
-    classify_points(np.vstack([sphere_samples(500, 3), reps, axis]), 1.0)
-    assert (spectra_calls[0], poly_calls[0], rank_calls[0]) == (0, 0, 4 + len(axis))
+    got = classify_points(np.vstack([sphere_samples(500, 3), reps, axis]), 1.0)
+    assert [c[0] for c in calls] + svd_calls == [0] * 5
+    coincident = np.r_[got.config[500:504], got.config[-2:]]  # P1..P4, +e1, -e1
+    assert [CONFIG_NAMES[k] for k in coincident] == ["b^2"] * 4 + ["g+g+", "g-g-"]
 
 
 def test_classify_points_validation():
@@ -462,8 +658,9 @@ def test_classify_points_validation():
 @pytest.mark.parametrize("nu5", [1e-7, -1e-7, 1e-6, 1e4, -1e4, 1e6, np.nan, np.inf, 0.0])
 def test_sampled_entry_points_reject_nu5_outside_its_range(nu5):
     """Outside 1e-3 <= |nu5| <= 1e3 the fixed tolerances give wrong labels,
-    so classify_points, stability_report, the one-point classify_point and
-    _row_label and mesh_surfaces refuse such a nu5."""
+    so classify_points, stability_report and the one-point classify_point
+    and _row_label refuse such a nu5.  mesh_surfaces reads no spectrum and
+    takes no nu5."""
     pts = sphere_samples(200, 0)
     p = SpherePoint(pts[0])
     calls = [
@@ -471,7 +668,6 @@ def test_sampled_entry_points_reject_nu5_outside_its_range(nu5):
         lambda: stability_report(pts, nu5),
         lambda: classify_point(p, nu5),
         lambda: _row_label(p.nu4, nu5, 1e-9),
-        lambda: mesh_surfaces([+1, -1], 16, nu5),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"nu5 must satisfy 0.001 <= \|nu5\| <= 1000"):
@@ -1210,7 +1406,7 @@ def test_mesh_fallback_rows_match_reference_mesher(res, tol):
             return str(exc)
 
     want = outcome(lambda: oracles.mesh_surface_reference(+1, res, 1.0, tol)[3])
-    got = outcome(lambda: _names(mesh_surface(+1, res, 1.0, tol).strata))
+    got = outcome(lambda: _names(mesh_surface(+1, res, tol).strata))
     assert got == want
 
 

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,3 +151,28 @@ def test_tables_are_built_on_first_use(capsys):
     assert cli.main(["classify", "--json", "0.3", "0.2", "0.5", "0.1"]) == 0
     assert cli._digit_words.cache_info().currsize == 0
     assert cli._float_heads.cache_info().currsize == 0
+
+
+def test_whole_word_text_columns_are_read_in_place():
+    """A contiguous 'S' column whose item size is whole words is read where
+    it lies: writing 100,000 'S28' rows allocates a few blocks, not a copy of
+    the column (2.8 MB).  Strided and padded columns give the same text."""
+    class Sink:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, b):
+            self.parts.append(len(b))
+
+    col = np.array([b"%027d," % i for i in range(100_000)], dtype="S28")
+    tracemalloc.start()
+    try:
+        cli.write_rows(Sink(), [col, b"\n"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < col.nbytes / 4
+    for c in (col[:300], col[:300:2], col[:300].astype("S30"), col[:300].astype("S27")):
+        buf = io.BytesIO()
+        cli.write_rows(buf, [b"t ", c, b"\n"])
+        assert buf.getvalue() == b"".join(b"t %s\n" % x for x in c.tolist())
