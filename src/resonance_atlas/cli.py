@@ -841,9 +841,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_classify(argv) -> argparse.Namespace | None:
+    """The namespace _build_parser().parse_args(argv) gives for
+    `classify [--json] [--] nu1 nu2 nu3 nu4 [nu5] [--json]` (the trailing
+    --json only without --), read without building the parser; None for
+    every other argv, argparse's to read.  Before --, a token starting with
+    '-' is a coordinate only where _NEGATIVE_NUMBER matches it, as in the
+    parser."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args[:1] != ["classify"]:
+        return None
+    flag = args[1:2] == ["--json"]
+    rest = args[1 + flag :]
+    marked = rest[:1] == ["--"]
+    if marked:
+        rest = rest[1:]
+    elif rest[-1:] == ["--json"]:
+        flag, rest = True, rest[:-1]
+    if len(rest) not in (4, 5) or not all(
+        type(t) is str and (marked or t[:1] != "-" or _NEGATIVE_NUMBER.match(t)) for t in rest
+    ):
+        return None
+    try:
+        nu = [float(t) for t in rest]
+    except ValueError:
+        return None
+    return argparse.Namespace(
+        config=None, tol=None, nu5=None, seed=None, command="classify",
+        nu1=nu[0], nu2=nu[1], nu3=nu[2], nu4=nu[3], point_nu5=nu[4] if len(nu) == 5 else None,
+        json=flag, func=_cmd_classify,
+    )
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line: the positional classify form through
+    _read_classify, every other argv through argparse."""
+    args = _read_classify(argv)
+    return _run(_build_parser().parse_args(argv) if args is None else args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Resolve the run config of the parsed args and run their command."""
     try:
         cfg = _resolve_config(args)
     except OSError as exc:

@@ -199,13 +199,19 @@ def _upper_pair(n1, n2, n3, n4, t0, nu5, tol):
     t0 n1 + i nu5.  Elsewhere the verdict is _DISTINCT.  Built from
     arithmetic, powers, abs, comparisons, np.sqrt, np.maximum and table
     lookups only, so the arguments may be Python floats of one row or (n,)
-    columns.
+    columns; on columns _family_verdict runs on the coincident rows only.
     """
     d = _pair_split(n2, n3, n4)
     hi = t0 * n1 + 1j * (nu5 + t0 * d)
     lo = t0 * n1 + 1j * (nu5 + t0 * -d)
     coincident = abs(hi - lo) <= CLUSTER_TOL_DEFAULT * (1.0 + np.maximum(abs(hi), abs(lo)))
-    verdict = coincident * _family_verdict(n1, n2, n3, n4, t0, nu5, tol)
+    if isinstance(n1, np.ndarray):
+        rows = np.flatnonzero(coincident)
+        verdict = np.zeros(len(n1), dtype=np.int8)  # one byte a row, as the config codes
+        if len(rows):
+            verdict[rows] = _family_verdict(n1[rows], n2[rows], n3[rows], n4[rows], t0, nu5, tol)
+    else:
+        verdict = coincident * _family_verdict(n1, n2, n3, n4, t0, nu5, tol)
     d = d * (verdict == _DISTINCT)
     hi = t0 * n1 + 1j * (nu5 + t0 * d)
     lo = t0 * n1 + 1j * (nu5 + t0 * -d)

@@ -672,6 +672,121 @@ def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
 
+_THETA = repr(math.pi / 4.0 + 1.8e-9)  # an ambiguous point: exit 1
+# (argv, whether cli._read_classify reads it) for the reader-vs-argparse tests
+_CLASSIFY_ARGVS = [
+    # the benchmark's form, 4 and 5 positionals
+    (["classify", "--json", "--", "-0.1", "0.2", "0.3", "0.4", "-2.0"], True),
+    (["classify", "--json", "--", "-0.1", "0.2", "0.3", "0.4"], True),
+    (["classify", "--json", "--", "0.0", "0.7071067811865476", "0.7071067811865476", "0.0",
+      "1.0"], True),
+    (["classify", "--json", "--", "1.0", "0.0", "0.0", "0.0", "-2.0"], True),
+    # the README's forms
+    (["classify", "0.25", "0.5", "0.75", "0.353553", "--json"], True),
+    (["classify", "0", "0", "1", "0"], True),
+    (["classify", "--json", "0.25", "0.5", "0.75", "0.353553", "--json"], True),
+    (["classify", "--", "0.25", "0.5", "0.75", "0.353553"], True),
+    # negative numbers without --
+    (["classify", "0.5", "-1e-3", "0.5", "0.5"], True),
+    (["classify", "-.5", "-2E-1", "0.5", "0.5", "-1.5", "--json"], True),
+    # tokens _NEGATIVE_NUMBER does not match before --, and after it
+    (["classify", "-inf", "0", "0", "1"], False),
+    (["classify", "--", "-inf", "0", "0", "1"], True),
+    (["classify", "-nan", "0", "0", "1"], False),
+    (["classify", "--", "-nan", "0", "0", "1"], True),
+    (["classify", "-1 ", "0", "0", "1"], False),
+    (["classify", "--", "-1 ", "0", "0", "1"], True),
+    (["classify", "-1\n", "0", "0", "1"], True),
+    (["classify", "--", "-1\n", "0", "0", "1"], True),
+    # non-finite coordinates: exit 2, "coordinates must be finite"
+    (["classify", "nan", "0", "0", "1"], True),
+    (["classify", "0", "inf", "0", "1", "--json"], True),
+    # other exits of _cmd_classify and the run config
+    (["classify", "0", "0", "0", "0"], True),
+    (["classify", "0", "0", "1", "0", "1e6"], True),
+    (["classify", "0", "0", "1", "0", "0"], True),
+    (["classify", "0", _THETA, _THETA, "0"], True),
+    # what float() alone takes
+    (["classify", " 1", "+0.5", "1_0", "1e400"], True),
+    # the wrong number of positionals
+    (["classify", "1", "2", "3"], False),
+    (["classify", "1", "2", "3", "4", "5", "6"], False),
+    (["classify", "--json", "--"], False),
+    (["classify"], False),
+    ([], False),
+    # options and tokens only argparse reads
+    (["classify", "--js", "1", "2", "3", "4"], False),
+    (["classify", "1", "2", "3", "4", "--js"], False),
+    (["classify", "1", "2", "--json", "3", "4"], False),
+    (["classify", "1", "2", "3", "4", "--json", "--json"], False),
+    (["classify", "--json", "--", "1", "2", "3", "4", "--json"], False),
+    (["classify", "1", "2", "3", "4", "--"], False),
+    (["classify", "1", "2", "x", "4"], False),
+    (["classify", "-", "2", "3", "4"], False),
+    (["classify", "-h"], False),
+    (["classify", "--help"], False),
+    (["--tol", "1e-6", "classify", "0", "0", "1", "0"], False),
+    (["--nu5", "-2", "classify", "--json", "--", "1", "0", "0", "0"], False),
+    (["verify", "--suite", "basis"], False),
+]
+
+
+def _same_namespace(a, b):
+    """vars() equal, NaN included, and the same types and zero signs."""
+    return repr(sorted(vars(a).items())) == repr(sorted(vars(b).items()))
+
+
+@pytest.mark.parametrize("argv, read", _CLASSIFY_ARGVS)
+def test_classify_reader_matches_argparse(argv, read):
+    """cli._read_classify reads exactly the positional classify form and
+    gives the namespace parse_args gives; every other argv it leaves to
+    argparse (None)."""
+    args = cli._read_classify(argv)
+    assert (args is not None) == read
+    if args is not None:
+        assert _same_namespace(args, _build_parser().parse_args(argv))
+
+
+def _outcome(call, capsys):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, read", _CLASSIFY_ARGVS)
+def test_main_matches_the_argparse_path(argv, read, capsys):
+    """main(argv) gives the exit code, stdout and stderr that the argparse
+    path alone gives, whether the reader or argparse reads argv."""
+    got = _outcome(lambda: main(argv), capsys)
+    want = _outcome(lambda: cli._run(_build_parser().parse_args(argv)), capsys)
+    assert got == want
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    """main(None) reads sys.argv[1:], through the reader and through
+    argparse alike."""
+    for argv, read in [(["classify", "--json", "--", "-0.1", "0.2", "0.3", "0.4", "-2.0"], True),
+                       (["--tol", "1e-9", "classify", "0", "0", "1", "0"], False)]:
+        monkeypatch.setattr(sys, "argv", ["resonance-atlas", *argv])
+        assert (cli._read_classify(None) is not None) == read
+        got = _outcome(lambda: main(None), capsys)
+        want = _outcome(lambda: cli._run(_build_parser().parse_args(argv)), capsys)
+        assert got == want and got[0] == 0 and got[1]
+
+
+def test_classify_reader_builds_no_parser(count_calls, capsys):
+    """main reads the positional classify form without building the
+    argparse parser and sends any other command line to it."""
+    builds = count_calls(cli._build_parser)
+    assert main(["classify", "--json", "--", "1.0", "0.0", "0.0", "0.0"]) == 0
+    assert builds == [0]
+    assert main(["--tol", "1e-9", "classify", "1", "0", "0", "0"]) == 0
+    assert builds == [1]
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """No command uses scipy: importing the CLI does not load it, and
     neither does a sample run, which does not load numpy.ma or

@@ -589,6 +589,34 @@ def test_row_spectrum_equals_column_spectrum(nu5):
     assert [as_bits(*r) for r in zip(*cols)] == [as_bits(*w) for w in want]
 
 
+@pytest.mark.parametrize("nu5", [1.0, -2.0])
+def test_column_verdict_runs_on_coincident_rows_only(nu5, monkeypatch):
+    """The column evaluator hands _family_verdict exactly the rows whose two
+    eigenvalues above the real axis lie within CLUSTER_TOL_DEFAULT
+    (1 + max |lambda|) of each other, in one call, and does not call it on
+    a sample draw with no such row."""
+    seen = []
+    verdict = spectra._family_verdict
+
+    def recorded(*args):
+        seen.append(np.column_stack(args[:4]))
+        return verdict(*args)
+
+    monkeypatch.setattr(spectra, "_family_verdict", recorded)
+    pts = _stress_points()
+    t0 = interior_scale(nu5)
+    d = spectra._pair_split(*pts[:, 1:].T)
+    hi, lo = t0 * pts[:, 0] + 1j * (nu5 + t0 * d), t0 * pts[:, 0] + 1j * (nu5 - t0 * d)
+    coincident = np.abs(hi - lo) <= linalg.CLUSTER_TOL_DEFAULT * (
+        1.0 + np.maximum(np.abs(hi), np.abs(lo)))
+    assert 0 < coincident.sum() < 200
+    stratification._family_spectra(pts, nu5, 1e-9)
+    assert len(seen) == 1 and np.array_equal(seen[0], pts[coincident])
+    seen.clear()
+    stratification._family_spectra(sphere_samples(10_000, 42), nu5, 1e-9)
+    assert seen == []
+
+
 @pytest.mark.parametrize("nu5", [1.0, -1.0, 0.3, 7.0, -2.0])
 def test_classify_point_equals_one_row_batch(nu5):
     """On every stress row classify_point and classify_points on that one
